@@ -16,7 +16,6 @@
 #include "truss/kron_truss.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 #include "validate/report.hpp"
 
 namespace kronotri::api {
@@ -484,12 +483,12 @@ class TrussAnalysis final : public Analysis {
             "truss: oracle=1 requires a 2-factor kron spec without outer "
             "modifiers");
       }
+      // No wall time in `text`: the report's wall_s carries it, and text
+      // must be identical across identical runs.
       const Graph& g = ctx.graph();
-      util::WallTimer timer;
       const auto t = truss::decompose(g);
       os << "truss decomposition of " << g.num_undirected_edges()
-         << " edges in " << timer.seconds() << " s; max truss " << t.max_truss
-         << "\n";
+         << " edges; max truss " << t.max_truss << "\n";
       for (count_t k = 3; k <= t.max_truss; ++k) {
         add(k, t.edges_in_truss(k));
       }

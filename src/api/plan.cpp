@@ -220,6 +220,7 @@ Value WorkerEvent::to_json() const {
   if (max_rss_bytes != 0) v.set("max_rss_bytes", max_rss_bytes);
   if (cpu_user_s != 0) v.set("cpu_user_s", cpu_user_s);
   if (cpu_sys_s != 0) v.set("cpu_sys_s", cpu_sys_s);
+  if (omp_threads != 0) v.set("omp_threads", omp_threads);
   if (!host.empty()) v.set("host", host);
   return v;
 }
@@ -238,6 +239,7 @@ WorkerEvent WorkerEvent::from_json(const Value& v) {
   e.max_rss_bytes = v.get_uint("max_rss_bytes", 0);
   if (const Value* u = v.find("cpu_user_s")) e.cpu_user_s = u->as_double();
   if (const Value* s = v.find("cpu_sys_s")) e.cpu_sys_s = s->as_double();
+  e.omp_threads = static_cast<unsigned>(v.get_uint("omp_threads", 0));
   e.host = v.get_string("host", "");
   return e;
 }

@@ -94,6 +94,14 @@ struct WorkerEvent {
   std::size_t max_rss_bytes = 0;
   double cpu_user_s = 0;
   double cpu_sys_s = 0;
+  /// OpenMP team the worker process ran with: the per-host budget
+  /// (util::omp_budget) of the coordinator for local attempts, of the agent
+  /// for remote ones. 0 where unknown: attempts that never ran
+  /// (spawn_failed, resumed) and remote attempts whose result frame never
+  /// arrived (disconnect, garbled, aborted). Read next to
+  /// (cpu_user_s + cpu_sys_s) / wall_s, it shows whether a worker kept its
+  /// team busy or oversubscribed its cores.
+  unsigned omp_threads = 0;
 
   [[nodiscard]] util::json::Value to_json() const;
   static WorkerEvent from_json(const util::json::Value& v);

@@ -30,6 +30,7 @@
 #include "util/journal.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
+#include "util/threads.hpp"
 
 namespace kronotri::cli {
 
@@ -175,7 +176,10 @@ void usage(std::ostream& out) {
          "            runs purely remote; --workers auto = all cores); a\n"
          "            lost connection, garbled frame or missed heartbeat\n"
          "            re-dispatches the agent's in-flight units, and the\n"
-         "            merged report stays bit-identical to a local run\n"
+         "            merged report stays bit-identical to a local run.\n"
+         "            Each worker runs an OpenMP team of max(1, min(\n"
+         "            OMP_NUM_THREADS or all cores, cores / local slots)),\n"
+         "            recorded per attempt as worker_events omp_threads\n"
          "  agent     [--listen HOST:PORT] [--slots N|auto]\n"
          "            remote worker agent for `run --agents`: executes\n"
          "            dispatched run units in sandboxed local worker\n"
@@ -183,6 +187,8 @@ void usage(std::ostream& out) {
          "            surface as local workers) and streams back fragment\n"
          "            frames + trace buffers; default --listen\n"
          "            127.0.0.1:0 prints the resolved ephemeral port;\n"
+         "            each worker's OpenMP team is cores / --slots, capped\n"
+         "            by OMP_NUM_THREADS;\n"
          "            SIGINT/SIGTERM stops (children SIGKILLed)\n"
          "  serve     --socket PATH [--workers N] [--queue-depth D]\n"
          "            [--cache-bytes B[K|M|G]] [--mem-budget B[K|M|G]]\n"
@@ -199,7 +205,9 @@ void usage(std::ostream& out) {
          "            restart, replays the ones that never finished (a\n"
          "            kill -9 loses no admitted work); a stale socket file\n"
          "            left by a dead server is probed and reclaimed, a\n"
-         "            LIVE server on the socket refuses the second serve\n"
+         "            LIVE server on the socket refuses the second serve.\n"
+         "            Each job runs an OpenMP team of cores / --workers,\n"
+         "            capped by OMP_NUM_THREADS (stats config.omp_threads)\n"
          "  submit    --socket PATH --plan FILE|STRING [--json FILE]\n"
          "            [--connect-timeout SECS] [--request-timeout SECS]\n"
          "            [--retries R]\n"
@@ -668,6 +676,11 @@ int cmd_worker(const util::Cli& flags, std::ostream&, std::ostream& err) {
     std::stringstream buf;
     buf << in.rdbuf();
     const api::RunPlan plan = api::RunPlan::parse(buf.str());
+    // The spawning host's thread budget: this worker's share of the cores,
+    // not a full team per concurrent worker.
+    if (const auto team = flags.get_uint("omp-threads", 0); team > 0) {
+      util::set_omp_threads(static_cast<unsigned>(team));
+    }
 
     // Injected faults fire at exact (unit, attempt) coordinates, before
     // or after the real work, so every coordinator recovery path is
@@ -758,7 +771,8 @@ int cmd_serve(const util::Cli& flags, std::ostream& out, std::ostream& err) {
   out << "kronotri: serving on " << socket_path << " (workers=" << opt.workers
       << " queue-depth=" << opt.queue_depth
       << " cache-bytes=" << opt.cache_bytes
-      << " mem-budget=" << opt.mem_budget_bytes << ")" << std::endl;
+      << " mem-budget=" << opt.mem_budget_bytes
+      << " omp-threads=" << server.omp_threads() << ")" << std::endl;
 
   g_serve_stop = 0;
   std::signal(SIGINT, serve_signal_handler);
@@ -807,7 +821,8 @@ int cmd_agent(const util::Cli& flags, std::ostream& out, std::ostream& err) {
   // The resolved endpoint goes to stdout first thing so scripts starting
   // an ephemeral-port agent can scrape the port.
   out << "agent listening on " << agent.endpoint()
-      << " (slots=" << agent.slots() << ")" << std::endl;
+      << " (slots=" << agent.slots()
+      << " omp-threads=" << agent.omp_threads() << ")" << std::endl;
 
   g_serve_stop = 0;
   std::signal(SIGINT, serve_signal_handler);

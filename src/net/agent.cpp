@@ -22,6 +22,7 @@
 #include "util/fault.hpp"
 #include "util/journal.hpp"
 #include "util/log.hpp"
+#include "util/threads.hpp"
 
 namespace kronotri::net {
 
@@ -131,11 +132,13 @@ bool Agent::start(std::string* error) {
   }
   listen_fd_ = lr.fd;
   port_ = lr.port;
+  omp_threads_ = util::omp_budget(opt_.slots);
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread([this] { accept_loop(); });
   util::log::info("agent", "listening",
                   {{"endpoint", endpoint()},
-                   {"slots", opt_.slots}});
+                   {"slots", opt_.slots},
+                   {"omp_threads", omp_threads_}});
   return true;
 }
 
@@ -244,7 +247,9 @@ void Agent::connection_loop(int fd) {
                                      "--unit",
                                      std::to_string(c.job.unit),
                                      "--attempt",
-                                     std::to_string(c.job.attempt)};
+                                     std::to_string(c.job.attempt),
+                                     "--omp-threads",
+                                     std::to_string(omp_threads_)};
     if (!c.job.fault.empty()) {
       args.push_back("--fault");
       args.push_back(c.job.fault);
@@ -301,6 +306,7 @@ void Agent::connection_loop(int fd) {
                               static_cast<double>(ru.ru_utime.tv_usec) * 1e-6);
       r.set("cpu_sys_s", static_cast<double>(ru.ru_stime.tv_sec) +
                              static_cast<double>(ru.ru_stime.tv_usec) * 1e-6);
+      r.set("omp_threads", omp_threads_);
       std::optional<std::string> fragment;
       if (c.cancelled) {
         r.set("outcome", "cancelled");

@@ -74,6 +74,11 @@ class Agent {
   /// "host:port" with the resolved port — what a coordinator dials.
   [[nodiscard]] std::string endpoint() const;
   [[nodiscard]] unsigned slots() const noexcept { return opt_.slots; }
+  /// OpenMP team of each worker child: util::omp_budget(slots), resolved
+  /// by start() on the calling thread, so that thread's OMP_NUM_THREADS
+  /// stays the ceiling. Every result frame carries it; the coordinator
+  /// records it as WorkerEvent::omp_threads.
+  [[nodiscard]] unsigned omp_threads() const noexcept { return omp_threads_; }
 
  private:
   void accept_loop();
@@ -83,6 +88,7 @@ class Agent {
   std::string exe_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
+  unsigned omp_threads_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<unsigned> busy_{0};  ///< children across all connections
   std::thread acceptor_;

@@ -28,6 +28,7 @@
 #include "util/journal.hpp"
 #include "util/log.hpp"
 #include "util/runmeta.hpp"
+#include "util/threads.hpp"
 #include "util/timer.hpp"
 #include "validate/report.hpp"
 
@@ -539,13 +540,20 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
 
   sweep_stale_tmp();
 
+  // Every local worker gets its share of this host's cores instead of a
+  // full OpenMP team each (N workers x C threads on C cores); the caller's
+  // omp_get_max_threads() stays the ceiling. Agents budget their own slots.
+  const unsigned omp_threads = util::omp_budget(opt.workers);
+
   const util::WallTimer total_wall;
   const util::CpuTimer total_cpu;
   const Value counters_start = obs::CounterRegistry::instance().snapshot();
   obs::Span coord_span("runner::execute");
   coord_span.arg("workers", opt.workers);
+  coord_span.arg("omp_threads", omp_threads);
   util::log::info("runner", "coordinator start",
                   {{"workers", opt.workers},
+                   {"omp_threads", omp_threads},
                    {"journaled", journaled ? "yes" : "no"},
                    {"resume", opt.resume ? "yes" : "no"}});
   const auto fail_report = [&](const std::string& why) {
@@ -813,7 +821,9 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
                                      "--unit",
                                      std::to_string(unit_id),
                                      "--attempt",
-                                     std::to_string(ra.attempt)};
+                                     std::to_string(ra.attempt),
+                                     "--omp-threads",
+                                     std::to_string(omp_threads)};
     if (!opt.fault_spec.empty()) {
       args.push_back("--fault");
       args.push_back(opt.fault_spec);
@@ -1092,6 +1102,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     if (const Value* v = m.find("cpu_sys_s"); v && v->is_number()) {
       e.cpu_sys_s = v->as_double();
     }
+    e.omp_threads = static_cast<unsigned>(m.get_uint("omp_threads", 0));
     const std::string outcome = m.get_string("outcome", "truncated");
     e.detail = static_cast<int>(m.get_uint("detail", 0));
     obs::TraceRecorder& trace = obs::TraceRecorder::instance();
@@ -1314,6 +1325,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
                      static_cast<double>(ru.ru_utime.tv_usec) * 1e-6;
       e.cpu_sys_s = static_cast<double>(ru.ru_stime.tv_sec) +
                     static_cast<double>(ru.ru_stime.tv_usec) * 1e-6;
+      e.omp_threads = omp_threads;
       UnitState& st = states[ra.unit];
 
       if (ra.aborted) {

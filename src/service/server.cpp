@@ -20,6 +20,7 @@
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "util/log.hpp"
+#include "util/threads.hpp"
 #include "util/timer.hpp"
 
 namespace kronotri::service {
@@ -129,13 +130,18 @@ void Server::start() {
   // Replay before the workers spawn: re-enqueued jobs sit in the queue and
   // are the first thing the pool drains.
   if (!opt_.state_dir.empty()) replay_state();
+  // Each job worker's share of the cores, capped by this thread's OpenMP
+  // ceiling: `workers` concurrent jobs must not each start a full team.
+  omp_threads_ = util::omp_budget(opt_.workers);
   workers_.reserve(opt_.workers);
   for (unsigned i = 0; i < opt_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
   acceptor_ = std::thread([this] { accept_loop(); });
   util::log::info("service", "listening",
-                  {{"socket", opt_.socket_path}, {"workers", opt_.workers}});
+                  {{"socket", opt_.socket_path},
+                   {"workers", opt_.workers},
+                   {"omp_threads", omp_threads_}});
 }
 
 void Server::stop() {
@@ -459,6 +465,13 @@ std::string Server::handle_submit(const util::json::Value& request) {
 }
 
 void Server::worker_loop() {
+  // The team size is per thread: this sets only this worker's jobs. A
+  // thread already at its budget is left alone — setting it anyway gives
+  // the thread its own OpenMP state, which raised peak RSS by ~2.5 MiB
+  // in the 2-worker service benchmark for no change in behaviour.
+  if (util::omp_max_threads() != omp_threads_) {
+    util::set_omp_threads(omp_threads_);
+  }
   while (auto popped = queue_->pop()) {
     const std::shared_ptr<Job>& job = *popped;
     const double wait_s = metrics_.uptime.wall_s() - job->enqueued_at_s;
@@ -510,6 +523,7 @@ util::json::Value Server::stats_json() const {
   util::json::Value cfg = util::json::Value::object();
   cfg.set("socket", opt_.socket_path);
   cfg.set("workers", opt_.workers);
+  cfg.set("omp_threads", omp_threads_);
   cfg.set("queue_depth", static_cast<std::uint64_t>(opt_.queue_depth));
   cfg.set("cache_bytes", static_cast<std::uint64_t>(opt_.cache_bytes));
   cfg.set("mem_budget_bytes",

@@ -31,7 +31,8 @@
 //
 // Threading: one acceptor thread, one thread per live connection (requests
 // on a connection are served in order; concurrency comes from concurrent
-// connections), `workers` execution threads popping the shared queue.
+// connections), `workers` execution threads popping the shared queue, each
+// running its jobs on an OpenMP team of util::omp_budget(workers).
 // Tests drive an in-process Server through service::Client on the same
 // socket path.
 #pragma once
@@ -99,6 +100,10 @@ class Server {
 
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] const ServerOptions& options() const noexcept { return opt_; }
+  /// OpenMP team of each job worker thread: util::omp_budget(workers),
+  /// resolved by start() on the calling thread (0 before start()). Also
+  /// reported as config.omp_threads in stats_json().
+  [[nodiscard]] unsigned omp_threads() const noexcept { return omp_threads_; }
 
   /// The `stats` response payload (also handy for tests/benches).
   [[nodiscard]] util::json::Value stats_json() const;
@@ -150,6 +155,7 @@ class Server {
   std::atomic<double> last_activity_s_{0};
 
   int listen_fd_ = -1;
+  unsigned omp_threads_ = 0;
   std::thread acceptor_;
   std::vector<std::thread> workers_;
 

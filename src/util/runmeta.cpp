@@ -2,9 +2,7 @@
 
 #include <thread>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "util/threads.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -15,11 +13,7 @@ namespace kronotri::util {
 json::Value run_metadata(std::size_t batch_size) {
   json::Value meta = json::Value::object();
   meta.set("hardware_concurrency", std::thread::hardware_concurrency());
-#ifdef _OPENMP
-  meta.set("omp_max_threads", omp_get_max_threads());
-#else
-  meta.set("omp_max_threads", 1);
-#endif
+  meta.set("omp_max_threads", omp_max_threads());
   meta.set("batch_size", batch_size);
 #ifdef KRONOTRI_GIT_DESCRIBE
   meta.set("git_describe", KRONOTRI_GIT_DESCRIBE);

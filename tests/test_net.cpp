@@ -30,6 +30,7 @@
 #include "util/backoff.hpp"
 #include "util/journal.hpp"
 #include "util/json.hpp"
+#include "util/threads.hpp"
 
 namespace {
 
@@ -256,12 +257,16 @@ TEST(Net, RemoteMatchesSerialAcrossThreadCounts) {
 }
 
 TEST(Net, MixedLocalAndRemoteMatchesSerial) {
+  // Each host splits its own cores: local attempts run at the
+  // coordinator's budget for its 2 slots, remote ones at the agent's
+  // budget for its 1 slot.
   const api::RunPlan plan = test_plan();
   const api::RunReport serial = api::run(plan);
 
   net::Agent agent{net::AgentOptions{}};
   std::string err;
   ASSERT_TRUE(agent.start(&err)) << err;
+  EXPECT_EQ(agent.omp_threads(), util::omp_budget(1));
   runner::Options opt = remote_opts({agent.endpoint()});
   opt.workers = 2;  // local fork/exec slots next to the agent's
   const api::RunReport mixed = runner::execute(plan, opt);
@@ -269,6 +274,45 @@ TEST(Net, MixedLocalAndRemoteMatchesSerial) {
 
   EXPECT_TRUE(mixed.pass);
   EXPECT_EQ(comparable_dump(serial), comparable_dump(mixed));
+  int remote = 0;
+  for (const api::WorkerEvent& e : mixed.worker_events) {
+    if (e.outcome != "ok") continue;
+    remote += e.host.empty() ? 0 : 1;
+    EXPECT_EQ(e.omp_threads, util::omp_budget(e.host.empty() ? 2 : 1))
+        << "unit " << e.unit << " host " << e.host;
+  }
+  EXPECT_GT(remote, 0);
+}
+
+TEST(Net, CeilingCapsTheAgentBudgetAndReportsStayIdentical) {
+  // The agent takes its ceiling (what OMP_NUM_THREADS sets) from the thread
+  // that starts it; one slot lets the budget reach the ceiling on any host
+  // with that many cores.
+  const api::RunPlan plan = test_plan();
+  const std::string serial = comparable_dump(api::run(plan));
+  for (const unsigned ceiling : {1u, 2u, 4u}) {
+    SCOPED_TRACE("ceiling=" + std::to_string(ceiling));
+    net::Agent agent{net::AgentOptions{}};
+    std::string err;
+    bool started = false;
+    std::thread([&] {
+      util::set_omp_threads(ceiling);
+      started = agent.start(&err);
+    }).join();
+    ASSERT_TRUE(started) << err;
+    const unsigned budget = std::min(ceiling, util::affinity_cpus());
+    EXPECT_EQ(agent.omp_threads(), budget);
+    const api::RunReport remote =
+        runner::execute(plan, remote_opts({agent.endpoint()}));
+    agent.stop();
+    ASSERT_TRUE(remote.pass) << remote.error;
+    EXPECT_EQ(serial, comparable_dump(remote));
+    for (const api::WorkerEvent& e : remote.worker_events) {
+      EXPECT_EQ(e.outcome, "ok") << "unit " << e.unit;
+      EXPECT_EQ(e.omp_threads, budget) << "unit " << e.unit;
+    }
+    EXPECT_EQ(remote.metadata.get_uint("omp_max_threads", 0), budget);
+  }
 }
 
 TEST(Net, AgentDiesMidUnitRedispatches) {

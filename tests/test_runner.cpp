@@ -12,6 +12,7 @@
 #include <csignal>
 #include <set>
 #include <string>
+#include <thread>
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -21,6 +22,7 @@
 #include "runner/runner.hpp"
 #include "util/journal.hpp"
 #include "util/json.hpp"
+#include "util/threads.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define KRONOTRI_ASAN 1
@@ -95,15 +97,21 @@ TEST(Runner, ComparableStripsVolatileFields) {
 TEST(Runner, MultiprocessMatchesSerial) {
   const api::RunPlan plan = test_plan();
   const api::RunReport serial = api::run(plan);
-  const api::RunReport multi = runner::execute(plan, test_opts());
+  const runner::Options opt = test_opts();
+  const api::RunReport multi = runner::execute(plan, opt);
   EXPECT_TRUE(multi.pass);
   EXPECT_TRUE(multi.error.empty()) << multi.error;
   EXPECT_FALSE(multi.worker_events.empty());
   EXPECT_EQ(comparable_dump(serial), comparable_dump(multi));
-  // Every attempt succeeded first try.
+  // Every attempt succeeded first try, on this host's thread budget.
+  const unsigned budget = util::omp_budget(opt.workers);
   for (const api::WorkerEvent& e : multi.worker_events) {
     EXPECT_EQ(e.outcome, "ok") << "unit " << e.unit;
+    EXPECT_EQ(e.omp_threads, budget) << "unit " << e.unit;
   }
+  // The merged metadata comes from a worker's fragment: the team the
+  // worker saw is the one the coordinator handed down.
+  EXPECT_EQ(multi.metadata.get_uint("omp_max_threads", 0), budget);
 }
 
 TEST(Runner, WorkersOneRunsInProcess) {
@@ -138,8 +146,13 @@ TEST(Runner, InjectedKillRecovers) {
 TEST(Runner, InjectedTimeoutRecovers) {
   const api::RunPlan plan = test_plan();
   runner::Options opt = test_opts();
-  opt.fault_spec = "stall:shard=1:attempt=0:secs=30";
-  opt.shard_timeout_s = 1.0;
+  // The timeout is a wide fraction of the injected stall, never a wall-clock
+  // constant: units that are not stalled finish long before it even when the
+  // whole suite runs in parallel, and the stalled one never finishes first.
+  constexpr int kStallS = 30;
+  opt.fault_spec =
+      "stall:shard=1:attempt=0:secs=" + std::to_string(kStallS);
+  opt.shard_timeout_s = kStallS / 3.0;
   const api::RunReport multi = runner::execute(plan, opt);
   EXPECT_TRUE(multi.pass);
   EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
@@ -230,6 +243,22 @@ TEST(Runner, OptionsFromPlanMapsRunnerKnobs) {
   EXPECT_DOUBLE_EQ(opt.shard_timeout_s, 12.5);
   EXPECT_EQ(opt.max_retries, 5u);
   EXPECT_EQ(opt.fault_spec, "kill:shard=1");
+}
+
+TEST(Runner, TrussReportIsComparableAcrossRuns) {
+  // The truss analysis's text carries no wall time, so identical runs (and
+  // a multi-process run of the same plan) compare identical.
+  const api::RunPlan plan = api::RunPlan::parse(
+      "kron:(hk:n=40,m=2,p=0.5,seed=7)x(clique:n=4) truss census");
+  const api::RunReport a = api::run(plan);
+  const api::RunReport b = api::run(plan);
+  ASSERT_TRUE(a.pass);
+  EXPECT_EQ(comparable_dump(a), comparable_dump(b));
+  runner::Options opt = test_opts();
+  opt.workers = 2;
+  const api::RunReport multi = runner::execute(plan, opt);
+  EXPECT_TRUE(multi.pass) << multi.error;
+  EXPECT_EQ(comparable_dump(a), comparable_dump(multi));
 }
 
 // ---------------------------------------------------------------------------
@@ -492,6 +521,58 @@ TEST(RunnerJournal, IdentityHashStripsDistributionOptions) {
   EXPECT_EQ(runner::plan_identity_hash(a), runner::plan_identity_hash(b));
   b.options.seed = 12345;  // content-bearing → different identity
   EXPECT_NE(runner::plan_identity_hash(a), runner::plan_identity_hash(b));
+}
+
+// ---------------------------------------------------------------------------
+// Per-host OpenMP thread budgets.
+
+/// Every `ok` attempt must report the team it ran with: `want`.
+void expect_ok_events_at(const api::RunReport& report, unsigned want) {
+  int ok = 0;
+  for (const api::WorkerEvent& e : report.worker_events) {
+    if (e.outcome != "ok") continue;
+    ++ok;
+    EXPECT_EQ(e.omp_threads, want) << "unit " << e.unit;
+  }
+  EXPECT_GT(ok, 0);
+}
+
+TEST(RunnerBudget, RuleSplitsCoresAcrossSlots) {
+  const unsigned cpus = util::affinity_cpus();
+  const unsigned ceiling = util::omp_max_threads();
+  ASSERT_GE(cpus, 1u);
+  EXPECT_EQ(util::omp_budget(1), std::max(1u, std::min(ceiling, cpus)));
+  EXPECT_EQ(util::omp_budget(0), util::omp_budget(1));
+  EXPECT_EQ(util::omp_budget(3), std::max(1u, std::min(ceiling, cpus / 3)));
+  EXPECT_EQ(util::omp_budget(cpus + 1), 1u);  // more slots than cores
+}
+
+TEST(RunnerBudget, CeilingCapsTheBudgetAndReportsStayIdentical) {
+  // The calling thread's OpenMP ceiling (what OMP_NUM_THREADS sets) caps
+  // the budget. One journaled worker slot lets the budget reach the
+  // ceiling on any host with that many cores; a fresh thread keeps the
+  // ceiling away from the rest of the suite.
+  const api::RunPlan plan = test_plan();
+  const std::string serial = comparable_dump(api::run(plan));
+  for (const unsigned ceiling : {1u, 2u, 4u}) {
+    SCOPED_TRACE("ceiling=" + std::to_string(ceiling));
+    const TempDir dir("budget" + std::to_string(ceiling));
+    runner::Options opt = test_opts();
+    opt.workers = 1;
+    opt.journal_dir = dir.path;
+    api::RunReport multi;
+    unsigned budget = 0;
+    std::thread([&] {
+      util::set_omp_threads(ceiling);
+      budget = util::omp_budget(opt.workers);
+      multi = runner::execute(plan, opt);
+    }).join();
+    EXPECT_EQ(budget, std::min(ceiling, util::affinity_cpus()));
+    ASSERT_TRUE(multi.pass) << multi.error;
+    EXPECT_EQ(serial, comparable_dump(multi));
+    expect_ok_events_at(multi, budget);
+    EXPECT_EQ(multi.metadata.get_uint("omp_max_threads", 0), budget);
+  }
 }
 
 TEST(RunnerGuard, OomFaultClassifiedAndRetried) {

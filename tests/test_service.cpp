@@ -23,6 +23,7 @@
 #include "service/server.hpp"
 #include "util/journal.hpp"
 #include "util/json.hpp"
+#include "util/threads.hpp"
 
 namespace {
 
@@ -159,6 +160,37 @@ TEST(Service, SubmitExecutesPlanAndFillsReportFields) {
   EXPECT_GT(report->get_uint("peak_rss_bytes", 0), 0u);
   ASSERT_NE(report->find("queue_wait_s"), nullptr);
   EXPECT_GE(report->find("queue_wait_s")->as_double(), 0.0);
+}
+
+TEST(Service, JobWorkersRunAtTheirThreadBudget) {
+  // Each job worker thread sets its own OpenMP team to the host budget for
+  // `workers` concurrent jobs, capped by the ceiling of the thread that
+  // started the server; nothing process-wide changes.
+  const unsigned ceiling_before = util::omp_max_threads();
+  const auto job_team = [](const std::string& tag, unsigned ceiling) {
+    service::Server server(small_options(tag));
+    std::thread([&] {
+      if (ceiling != 0) util::set_omp_threads(ceiling);
+      server.start();
+    }).join();
+    service::Client c;
+    c.connect(server.options().socket_path);
+    const Value config = *stats_of(c.stats()).find("config");
+    EXPECT_EQ(config.get_uint("omp_threads", 0), server.omp_threads());
+    const Value response = c.submit(
+        api::RunPlan::parse("kron:(hk:n=80,seed=5)x(clique:n=3) census"));
+    EXPECT_TRUE(response.get_bool("ok", false));
+    const Value* report = response.find("report");
+    const Value* meta = report == nullptr ? nullptr : report->find("metadata");
+    EXPECT_NE(meta, nullptr);
+    const std::uint64_t seen =
+        meta == nullptr ? 0 : meta->get_uint("omp_max_threads", 0);
+    EXPECT_EQ(seen, server.omp_threads());
+    return server.omp_threads();
+  };
+  EXPECT_EQ(job_team("budget", 0), util::omp_budget(2));
+  EXPECT_EQ(job_team("budget1", 1), 1u);  // OMP_NUM_THREADS=1 stays 1
+  EXPECT_EQ(util::omp_max_threads(), ceiling_before);
 }
 
 TEST(Service, CacheHitReplaysByteIdentical) {
@@ -480,7 +512,11 @@ TEST(Service, SurvivesClientDisconnectMidResponseWrite) {
   Value ping = Value::object();
   ping.set("type", "ping");
   EXPECT_TRUE(polite.request(ping).get_bool("ok", false));
-  EXPECT_GE(stats_of(polite.stats()).get_uint("client_disconnects", 0), 1u);
+  // jobs_completed counts in the worker before the connection thread's
+  // write hits EPIPE, so the disconnect may land a moment later.
+  EXPECT_TRUE(wait_for_stats(opt.socket_path, [](const Value& s) {
+    return s.get_uint("client_disconnects", 0) >= 1;
+  }));
 }
 
 TEST(Service, RequestTimeoutFiresOnSilentServer) {
