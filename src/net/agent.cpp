@@ -2,8 +2,6 @@
 
 #include <cerrno>
 #include <charconv>
-#include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <optional>
@@ -11,13 +9,12 @@
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "net/framing.hpp"
 #include "net/socket.hpp"
+#include "runner/proc.hpp"
 #include "runner/runner.hpp"
 #include "util/fault.hpp"
 #include "util/journal.hpp"
@@ -28,36 +25,8 @@ namespace kronotri::net {
 
 namespace {
 
+namespace proc = runner::proc;
 using util::json::Value;
-
-double monotonic_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::string tmp_dir() {
-  const char* dir = std::getenv("TMPDIR");
-  return (dir != nullptr && *dir != '\0') ? dir : "/tmp";
-}
-
-pid_t spawn_worker(const std::string& exe,
-                   const std::vector<std::string>& args) {
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (const std::string& a : args) {
-    argv.push_back(const_cast<char*>(a.c_str()));
-  }
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    // Child: exec immediately — the agent may hold OpenMP/thread state a
-    // forked child must not touch.
-    ::execv(exe.c_str(), argv.data());
-    ::_exit(127);
-  }
-  return pid;
-}
 
 /// One dispatched unit waiting for a slot.
 struct Job {
@@ -79,10 +48,6 @@ struct Child {
   std::string trace_path;
   bool cancelled = false;
 };
-
-std::optional<std::string> slurp(const std::string& path) {
-  return util::journal::read_file(path);
-}
 
 }  // namespace
 
@@ -179,13 +144,13 @@ void Agent::connection_loop(int fd) {
   FrameReader reader;
   std::deque<Job> queue;
   std::vector<Child> children;
-  double last_send = monotonic_s();
-  const std::string prefix = tmp_dir() + "/kronotri." +
+  double last_send = proc::monotonic_s();
+  const std::string prefix = proc::tmp_dir() + "/kronotri." +
                              std::to_string(::getpid()) + ".agent" +
                              std::to_string(fd) + ".";
 
   const auto send_raw = [&](std::string_view bytes) -> bool {
-    last_send = monotonic_s();
+    last_send = proc::monotonic_s();
     return write_all(fd, bytes);
   };
   const auto send_msg = [&](const Value& msg) -> bool {
@@ -206,13 +171,22 @@ void Agent::connection_loop(int fd) {
       if (c.pid > 0) ::kill(c.pid, SIGKILL);
     }
     for (Child& c : children) {
-      if (c.pid > 0) {
-        int status = 0;
-        ::waitpid(c.pid, &status, 0);
-      }
+      if (c.pid > 0) (void)proc::reap(c.pid, /*block=*/true);
       cleanup_child(c);
     }
     children.clear();
+  };
+
+  const auto result_msg = [](unsigned unit, unsigned attempt,
+                             const std::string& outcome, int detail) {
+    Value r = Value::object();
+    r.set("type", "result");
+    r.set("unit", unit);
+    r.set("attempt", attempt);
+    r.set("outcome", outcome);
+    r.set("detail", detail);
+    r.set("wall_s", 0.0);
+    return r;
   };
 
   const auto spawn = [&](Job&& job) {
@@ -222,113 +196,58 @@ void Agent::connection_loop(int fd) {
                              ".a" + std::to_string(c.job.attempt);
     c.plan_path = stem + ".plan";
     c.out_path = stem + ".frame";
+    if (c.job.trace) c.trace_path = stem + ".trace";
+    bool written = false;
     {
       std::ofstream out(c.plan_path, std::ios::trunc);
       out << c.job.plan_text << "\n";
-      if (!out) {
-        Value r = Value::object();
-        r.set("type", "result");
-        r.set("unit", c.job.unit);
-        r.set("attempt", c.job.attempt);
-        r.set("outcome", "spawn_failed");
-        r.set("detail", errno);
-        r.set("wall_s", 0.0);
-        (void)send_msg(r);
-        ::unlink(c.plan_path.c_str());
-        return;
-      }
+      written = static_cast<bool>(out);
     }
-    std::vector<std::string> args = {exe_,
-                                     "__worker",
-                                     "--plan-file",
-                                     c.plan_path,
-                                     "--out",
-                                     c.out_path,
-                                     "--unit",
-                                     std::to_string(c.job.unit),
-                                     "--attempt",
-                                     std::to_string(c.job.attempt),
-                                     "--omp-threads",
-                                     std::to_string(omp_threads_)};
-    if (!c.job.fault.empty()) {
-      args.push_back("--fault");
-      args.push_back(c.job.fault);
+    proc::Spawned s;
+    if (written) {
+      s = proc::spawn(proc::worker_argv(
+          exe_, {c.plan_path, c.out_path, c.job.unit, c.job.attempt,
+                 omp_threads_, c.job.fault, c.job.mem_limit, c.trace_path}));
+    } else {
+      s.error = errno;
     }
-    if (c.job.mem_limit > 0) {
-      args.push_back("--mem-limit");
-      args.push_back(std::to_string(c.job.mem_limit));
-    }
-    if (c.job.trace) {
-      c.trace_path = stem + ".trace";
-      args.push_back("--trace-out");
-      args.push_back(c.trace_path);
-    }
-    c.pid = spawn_worker(exe_, args);
-    c.start_s = monotonic_s();
-    if (c.pid < 0) {
-      Value r = Value::object();
-      r.set("type", "result");
-      r.set("unit", c.job.unit);
-      r.set("attempt", c.job.attempt);
-      r.set("outcome", "spawn_failed");
-      r.set("detail", errno);
-      r.set("wall_s", 0.0);
-      (void)send_msg(r);
+    if (s.pid < 0) {
+      (void)send_msg(
+          result_msg(c.job.unit, c.job.attempt, "spawn_failed", s.error));
       ::unlink(c.plan_path.c_str());
       return;
     }
+    c.pid = s.pid;
+    c.start_s = proc::monotonic_s();
     busy_.fetch_add(1, std::memory_order_acq_rel);
     children.push_back(std::move(c));
   };
 
-  // Reaps one finished child into a result message. The wait4
-  // classification mirrors the local runner's reap exactly, so a unit
-  // dies the same way whether its worker was local or remote.
+  // Reaps each finished child into a result message carrying exactly what
+  // runner::proc classified — the coordinator settles it with the same
+  // rules as a local child's.
   const auto reap = [&] {
     for (std::size_t i = 0; i < children.size();) {
       Child& c = children[i];
-      int status = 0;
-      rusage ru{};
-      const pid_t got = ::wait4(c.pid, &status, WNOHANG, &ru);
-      if (got != c.pid) {
+      const std::optional<proc::Reaped> got = proc::reap(c.pid);
+      if (!got) {
         ++i;
         continue;
       }
-      Value r = Value::object();
-      r.set("type", "result");
-      r.set("unit", c.job.unit);
-      r.set("attempt", c.job.attempt);
+      const proc::Outcome out = proc::classify(got->status, c.out_path);
+      Value r = result_msg(c.job.unit, c.job.attempt, out.kind, out.detail);
       r.set("pid", static_cast<std::int64_t>(c.pid));
-      r.set("wall_s", monotonic_s() - c.start_s);
+      r.set("wall_s", proc::monotonic_s() - c.start_s);
       r.set("max_rss_bytes",
-            static_cast<std::uint64_t>(ru.ru_maxrss) * 1024);  // KiB on Linux
-      r.set("cpu_user_s", static_cast<double>(ru.ru_utime.tv_sec) +
-                              static_cast<double>(ru.ru_utime.tv_usec) * 1e-6);
-      r.set("cpu_sys_s", static_cast<double>(ru.ru_stime.tv_sec) +
-                             static_cast<double>(ru.ru_stime.tv_usec) * 1e-6);
+            static_cast<std::uint64_t>(got->usage.max_rss_bytes));
+      r.set("cpu_user_s", got->usage.cpu_user_s);
+      r.set("cpu_sys_s", got->usage.cpu_sys_s);
       r.set("omp_threads", omp_threads_);
-      std::optional<std::string> fragment;
-      if (c.cancelled) {
-        r.set("outcome", "cancelled");
-      } else if (WIFSIGNALED(status)) {
-        r.set("outcome", "signal");
-        r.set("detail", WTERMSIG(status));
-      } else if (WIFEXITED(status) &&
-                 WEXITSTATUS(status) == runner::kOomExitCode) {
-        r.set("outcome", "oom");
-        r.set("detail", runner::kOomExitCode);
-      } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-        r.set("outcome", "exit");
-        r.set("detail", WEXITSTATUS(status));
-      } else if ((fragment = read_frame_file(c.out_path))) {
-        r.set("outcome", "ok");
-        r.set("fragment", *fragment);
-      } else {
-        r.set("outcome", "truncated");
-      }
+      if (out.payload) r.set("fragment", *out.payload);
       if (!c.trace_path.empty()) {
-        if (const std::optional<std::string> trace = slurp(c.trace_path)) {
-          r.set("trace", *trace);
+        if (std::optional<std::string> trace =
+                util::journal::read_file(c.trace_path)) {
+          r.set("trace", std::move(*trace));
         }
       }
       bool garble = false;
@@ -434,13 +353,9 @@ void Agent::connection_loop(int fd) {
             }
           }
           if (queued) {
-            Value r = Value::object();
-            r.set("type", "result");
-            r.set("unit", unit);
-            r.set("attempt", attempt);
-            r.set("outcome", "cancelled");
-            r.set("wall_s", 0.0);
-            if (!send_msg(r)) open = false;
+            if (!send_msg(result_msg(unit, attempt, "cancelled", 0))) {
+              open = false;
+            }
           } else {
             for (Child& c : children) {
               if (c.job.unit == unit && c.job.attempt == attempt &&
@@ -464,7 +379,7 @@ void Agent::connection_loop(int fd) {
       spawn(std::move(job));
     }
     reap();
-    if (open && monotonic_s() - last_send > opt_.heartbeat_interval_s) {
+    if (open && proc::monotonic_s() - last_send > opt_.heartbeat_interval_s) {
       Value hb = Value::object();
       hb.set("type", "heartbeat");
       if (!send_msg(hb)) open = false;

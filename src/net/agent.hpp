@@ -3,9 +3,10 @@
 //
 // An agent accepts coordinator connections, receives per-unit child
 // plans as CRC-64 frames (net/framing.hpp), executes each unit in a
-// sandboxed local worker process (the same fork/exec `kronotri
-// __worker` contract the single-machine runner uses, RLIMIT_AS guard
-// included), and streams back RunReport fragments plus trace buffers.
+// sandboxed local worker process — spawned, reaped and classified by
+// runner::proc, the module the single-machine runner uses too, RLIMIT_AS
+// guard included — and streams back RunReport fragments plus trace
+// buffers.
 // It holds NO retry or merge policy of its own — scheduling, backoff,
 // speculation, journaling and timeouts all stay in the coordinator; the
 // agent's whole job is "run this unit here, tell me how it died".
@@ -14,8 +15,11 @@
 //   * coordinator connection lost → every child of that connection is
 //     SIGKILLed and its scratch removed (a partitioned agent must not
 //     race a re-dispatched attempt elsewhere for side effects);
-//   * `cancel` → SIGKILL the attempt, answer with outcome "cancelled"
-//     so the coordinator's slot accounting closes the loop;
+//   * `cancel` → SIGKILL the attempt; its result reports what
+//     runner::proc classified (signal 9, or ok if the fragment was
+//     already complete). A job cancelled while still queued is answered
+//     with outcome "cancelled". Either way the coordinator's slot
+//     accounting closes the loop;
 //   * agent death → the coordinator's heartbeat timeout / EOF turns
 //     in-flight attempts into "disconnect" events, re-dispatched like a
 //     SIGKILLed local child.

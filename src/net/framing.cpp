@@ -41,15 +41,4 @@ std::string encode_message(const util::json::Value& msg) {
   return journal::encode_frame(msg.dump_string(0));
 }
 
-std::optional<std::string> read_frame_file(const std::string& path) {
-  const std::optional<std::string> bytes = journal::read_file(path);
-  if (!bytes) return std::nullopt;
-  journal::Decoded dec = journal::decode_frames(*bytes);
-  if (dec.tail != journal::Decoded::Tail::kClean || dec.frames.size() != 1 ||
-      dec.valid_bytes != bytes->size()) {
-    return std::nullopt;
-  }
-  return std::move(dec.frames[0]);
-}
-
 }  // namespace kronotri::net

@@ -16,9 +16,11 @@
 //     {"type":"heartbeat"}                          liveness, every ~250 ms
 //     {"type":"result","unit":U,"attempt":A,"outcome":"ok|exit|signal|oom|
 //      truncated|spawn_failed|cancelled","detail":D,"pid":P,"wall_s":W,
-//      "max_rss_bytes":R,"cpu_user_s":…,"cpu_sys_s":…,
+//      "max_rss_bytes":R,"cpu_user_s":…,"cpu_sys_s":…,"omp_threads":T,
 //      "fragment":"<RunReport JSON>",               ok only
 //      "trace":"<trace doc JSON>"}                  when tracing was asked
+//     outcome/detail are what runner::proc::classify returned for the
+//     child; "cancelled" answers a cancel of a job that never spawned.
 //
 // A frame that fails its CRC poisons the stream (no resync marker): the
 // reader reports kCorrupt, the coordinator drops the connection,
@@ -26,7 +28,6 @@
 // the torn-journal recovery story, applied to a socket.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -58,12 +59,6 @@ class FrameReader {
 /// `msg` dumped at indent 0 inside one encoded frame — the unit of
 /// transmission for every protocol message.
 [[nodiscard]] std::string encode_message(const util::json::Value& msg);
-
-/// Reads a worker's single-frame output file (the same contract the
-/// runner's fragment reader enforces: exactly one clean frame, nothing
-/// after it) and returns the payload; nullopt on missing/torn/dirty.
-[[nodiscard]] std::optional<std::string> read_frame_file(
-    const std::string& path);
 
 /// Protocol version stamped into hello/welcome.
 inline constexpr int kProtoVersion = 1;

@@ -2,28 +2,25 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <dirent.h>
 #include <signal.h>
-#include <sys/resource.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include "net/framing.hpp"
 #include "net/remote.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
+#include "runner/proc.hpp"
 #include "util/fault.hpp"
 #include "util/journal.hpp"
 #include "util/log.hpp"
@@ -39,11 +36,8 @@ namespace {
 namespace journal = util::journal;
 using util::json::Value;
 
-double monotonic_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using proc::monotonic_s;
+using proc::tmp_dir;
 
 /// One work unit of the decomposed plan: a child plan a worker executes to
 /// a RunReport fragment.
@@ -109,11 +103,6 @@ std::vector<Unit> decompose(const api::RunPlan& plan,
   return units;
 }
 
-std::string tmp_dir() {
-  const char* dir = std::getenv("TMPDIR");
-  return (dir != nullptr && *dir != '\0') ? dir : "/tmp";
-}
-
 /// A SIGKILLed coordinator used to leak its kronotri.<pid>.* scratch files
 /// in $TMPDIR forever (cleanup only ran on the success path). Every
 /// execute() starts by sweeping scratch whose owning pid is gone.
@@ -171,51 +160,20 @@ void clear_journal_dir(const std::string& dir, bool scratch_only) {
   for (const std::string& path : doomed) ::unlink(path.c_str());
 }
 
-pid_t spawn_worker(const std::string& exe,
-                   const std::vector<std::string>& args) {
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (const std::string& a : args) {
-    argv.push_back(const_cast<char*>(a.c_str()));
-  }
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    // Child: exec immediately — no OpenMP, no allocation-heavy work
-    // between fork and exec (the parent may hold libgomp/locale state a
-    // forked child must not touch).
-    ::execv(exe.c_str(), argv.data());
-    ::_exit(127);
-  }
-  return pid;
-}
-
-struct Fragment {
-  Value json;
-  std::string payload;  ///< exact bytes the journal digest covers
-};
-
-/// A complete fragment is exactly ONE clean CRC64 frame with nothing after
-/// it. A trailing newline used to stand in for "the worker finished its
-/// write" — a checksum is the honest version of that claim: a torn frame,
-/// trailing garbage, a flipped byte or a parse failure all classify as
-/// "truncated"/"corrupt", never as a result.
-std::optional<Fragment> read_fragment(const std::string& path) {
-  const std::optional<std::string> bytes = journal::read_file(path);
-  if (!bytes) return std::nullopt;
-  journal::Decoded dec = journal::decode_frames(*bytes);
-  if (dec.tail != journal::Decoded::Tail::kClean || dec.frames.size() != 1 ||
-      dec.valid_bytes != bytes->size()) {
-    return std::nullopt;
-  }
-  try {
-    Fragment f;
-    f.json = Value::parse(dec.frames[0]);
-    f.payload = std::move(dec.frames[0]);
-    return f;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+/// Outcome and retry-budget reason of an attempt that neither won, lost
+/// to another attempt nor timed out. An agent only answers "cancelled"
+/// for an attempt the coordinator already marked superseded, timed out
+/// or aborted, so that kind never reaches this table.
+std::pair<std::string, std::string> failure_of(const std::string& kind,
+                                               int detail) {
+  const std::string d = std::to_string(detail);
+  if (kind == "signal") return {kind, "died on signal " + d};
+  if (kind == "oom") return {kind, "exceeded its memory guard (RLIMIT_AS)"};
+  if (kind == "exit") return {kind, "exited with code " + d};
+  if (kind == "spawn_failed") return {kind, "could not be spawned"};
+  if (kind == "disconnect") return {kind, "lost its agent connection"};
+  if (kind == "garbled") return {kind, "returned a garbled result frame"};
+  return {"truncated", "wrote a truncated result frame"};
 }
 
 /// Per-unit facts recovered from a journal.
@@ -328,7 +286,7 @@ JournalState load_journal(const std::string& dir, std::uint64_t identity) {
 struct RunningAttempt {
   unsigned unit = 0;
   unsigned attempt = 0;
-  pid_t pid = -1;
+  pid_t pid = -1;           // local child only
   int agent = -1;           // index into the remote-agent table; -1 = local
   double start_s = 0;
   double start_us = 0;      // obs::now_us() at spawn, for the attempt span
@@ -430,6 +388,28 @@ api::RunReport merge_fragments(const api::RunPlan& plan,
   return report;
 }
 
+/// A plan JSON minus the options that only say HOW it is distributed
+/// (workers, shard_timeout, max_retries, fault): the one list comparable()
+/// and plan_identity_hash() both strip.
+Value without_distribution(const Value& plan_json) {
+  Value out = Value::object();
+  for (const auto& [key, value] : plan_json.members()) {
+    if (key != "options") {
+      out.set(key, value);
+      continue;
+    }
+    Value o = Value::object();
+    for (const auto& [okey, ovalue] : value.members()) {
+      if (okey != "workers" && okey != "shard_timeout" &&
+          okey != "max_retries" && okey != "fault") {
+        o.set(okey, ovalue);
+      }
+    }
+    out.set("options", std::move(o));
+  }
+  return out;
+}
+
 }  // namespace
 
 Options options_from(const api::RunPlan& plan) {
@@ -442,28 +422,11 @@ Options options_from(const api::RunPlan& plan) {
 }
 
 std::uint64_t plan_identity_hash(const api::RunPlan& plan) {
-  // Strip exactly the options comparable() strips: how the plan is
-  // distributed (workers, timeouts, retries, faults) may change across a
-  // resume; everything content-bearing (spec, analyses, threads/partition
-  // count, budgets, output) is pinned.
-  const Value v = plan.to_json();
-  Value out = Value::object();
-  for (const auto& [key, value] : v.members()) {
-    if (key != "options") {
-      out.set(key, value);
-      continue;
-    }
-    Value o = Value::object();
-    for (const auto& [okey, ovalue] : value.members()) {
-      if (okey == "workers" || okey == "shard_timeout" ||
-          okey == "max_retries" || okey == "fault") {
-        continue;
-      }
-      o.set(okey, ovalue);
-    }
-    out.set("options", std::move(o));
-  }
-  return util::json::hash64(out.dump_canonical_string());
+  // How the plan is distributed may change across a resume; everything
+  // content-bearing (spec, analyses, threads/partition count, budgets,
+  // output) is pinned.
+  return util::json::hash64(
+      without_distribution(plan.to_json()).dump_canonical_string());
 }
 
 std::string default_worker_exe() {
@@ -627,14 +590,14 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       e.attempt = ur.attempt;
       bool verified = false;
       try {
-        std::optional<Fragment> frag =
-            read_fragment(frag_path(opt.journal_dir, e.unit));
-        if (frag && journal::crc64(frag->payload) == ur.digest &&
-            util::json::hash64(frag->json.dump_canonical_string()) ==
-                ur.canon) {
-          bool semantic_ok = true;
-          if (ur.has_vfp && units[i].kind == "validate") {
-            const api::RunReport fr = api::RunReport::from_json(frag->json);
+        const std::optional<std::string> payload =
+            proc::read_frame_file(frag_path(opt.journal_dir, e.unit));
+        if (payload && journal::crc64(*payload) == ur.digest) {
+          Value json = Value::parse(*payload);
+          bool semantic_ok =
+              util::json::hash64(json.dump_canonical_string()) == ur.canon;
+          if (semantic_ok && ur.has_vfp && units[i].kind == "validate") {
+            const api::RunReport fr = api::RunReport::from_json(json);
             semantic_ok =
                 validate::ValidationReport::from_json(
                     fr.analyses.at(0).data)
@@ -642,7 +605,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
           }
           if (semantic_ok) {
             st.done = true;
-            st.fragment = std::move(frag->json);
+            st.fragment = std::move(json);
             verified = true;
           }
         }
@@ -757,7 +720,217 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     (void)remotes[ra.agent].client.send(c);
   };
 
-  const auto dispatch = [&](unsigned unit_id) -> bool {
+  // Unit completion from a verified fragment. Persists into the journal,
+  // then supersedes every other in-flight attempt of the unit (first
+  // result wins, local or remote).
+  const auto complete_ok = [&](const RunningAttempt& ra, Value json,
+                               const std::string& payload) {
+    UnitState& st = states[ra.unit];
+    st.done = true;
+    if (wal.is_open()) {
+      // Persist-then-record: the fragment's frame becomes DIR/unit<u>.frag
+      // by atomic replace (the same bytes a local worker wrote, or the
+      // frame a remote one's payload crossed the socket in), THEN the
+      // done record lands in the WAL. A crash between the two re-executes
+      // the unit — wasteful, never wrong.
+      const std::string fpath = frag_path(opt.journal_dir, ra.unit);
+      Value rec = Value::object();
+      rec.set("type", "done");
+      rec.set("unit", ra.unit);
+      rec.set("attempt", ra.attempt);
+      rec.set("digest", journal::crc64(payload));
+      rec.set("canon", util::json::hash64(json.dump_canonical_string()));
+      if (units[ra.unit].kind == "validate") {
+        const api::RunReport fr = api::RunReport::from_json(json);
+        rec.set("vfp",
+                validate::ValidationReport::from_json(fr.analyses.at(0).data)
+                    .fingerprint());
+      }
+      const std::string frame = journal::encode_frame(payload);
+      if (inject.match("torn_write", ra.unit, ra.attempt) != nullptr) {
+        // Injected coordinator crash mid-persist: write half the
+        // fragment frame, no fsync, but still journal the done record
+        // (the order a real crash between write and rename produces
+        // is covered by the plain re-execute path; THIS is the nastier
+        // inversion resume must catch by digest).
+        std::ofstream out(fpath, std::ios::binary | std::ios::trunc);
+        out.write(frame.data(),
+                  static_cast<std::streamsize>(frame.size() / 2));
+      } else {
+        journal::atomic_write_file(fpath, frame);
+      }
+      wal.append(rec.dump_string(0));
+    }
+    st.fragment = std::move(json);
+    // First result wins: kill/cancel any other in-flight attempt.
+    for (RunningAttempt& other : running) {
+      if (other.unit == ra.unit && !other.superseded &&
+          !(other.attempt == ra.attempt && other.agent == ra.agent)) {
+        other.superseded = true;
+        if (other.agent < 0) {
+          if (other.pid > 0) ::kill(other.pid, SIGKILL);
+        } else {
+          send_cancel(other);
+        }
+      }
+    }
+  };
+
+  // The one place an attempt's end — a local reap, an agent's result,
+  // a lost agent connection, a failed spawn or an abort — becomes its
+  // WorkerEvent, `attempt` trace span, RSS gauge sample and log line.
+  // The attempt's own flags decide first (aborted, superseded or unit
+  // already won, verified fragment, deadline), then failure_of's table.
+  // Returns the retry-budget reason when the attempt is charged. The
+  // attempt must already be out of `running`. `remote_pid` is the child
+  // pid an agent reported; it goes on the event only, while the trace's
+  // pid argument and per-worker counters stay local-only.
+  const auto settle = [&](const RunningAttempt& ra, const proc::Outcome& out,
+                          const proc::Usage& use = {}, unsigned team = 0,
+                          long remote_pid = 0) -> std::optional<std::string> {
+    const bool remote = ra.agent >= 0;
+    api::WorkerEvent e;
+    e.unit = ra.unit;
+    e.kind = units[ra.unit].kind;
+    e.attempt = ra.attempt;
+    e.pid = remote ? remote_pid : (ra.pid > 0 ? ra.pid : 0);
+    e.detail = out.detail;
+    e.wall_s = monotonic_s() - ra.start_s;
+    if (remote) e.host = remotes[ra.agent].endpoint;
+    e.max_rss_bytes = use.max_rss_bytes;
+    e.cpu_user_s = use.cpu_user_s;
+    e.cpu_sys_s = use.cpu_sys_s;
+    e.omp_threads = team;
+
+    const bool lost = ra.aborted || ra.superseded || states[ra.unit].done;
+    std::optional<Value> frag;
+    if (!lost && out.payload) {
+      try {
+        frag = Value::parse(*out.payload);
+      } catch (const std::exception&) {
+        // A frame that verifies but is not JSON classifies "truncated".
+      }
+    }
+    std::optional<std::string> why;
+    if (ra.aborted) {
+      e.outcome = "aborted";
+    } else if (lost) {
+      // Whatever this attempt did, the unit was already won: a
+      // speculative loss, never a budget-charged failure.
+      e.outcome = "speculative_loss";
+    } else if (frag) {
+      e.outcome = "ok";
+    } else if (ra.timed_out) {
+      e.outcome = "timeout";
+      why = "timed out";
+    } else {
+      std::tie(e.outcome, why) = failure_of(out.kind, out.detail);
+    }
+    events.push_back(e);
+    if (frag) complete_ok(ra, std::move(*frag), *out.payload);
+
+    obs::TraceRecorder& trace = obs::TraceRecorder::instance();
+    if (trace.enabled()) {
+      Value targs = Value::object();
+      targs.set("unit", e.unit);
+      targs.set("kind", e.kind);
+      targs.set("attempt", e.attempt);
+      if (!remote && e.pid > 0) {
+        targs.set("pid", static_cast<std::int64_t>(e.pid));
+      }
+      targs.set("outcome", e.outcome);
+      if (remote) targs.set("agent", e.host);
+      trace.complete_on(attempt_tid(e.unit, e.attempt), "attempt",
+                        ra.start_us, obs::now_us() - ra.start_us,
+                        std::move(targs));
+      if (!remote && e.pid > 0) {
+        trace.counter("runner.worker_max_rss_bytes",
+                      static_cast<double>(e.max_rss_bytes));
+        trace.counter("runner.worker_cpu_s", e.cpu_user_s + e.cpu_sys_s);
+      }
+    }
+    obs::gauge("runner.worker_max_rss_bytes")
+        .max_of(static_cast<double>(e.max_rss_bytes));
+    if (e.outcome == "ok") {
+      util::log::debug("runner", "attempt ok",
+                       {{"unit", e.unit},
+                        {"attempt", e.attempt},
+                        {"host", remote ? e.host : "local"},
+                        {"wall_s", e.wall_s}});
+    } else if (why) {
+      util::log::warn("runner", "attempt failed",
+                      {{"unit", e.unit},
+                       {"attempt", e.attempt},
+                       {"host", remote ? e.host : "local"},
+                       {"outcome", e.outcome},
+                       {"detail", e.detail}});
+    }
+    return why;
+  };
+
+  const auto fail_unit = [&](unsigned unit_id, const std::string& why) {
+    error = "unit " + std::to_string(unit_id) + " (" + units[unit_id].kind +
+            ") " + why + " after " +
+            std::to_string(states[unit_id].failures) + " attempt" +
+            (states[unit_id].failures == 1 ? "" : "s") +
+            " (max_retries=" + std::to_string(opt.max_retries) + ")";
+    util::log::error("runner", "unit exhausted its retry budget",
+                     {{"unit", unit_id}, {"why", why}});
+    pending.clear();
+    for (std::size_t i = 0; i < running.size();) {
+      RunningAttempt& ra = running[i];
+      ra.aborted = true;
+      if (ra.agent < 0) {
+        if (ra.pid > 0) ::kill(ra.pid, SIGKILL);
+        ++i;
+        continue;
+      }
+      // Remote attempts have no child to reap: cancel best-effort and
+      // settle the abort now so the drain loop only waits on local pids.
+      send_cancel(ra);
+      const RunningAttempt gone = ra;
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+      (void)settle(gone, {"cancelled", 0, std::nullopt});
+    }
+  };
+
+  // Failure of one attempt: count it against the unit's budget and either
+  // re-queue with backoff or fail the whole run. The delay is jittered per
+  // unit so a mass worker kill does not re-dispatch every unit in
+  // lockstep (deterministic — see util::Backoff).
+  const auto on_failure = [&](const RunningAttempt& ra,
+                              const std::string& why) {
+    UnitState& st = states[ra.unit];
+    ++st.failures;
+    if (wal.is_open()) {
+      Value rec = Value::object();
+      rec.set("type", "failure");
+      rec.set("unit", ra.unit);
+      rec.set("attempt", ra.attempt);
+      rec.set("why", why);
+      wal.append(rec.dump_string(0));
+    }
+    if (st.failures > opt.max_retries) {
+      fail_unit(ra.unit, why);
+      return;
+    }
+    const double delay_s =
+        opt.backoff.delay_jittered_s(st.failures - 1, ra.unit);
+    if (obs::TraceRecorder::instance().enabled()) {
+      Value targs = Value::object();
+      targs.set("unit", ra.unit);
+      targs.set("attempt", ra.attempt);
+      targs.set("why", why);
+      targs.set("backoff_s", delay_s);
+      obs::TraceRecorder::instance().instant("retry", std::move(targs));
+    }
+    pending.push_back({ra.unit, monotonic_s() + delay_s});
+  };
+
+  // Starts the unit's next attempt on a remote slot when one is free, else
+  // on a local one. A fork that fails settles as spawn_failed; its
+  // retry-budget reason comes back for the caller to charge (or not).
+  const auto dispatch = [&](unsigned unit_id) -> std::optional<std::string> {
     UnitState& st = states[unit_id];
     RunningAttempt ra;
     ra.unit = unit_id;
@@ -800,7 +973,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
             monotonic_s() + opt.backoff.delay_s(std::min(r.dial_failures, 6u));
         ++r.dial_failures;
         pending.push_back({unit_id, 0.0});
-        return true;
+        return std::nullopt;
       }
       any_spawned = true;
       obs::counter("runner.remote_dispatches").add();
@@ -810,194 +983,39 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
                         {"attempt", ra.attempt},
                         {"agent", r.endpoint}});
       running.push_back(std::move(ra));
-      return true;
+      return std::nullopt;
     }
-    std::vector<std::string> args = {exe,
-                                     "__worker",
-                                     "--plan-file",
-                                     plan_files[unit_id],
-                                     "--out",
-                                     ra.out_path,
-                                     "--unit",
-                                     std::to_string(unit_id),
-                                     "--attempt",
-                                     std::to_string(ra.attempt),
-                                     "--omp-threads",
-                                     std::to_string(omp_threads)};
-    if (!opt.fault_spec.empty()) {
-      args.push_back("--fault");
-      args.push_back(opt.fault_spec);
-    }
-    if (opt.worker_mem_limit_bytes > 0) {
-      args.push_back("--mem-limit");
-      args.push_back(std::to_string(opt.worker_mem_limit_bytes));
-    }
-    obs::TraceRecorder& trace = obs::TraceRecorder::instance();
-    if (trace.enabled()) {
-      // Trace context rides the hidden __worker argv: the worker records
-      // on the shared CLOCK_MONOTONIC axis and dumps its buffer here; the
-      // coordinator stitches the file in after the reap.
+    if (obs::TraceRecorder::instance().enabled()) {
+      // The worker dumps its trace buffer here; the coordinator stitches
+      // the file in after the reap.
       ra.trace_path = prefix + "u" + std::to_string(unit_id) + ".a" +
                       std::to_string(ra.attempt) + ".trace";
       cleanup.push_back(ra.trace_path);
-      args.push_back("--trace-out");
-      args.push_back(ra.trace_path);
     }
-    ra.pid = spawn_worker(exe, args);
+    const proc::Spawned spawned = proc::spawn(proc::worker_argv(
+        exe, {plan_files[unit_id], ra.out_path, unit_id, ra.attempt,
+              omp_threads, opt.fault_spec, opt.worker_mem_limit_bytes,
+              ra.trace_path}));
+    ra.pid = spawned.pid;
     ra.start_s = monotonic_s();
     ra.start_us = obs::now_us();
+    if (spawned.pid < 0) {
+      return settle(ra, {"spawn_failed", spawned.error, std::nullopt});
+    }
     obs::counter("runner.dispatches").add();
     if (ra.attempt > 0) obs::counter("runner.retries").add();
     util::log::debug("runner", "dispatched worker",
                      {{"unit", unit_id},
                       {"attempt", ra.attempt},
                       {"pid", static_cast<std::int64_t>(ra.pid)}});
-    if (ra.pid < 0) {
-      api::WorkerEvent e;
-      e.unit = unit_id;
-      e.kind = units[unit_id].kind;
-      e.attempt = ra.attempt;
-      e.outcome = "spawn_failed";
-      e.detail = errno;
-      events.push_back(e);
-      return false;
-    }
     any_spawned = true;
     running.push_back(std::move(ra));
-    return true;
-  };
-
-  const auto fail_unit = [&](unsigned unit_id, const std::string& why) {
-    error = "unit " + std::to_string(unit_id) + " (" + units[unit_id].kind +
-            ") " + why + " after " +
-            std::to_string(states[unit_id].failures) + " attempt" +
-            (states[unit_id].failures == 1 ? "" : "s") +
-            " (max_retries=" + std::to_string(opt.max_retries) + ")";
-    util::log::error("runner", "unit exhausted its retry budget",
-                     {{"unit", unit_id}, {"why", why}});
-    pending.clear();
-    for (std::size_t i = 0; i < running.size();) {
-      RunningAttempt& ra = running[i];
-      if (ra.agent < 0) {
-        ra.aborted = true;
-        if (ra.pid > 0) ::kill(ra.pid, SIGKILL);
-        ++i;
-        continue;
-      }
-      // Remote attempts have no child to reap: cancel best-effort and
-      // record the abort now so the drain loop only waits on local pids.
-      send_cancel(ra);
-      api::WorkerEvent e;
-      e.unit = ra.unit;
-      e.kind = units[ra.unit].kind;
-      e.attempt = ra.attempt;
-      e.outcome = "aborted";
-      e.wall_s = monotonic_s() - ra.start_s;
-      e.host = remotes[ra.agent].endpoint;
-      events.push_back(e);
-      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-  };
-
-  // Failure of one attempt: count it against the unit's budget and either
-  // re-queue with backoff or fail the whole run. The delay is jittered per
-  // unit so a mass worker kill does not re-dispatch every unit in
-  // lockstep (deterministic — see util::Backoff).
-  const auto on_failure = [&](const RunningAttempt& ra,
-                              const std::string& why) {
-    UnitState& st = states[ra.unit];
-    ++st.failures;
-    if (wal.is_open()) {
-      Value rec = Value::object();
-      rec.set("type", "failure");
-      rec.set("unit", ra.unit);
-      rec.set("attempt", ra.attempt);
-      rec.set("why", why);
-      wal.append(rec.dump_string(0));
-    }
-    if (st.failures > opt.max_retries) {
-      fail_unit(ra.unit, why);
-      return;
-    }
-    const double delay_s =
-        opt.backoff.delay_jittered_s(st.failures - 1, ra.unit);
-    if (obs::TraceRecorder::instance().enabled()) {
-      Value targs = Value::object();
-      targs.set("unit", ra.unit);
-      targs.set("attempt", ra.attempt);
-      targs.set("why", why);
-      targs.set("backoff_s", delay_s);
-      obs::TraceRecorder::instance().instant("retry", std::move(targs));
-    }
-    pending.push_back({ra.unit, monotonic_s() + delay_s});
-  };
-
-  // Unit completion from a verified fragment — shared by the local reap
-  // and the remote result path. Persists into the journal, then
-  // supersedes every other in-flight attempt of the unit (first result
-  // wins, exactly as for local children).
-  const auto complete_ok = [&](const RunningAttempt& ra, Fragment&& frag) {
-    UnitState& st = states[ra.unit];
-    st.done = true;
-    if (wal.is_open()) {
-      // Persist-then-record: the fragment becomes DIR/unit<u>.frag by
-      // rename (never copied, never unlinked), THEN the done record
-      // lands in the WAL. A crash between the two re-executes the
-      // unit — wasteful, never wrong.
-      const std::string fpath = frag_path(opt.journal_dir, ra.unit);
-      Value rec = Value::object();
-      rec.set("type", "done");
-      rec.set("unit", ra.unit);
-      rec.set("attempt", ra.attempt);
-      rec.set("digest", journal::crc64(frag.payload));
-      rec.set("canon", util::json::hash64(frag.json.dump_canonical_string()));
-      if (units[ra.unit].kind == "validate") {
-        const api::RunReport fr = api::RunReport::from_json(frag.json);
-        rec.set("vfp",
-                validate::ValidationReport::from_json(fr.analyses.at(0).data)
-                    .fingerprint());
-      }
-      if (const util::fault::Action* torn =
-              inject.match("torn_write", ra.unit, ra.attempt)) {
-        // Injected coordinator crash mid-persist: write half the
-        // fragment frame, no fsync, but still journal the done record
-        // (the order a real crash between write and rename produces
-        // is covered by the plain re-execute path; THIS is the nastier
-        // inversion resume must catch by digest).
-        (void)torn;
-        const std::string frame = journal::encode_frame(frag.payload);
-        std::ofstream out(fpath, std::ios::binary | std::ios::trunc);
-        out.write(frame.data(),
-                  static_cast<std::streamsize>(frame.size() / 2));
-      } else {
-        journal::fsync_file_and_dir(ra.out_path);
-        if (::rename(ra.out_path.c_str(), fpath.c_str()) != 0) {
-          throw std::runtime_error("runner: cannot persist fragment " +
-                                   fpath);
-        }
-        journal::fsync_file_and_dir(fpath);
-      }
-      wal.append(rec.dump_string(0));
-    }
-    st.fragment = std::move(frag.json);
-    // First result wins: kill/cancel any other in-flight attempt.
-    for (RunningAttempt& other : running) {
-      if (other.unit == ra.unit && !other.superseded &&
-          !(other.attempt == ra.attempt && other.agent == ra.agent)) {
-        other.superseded = true;
-        if (other.agent < 0) {
-          if (other.pid > 0) ::kill(other.pid, SIGKILL);
-        } else {
-          send_cancel(other);
-        }
-      }
-    }
+    return std::nullopt;
   };
 
   // Transport damage on one agent: drop the connection, schedule a
-  // backed-off redial, and classify every in-flight attempt of the agent.
-  // "disconnect"/"garbled" charge the unit's retry budget exactly like a
-  // SIGKILLed local child; superseded/done attempts are losses only.
+  // backed-off redial, and settle every in-flight attempt of the agent as
+  // "disconnect"/"garbled" — charged like a SIGKILLed local child.
   const auto drop_agent = [&](int ai, const std::string& outcome) {
     RemoteAgent& r = remotes[ai];
     r.client.close();
@@ -1018,32 +1036,9 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       }
       const RunningAttempt ra = running[i];
       running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-      UnitState& st = states[ra.unit];
-      const bool charged = !(ra.superseded || ra.aborted || st.done);
-      api::WorkerEvent e;
-      e.unit = ra.unit;
-      e.kind = units[ra.unit].kind;
-      e.attempt = ra.attempt;
-      e.wall_s = monotonic_s() - ra.start_s;
-      e.host = r.endpoint;
-      e.outcome = ra.aborted ? "aborted"
-                  : charged  ? outcome
-                             : "speculative_loss";
-      events.push_back(e);
-      if (obs::TraceRecorder::instance().enabled()) {
-        Value targs = Value::object();
-        targs.set("unit", e.unit);
-        targs.set("attempt", e.attempt);
-        targs.set("outcome", e.outcome);
-        targs.set("agent", r.endpoint);
-        obs::TraceRecorder::instance().complete_on(
-            attempt_tid(e.unit, e.attempt), "attempt", ra.start_us,
-            obs::now_us() - ra.start_us, std::move(targs));
-      }
-      if (charged) {
-        on_failure(ra, outcome == "garbled"
-                           ? "returned a garbled result frame"
-                           : "lost its agent connection");
+      if (const std::optional<std::string> why =
+              settle(ra, {outcome, 0, std::nullopt})) {
+        on_failure(ra, *why);
         // on_failure may have failed the run; fail_unit then already
         // drained every remote attempt (including the rest of ours).
         if (!error.empty()) break;
@@ -1087,24 +1082,21 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     }
     const RunningAttempt ra = running[idx];
     running.erase(running.begin() + static_cast<std::ptrdiff_t>(idx));
-    UnitState& st = states[ra.unit];
-    api::WorkerEvent e;
-    e.unit = ra.unit;
-    e.kind = units[ra.unit].kind;
-    e.attempt = ra.attempt;
-    e.pid = static_cast<long>(m.get_uint("pid", 0));
-    e.wall_s = monotonic_s() - ra.start_s;
-    e.host = r.endpoint;
-    e.max_rss_bytes = static_cast<std::size_t>(m.get_uint("max_rss_bytes", 0));
-    if (const Value* v = m.find("cpu_user_s"); v && v->is_number()) {
-      e.cpu_user_s = v->as_double();
+    const auto number = [&](const char* key) {
+      const Value* v = m.find(key);
+      return v != nullptr && v->is_number() ? v->as_double() : 0.0;
+    };
+    proc::Outcome out;
+    out.kind = m.get_string("outcome", "truncated");
+    out.detail = static_cast<int>(m.get_uint("detail", 0));
+    if (const Value* f = m.find("fragment"); f && f->is_string()) {
+      out.payload = f->as_string();
     }
-    if (const Value* v = m.find("cpu_sys_s"); v && v->is_number()) {
-      e.cpu_sys_s = v->as_double();
-    }
-    e.omp_threads = static_cast<unsigned>(m.get_uint("omp_threads", 0));
-    const std::string outcome = m.get_string("outcome", "truncated");
-    e.detail = static_cast<int>(m.get_uint("detail", 0));
+    proc::Usage use;
+    use.max_rss_bytes =
+        static_cast<std::size_t>(m.get_uint("max_rss_bytes", 0));
+    use.cpu_user_s = number("cpu_user_s");
+    use.cpu_sys_s = number("cpu_sys_s");
     obs::TraceRecorder& trace = obs::TraceRecorder::instance();
     if (trace.enabled()) {
       // The worker's trace buffer crossed the socket instead of $TMPDIR;
@@ -1113,103 +1105,11 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
         trace.import_text(t->as_string(), r.endpoint);
       }
     }
-
-    if (ra.aborted) {
-      e.outcome = "aborted";
-      events.push_back(e);
-    } else if (ra.superseded || st.done) {
-      e.outcome = "speculative_loss";
-      events.push_back(e);
-    } else if (outcome == "cancelled") {
-      if (ra.timed_out) {
-        e.outcome = "timeout";
-        events.push_back(e);
-        on_failure(ra, "timed out");
-      } else {
-        e.outcome = "speculative_loss";
-        events.push_back(e);
-      }
-    } else if (outcome == "ok") {
-      Fragment frag;
-      bool parsed = false;
-      if (const Value* f = m.find("fragment"); f && f->is_string()) {
-        try {
-          frag.json = Value::parse(f->as_string());
-          frag.payload = f->as_string();
-          parsed = true;
-        } catch (const std::exception&) {
-        }
-      }
-      if (parsed) {
-        e.outcome = "ok";
-        events.push_back(e);
-        if (wal.is_open()) {
-          // complete_ok's persist path renames ra.out_path into the
-          // journal — materialize the remote fragment there first, as the
-          // same CRC64 frame a local worker would have written.
-          const std::string frame = journal::encode_frame(frag.payload);
-          std::ofstream out(ra.out_path, std::ios::binary | std::ios::trunc);
-          out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-          out.flush();
-          if (!out) {
-            events.back().outcome = "truncated";
-            on_failure(ra, "could not stage the remote fragment");
-            return;
-          }
-        }
-        complete_ok(ra, std::move(frag));
-      } else {
-        e.outcome = "truncated";
-        events.push_back(e);
-        on_failure(ra, "returned an unparsable fragment");
-      }
-    } else if (outcome == "signal") {
-      e.outcome = "signal";
-      events.push_back(e);
-      on_failure(ra, "died on signal " + std::to_string(e.detail));
-    } else if (outcome == "oom") {
-      e.outcome = "oom";
-      events.push_back(e);
-      on_failure(ra, "exceeded its memory guard (RLIMIT_AS)");
-    } else if (outcome == "exit") {
-      e.outcome = "exit";
-      events.push_back(e);
-      on_failure(ra, "exited with code " + std::to_string(e.detail));
-    } else if (outcome == "spawn_failed") {
-      e.outcome = "spawn_failed";
-      events.push_back(e);
-      on_failure(ra, "could not be spawned on its agent");
-    } else {
-      e.outcome = "truncated";
-      events.push_back(e);
-      on_failure(ra, "wrote a truncated result frame");
-    }
-    if (trace.enabled()) {
-      Value targs = Value::object();
-      targs.set("unit", e.unit);
-      targs.set("kind", e.kind);
-      targs.set("attempt", e.attempt);
-      targs.set("outcome", e.outcome);
-      targs.set("agent", r.endpoint);
-      trace.complete_on(attempt_tid(e.unit, e.attempt), "attempt",
-                        ra.start_us, obs::now_us() - ra.start_us,
-                        std::move(targs));
-    }
-    obs::gauge("runner.worker_max_rss_bytes")
-        .max_of(static_cast<double>(e.max_rss_bytes));
-    if (e.outcome == "ok") {
-      util::log::debug("runner", "remote attempt ok",
-                       {{"unit", e.unit},
-                        {"attempt", e.attempt},
-                        {"agent", r.endpoint},
-                        {"wall_s", e.wall_s}});
-    } else if (e.outcome != "speculative_loss" && e.outcome != "aborted") {
-      util::log::warn("runner", "remote attempt failed",
-                      {{"unit", e.unit},
-                       {"attempt", e.attempt},
-                       {"agent", r.endpoint},
-                       {"outcome", e.outcome},
-                       {"detail", e.detail}});
+    if (const std::optional<std::string> why = settle(
+            ra, out, use,
+            static_cast<unsigned>(m.get_uint("omp_threads", 0)),
+            static_cast<long>(m.get_uint("pid", 0)))) {
+      on_failure(ra, *why);
     }
   };
 
@@ -1299,110 +1199,24 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
 
     // Reap (local children only; remote attempts resolve via pump above).
     for (std::size_t i = 0; i < running.size();) {
-      RunningAttempt& ra = running[i];
-      if (ra.agent >= 0) {
+      std::optional<proc::Reaped> got;
+      if (running[i].agent >= 0 || !(got = proc::reap(running[i].pid))) {
         ++i;
         continue;
       }
-      int status = 0;
-      rusage ru{};
-      // wait4 = waitpid + the child's rusage: per-attempt peak RSS and
-      // split user/sys CPU land in the worker event for free.
-      const pid_t got = ::wait4(ra.pid, &status, WNOHANG, &ru);
-      if (got != ra.pid) {
-        ++i;
-        continue;
-      }
-      api::WorkerEvent e;
-      e.unit = ra.unit;
-      e.kind = units[ra.unit].kind;
-      e.attempt = ra.attempt;
-      e.pid = ra.pid;
-      e.wall_s = monotonic_s() - ra.start_s;
-      e.max_rss_bytes =
-          static_cast<std::size_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
-      e.cpu_user_s = static_cast<double>(ru.ru_utime.tv_sec) +
-                     static_cast<double>(ru.ru_utime.tv_usec) * 1e-6;
-      e.cpu_sys_s = static_cast<double>(ru.ru_stime.tv_sec) +
-                    static_cast<double>(ru.ru_stime.tv_usec) * 1e-6;
-      e.omp_threads = omp_threads;
-      UnitState& st = states[ra.unit];
-
-      if (ra.aborted) {
-        e.outcome = "aborted";
-        if (WIFSIGNALED(status)) e.detail = WTERMSIG(status);
-        events.push_back(e);
-      } else if (ra.superseded || st.done) {
-        // The unit was already won by another attempt — whatever this one
-        // did (finished, crashed, got killed) is a speculative loss, never
-        // a budget-charged failure.
-        e.outcome = "speculative_loss";
-        events.push_back(e);
-      } else if (ra.timed_out) {
-        e.outcome = "timeout";
-        e.detail = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-        events.push_back(e);
-        on_failure(ra, "timed out");
-      } else if (WIFSIGNALED(status)) {
-        e.outcome = "signal";
-        e.detail = WTERMSIG(status);
-        events.push_back(e);
-        on_failure(ra, "died on signal " + std::to_string(e.detail));
-      } else if (WIFEXITED(status) && WEXITSTATUS(status) == kOomExitCode) {
-        // The worker's RLIMIT_AS guard (or the oom fault) tripped its
-        // std::bad_alloc path — a resource verdict, not a generic "exit".
-        e.outcome = "oom";
-        e.detail = kOomExitCode;
-        events.push_back(e);
-        on_failure(ra, "exceeded its memory guard (RLIMIT_AS)");
-      } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-        e.outcome = "exit";
-        e.detail = WEXITSTATUS(status);
-        events.push_back(e);
-        on_failure(ra, "exited with code " + std::to_string(e.detail));
-      } else if (std::optional<Fragment> frag = read_fragment(ra.out_path)) {
-        e.outcome = "ok";
-        events.push_back(e);
-        complete_ok(ra, std::move(*frag));
-      } else {
-        e.outcome = "truncated";
-        events.push_back(e);
-        on_failure(ra, "wrote a truncated result frame");
-      }
-      obs::TraceRecorder& trace = obs::TraceRecorder::instance();
-      if (trace.enabled()) {
-        // Stitch the worker's own timeline in first (missing/truncated
-        // files from killed workers are tolerated), then close the
-        // coordinator-side attempt span on its synthetic track.
-        if (!ra.trace_path.empty()) trace.import_file(ra.trace_path);
-        Value targs = Value::object();
-        targs.set("unit", e.unit);
-        targs.set("kind", e.kind);
-        targs.set("attempt", e.attempt);
-        targs.set("pid", static_cast<std::int64_t>(e.pid));
-        targs.set("outcome", e.outcome);
-        trace.complete_on(attempt_tid(e.unit, e.attempt), "attempt",
-                          ra.start_us, obs::now_us() - ra.start_us,
-                          std::move(targs));
-        trace.counter("runner.worker_max_rss_bytes",
-                      static_cast<double>(e.max_rss_bytes));
-        trace.counter("runner.worker_cpu_s", e.cpu_user_s + e.cpu_sys_s);
-      }
-      obs::gauge("runner.worker_max_rss_bytes")
-          .max_of(static_cast<double>(e.max_rss_bytes));
-      if (e.outcome == "ok") {
-        util::log::debug("runner", "worker attempt ok",
-                         {{"unit", e.unit},
-                          {"attempt", e.attempt},
-                          {"wall_s", e.wall_s}});
-      } else if (e.outcome != "speculative_loss" && e.outcome != "aborted") {
-        util::log::warn("runner", "worker attempt failed",
-                        {{"unit", e.unit},
-                         {"attempt", e.attempt},
-                         {"outcome", e.outcome},
-                         {"detail", e.detail}});
-      }
+      const RunningAttempt ra = running[i];
       running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+      // Stitch the worker's own timeline in before its attempt span
+      // (missing/truncated files from killed workers are tolerated).
+      obs::TraceRecorder& trace = obs::TraceRecorder::instance();
+      if (trace.enabled() && !ra.trace_path.empty()) {
+        trace.import_file(ra.trace_path);
+      }
+      if (const std::optional<std::string> why =
+              settle(ra, proc::classify(got->status, ra.out_path),
+                     got->usage, omp_threads)) {
+        on_failure(ra, *why);
+      }
     }
 
     if (!error.empty()) {
@@ -1425,7 +1239,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       }
       const unsigned unit_id = pending[i].unit;
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      if (!dispatch(unit_id)) {
+      if (const std::optional<std::string> why = dispatch(unit_id)) {
         if (!any_spawned) {
           // fork is unavailable before anything ran: degrade to the
           // in-process serial path rather than failing the plan.
@@ -1441,7 +1255,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
         RunningAttempt ra;
         ra.unit = unit_id;
         ra.attempt = states[unit_id].next_attempt - 1;
-        on_failure(ra, "could not be spawned");
+        on_failure(ra, *why);
       }
     }
 
@@ -1482,7 +1296,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
         }
         util::log::info("runner", "speculative re-execution",
                         {{"unit", straggler->unit}});
-        dispatch(straggler->unit);
+        (void)dispatch(straggler->unit);
       }
     }
 
@@ -1583,23 +1397,7 @@ Value comparable(const Value& report_json) {
     } else if (key == "analyses") {
       out.set(key, strip_timing(value, {"wall_s"}));
     } else if (key == "plan") {
-      Value p = Value::object();
-      for (const auto& [pkey, pvalue] : value.members()) {
-        if (pkey != "options") {
-          p.set(pkey, pvalue);
-          continue;
-        }
-        Value o = Value::object();
-        for (const auto& [okey, ovalue] : pvalue.members()) {
-          if (okey == "workers" || okey == "shard_timeout" ||
-              okey == "max_retries" || okey == "fault") {
-            continue;
-          }
-          o.set(okey, ovalue);
-        }
-        p.set("options", std::move(o));
-      }
-      out.set(key, std::move(p));
+      out.set(key, without_distribution(value));
     } else {
       out.set(key, value);
     }

@@ -22,9 +22,11 @@
 //   * speculative re-execution of stragglers — when the queue is drained
 //     and a slot is free, the slowest running unit is re-issued and the
 //     first result wins (safe: units are deterministic);
-//   * crash-safe accounting via waitpid status — signal vs nonzero-exit
-//     vs timeout vs truncated frame vs oom (the RLIMIT_AS guard) are
-//     distinguished in the report's worker_events array;
+//   * crash-safe accounting: runner::proc (runner/proc.hpp) spawns,
+//     reaps and classifies every worker, local or on an agent — signal
+//     vs nonzero-exit vs truncated frame vs oom (the RLIMIT_AS guard) —
+//     and one settle step turns each attempt's end, timeouts included,
+//     into the report's worker_events entry;
 //   * graceful degradation to in-process execution when the worker
 //     binary cannot be found/spawned or workers <= 1.
 //

@@ -10,6 +10,9 @@
 
 #include <algorithm>
 #include <csignal>
+#include <fstream>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +22,8 @@
 #include <unistd.h>
 
 #include "api/plan.hpp"
+#include "net/agent.hpp"
+#include "runner/proc.hpp"
 #include "runner/runner.hpp"
 #include "util/journal.hpp"
 #include "util/json.hpp"
@@ -35,6 +40,7 @@
 namespace {
 
 using namespace kronotri;
+namespace proc = runner::proc;
 
 // Small two-factor product with a base unit (census + degree) and several
 // validate shards: big enough that every validate unit owns real work,
@@ -124,72 +130,6 @@ TEST(Runner, WorkersOneRunsInProcess) {
   EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(report));
 }
 
-TEST(Runner, InjectedKillRecovers) {
-  const api::RunPlan plan = test_plan();
-  runner::Options opt = test_opts();
-  opt.fault_spec = "kill:shard=1:attempt=0";  // first validate unit, once
-  const api::RunReport multi = runner::execute(plan, opt);
-  EXPECT_TRUE(multi.pass);
-  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
-  // The crash is recorded as a SIGKILL death, then the retry succeeds.
-  ASSERT_EQ(count_events(multi, 1, "signal"), 1);
-  for (const api::WorkerEvent& e : multi.worker_events) {
-    if (e.outcome != "signal") continue;
-    EXPECT_EQ(e.unit, 1u);
-    EXPECT_EQ(e.attempt, 0u);
-    EXPECT_EQ(e.detail, SIGKILL);
-    EXPECT_EQ(e.kind, "validate");
-  }
-  EXPECT_EQ(count_events(multi, 1, "ok"), 1);
-}
-
-TEST(Runner, InjectedTimeoutRecovers) {
-  const api::RunPlan plan = test_plan();
-  runner::Options opt = test_opts();
-  // The timeout is a wide fraction of the injected stall, never a wall-clock
-  // constant: units that are not stalled finish long before it even when the
-  // whole suite runs in parallel, and the stalled one never finishes first.
-  constexpr int kStallS = 30;
-  opt.fault_spec =
-      "stall:shard=1:attempt=0:secs=" + std::to_string(kStallS);
-  opt.shard_timeout_s = kStallS / 3.0;
-  const api::RunReport multi = runner::execute(plan, opt);
-  EXPECT_TRUE(multi.pass);
-  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
-  EXPECT_EQ(count_events(multi, 1, "timeout"), 1);
-  EXPECT_EQ(count_events(multi, 1, "ok"), 1);
-}
-
-TEST(Runner, TruncatedFragmentRetries) {
-  const api::RunPlan plan = test_plan();
-  runner::Options opt = test_opts();
-  opt.fault_spec = "truncate:shard=2:attempt=0";
-  const api::RunReport multi = runner::execute(plan, opt);
-  EXPECT_TRUE(multi.pass);
-  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
-  EXPECT_EQ(count_events(multi, 2, "truncated"), 1);
-  EXPECT_EQ(count_events(multi, 2, "ok"), 1);
-}
-
-TEST(Runner, RetryBudgetExhaustedFailsStructurally) {
-  const api::RunPlan plan = test_plan();
-  runner::Options opt = test_opts();
-  opt.fault_spec = "exit:shard=1:code=7";  // every attempt of unit 1 fails
-  opt.max_retries = 1;
-  const api::RunReport multi = runner::execute(plan, opt);
-  EXPECT_FALSE(multi.pass);
-  EXPECT_FALSE(multi.error.empty());
-  EXPECT_NE(multi.error.find("unit 1"), std::string::npos) << multi.error;
-  // attempt 0 + one retry, both recorded with the worker's exit code.
-  EXPECT_EQ(count_events(multi, 1, "exit"), 2);
-  for (const api::WorkerEvent& e : multi.worker_events) {
-    if (e.outcome == "exit") {
-      EXPECT_EQ(e.detail, 7);
-    }
-  }
-  EXPECT_EQ(count_events(multi, 1, "ok"), 0);
-}
-
 TEST(Runner, SpeculativeRedispatchBeatsStraggler) {
   const api::RunPlan plan = test_plan();
   runner::Options opt = test_opts();
@@ -259,6 +199,197 @@ TEST(Runner, TrussReportIsComparableAcrossRuns) {
   const api::RunReport multi = runner::execute(plan, opt);
   EXPECT_TRUE(multi.pass) << multi.error;
   EXPECT_EQ(comparable_dump(a), comparable_dump(multi));
+}
+
+// ---------------------------------------------------------------------------
+// The fault matrix on both placements: local worker slots, and one
+// in-process agent with no local slots. runner::proc classifies every
+// worker and the coordinator settles every attempt the same way, so a
+// unit must die with the same outcome and detail wherever it ran.
+
+enum class Placement { kLocal, kAgent };
+
+void PrintTo(Placement p, std::ostream* os) {
+  *os << (p == Placement::kLocal ? "Local" : "Agent");
+}
+
+class RunnerFaults : public ::testing::TestWithParam<Placement> {
+ protected:
+  void SetUp() override {
+    if (GetParam() != Placement::kAgent) return;
+    net::AgentOptions ao;
+    ao.slots = 2;
+    agent_ = std::make_unique<net::Agent>(ao);
+    std::string err;
+    ASSERT_TRUE(agent_->start(&err)) << err;
+  }
+  void TearDown() override {
+    if (agent_) agent_->stop();
+  }
+
+  runner::Options opts() const {
+    runner::Options opt = test_opts();
+    if (agent_) {
+      opt.workers = 0;
+      opt.agents = {agent_->endpoint()};
+      opt.agent_connect_timeout_s = 2.0;
+    }
+    return opt;
+  }
+
+  /// The events that end in `outcome` are exactly `attempts` of validate
+  /// unit `unit`, each with `detail` and on the placement's host.
+  void expect_events(const api::RunReport& report, unsigned unit,
+                     const std::string& outcome, int detail,
+                     const std::multiset<unsigned>& attempts) const {
+    std::multiset<unsigned> seen;
+    for (const api::WorkerEvent& e : report.worker_events) {
+      if (e.outcome != outcome) continue;
+      seen.insert(e.attempt);
+      EXPECT_EQ(e.unit, unit);
+      EXPECT_EQ(e.kind, "validate");
+      EXPECT_EQ(e.detail, detail) << outcome;
+      EXPECT_EQ(e.host.empty(), agent_ == nullptr) << e.host;
+    }
+    EXPECT_EQ(seen, attempts) << outcome;
+  }
+
+  std::unique_ptr<net::Agent> agent_;
+};
+
+TEST_P(RunnerFaults, InjectedKillRecovers) {
+  const api::RunPlan plan = test_plan();
+  runner::Options opt = opts();
+  opt.fault_spec = "kill:shard=1:attempt=0";  // first validate unit, once
+  const api::RunReport multi = runner::execute(plan, opt);
+  EXPECT_TRUE(multi.pass) << multi.error;
+  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
+  // The crash is recorded as a SIGKILL death, then the retry succeeds.
+  expect_events(multi, 1, "signal", SIGKILL, {0});
+  EXPECT_EQ(count_events(multi, 1, "ok"), 1);
+}
+
+TEST_P(RunnerFaults, InjectedTimeoutRecovers) {
+  const api::RunPlan plan = test_plan();
+  runner::Options opt = opts();
+  // The timeout is a wide fraction of the injected stall, never a wall-clock
+  // constant: units that are not stalled finish long before it even when the
+  // whole suite runs in parallel, and the stalled one never finishes first.
+  constexpr int kStallS = 30;
+  opt.fault_spec =
+      "stall:shard=1:attempt=0:secs=" + std::to_string(kStallS);
+  opt.shard_timeout_s = kStallS / 3.0;
+  const api::RunReport multi = runner::execute(plan, opt);
+  EXPECT_TRUE(multi.pass) << multi.error;
+  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
+  // The deadline's SIGKILL is the detail, whoever delivered it.
+  expect_events(multi, 1, "timeout", SIGKILL, {0});
+  EXPECT_EQ(count_events(multi, 1, "ok"), 1);
+}
+
+TEST_P(RunnerFaults, TruncatedFragmentRetries) {
+  const api::RunPlan plan = test_plan();
+  runner::Options opt = opts();
+  opt.fault_spec = "truncate:shard=2:attempt=0";
+  const api::RunReport multi = runner::execute(plan, opt);
+  EXPECT_TRUE(multi.pass) << multi.error;
+  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
+  expect_events(multi, 2, "truncated", 0, {0});
+  EXPECT_EQ(count_events(multi, 2, "ok"), 1);
+}
+
+TEST_P(RunnerFaults, RetryBudgetExhaustedFailsStructurally) {
+  const api::RunPlan plan = test_plan();
+  runner::Options opt = opts();
+  opt.fault_spec = "exit:shard=1:code=7";  // every attempt of unit 1 fails
+  opt.max_retries = 1;
+  const api::RunReport multi = runner::execute(plan, opt);
+  EXPECT_FALSE(multi.pass);
+  EXPECT_NE(multi.error.find("unit 1"), std::string::npos) << multi.error;
+  // attempt 0 + one retry, both recorded with the worker's exit code.
+  expect_events(multi, 1, "exit", 7, {0, 1});
+  EXPECT_EQ(count_events(multi, 1, "ok"), 0);
+}
+
+TEST_P(RunnerFaults, OomFaultClassifiedAndRetried) {
+  const api::RunPlan plan = test_plan();
+  runner::Options opt = opts();
+  opt.fault_spec = "oom:shard=1:attempt=0";
+  const api::RunReport multi = runner::execute(plan, opt);
+  EXPECT_TRUE(multi.pass) << multi.error;
+  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
+  // Classified as a resource verdict, not a generic nonzero exit.
+  expect_events(multi, 1, "oom", runner::kOomExitCode, {0});
+  EXPECT_EQ(count_events(multi, 1, "exit"), 0);
+  EXPECT_EQ(count_events(multi, 1, "ok"), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Placements, RunnerFaults,
+                         ::testing::Values(Placement::kLocal,
+                                           Placement::kAgent),
+                         [](const ::testing::TestParamInfo<Placement>& info) {
+                           return ::testing::PrintToString(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
+// runner::proc — one worker process's life, on plain /bin/sh children.
+
+proc::Outcome run_and_classify(const std::string& script,
+                               const std::string& out_path) {
+  const proc::Spawned s = proc::spawn({"/bin/sh", "-c", script});
+  EXPECT_GT(s.pid, 0) << s.error;
+  const std::optional<proc::Reaped> r = proc::reap(s.pid, /*block=*/true);
+  EXPECT_TRUE(r.has_value());
+  return proc::classify(r ? r->status : 0, out_path);
+}
+
+TEST(RunnerProc, ClassifiesHowAWorkerEnded) {
+  const std::string out =
+      "/tmp/kronotri_proc" + std::to_string(::getpid()) + ".frame";
+  ::unlink(out.c_str());
+  proc::Outcome o = run_and_classify("exit 7", out);
+  EXPECT_EQ(o.kind, "exit");
+  EXPECT_EQ(o.detail, 7);
+  o = run_and_classify("exit " + std::to_string(runner::kOomExitCode), out);
+  EXPECT_EQ(o.kind, "oom");
+  EXPECT_EQ(o.detail, runner::kOomExitCode);
+  o = run_and_classify("kill -9 $$", out);
+  EXPECT_EQ(o.kind, "signal");
+  EXPECT_EQ(o.detail, SIGKILL);
+  o = run_and_classify("exit 0", out);  // clean exit, no frame
+  EXPECT_EQ(o.kind, "truncated");
+  EXPECT_FALSE(o.payload.has_value());
+
+  // A verified frame is a result however the process ended afterwards;
+  // a frame with trailing bytes is not.
+  const std::string frame = util::journal::encode_frame("{\"x\":1}");
+  {
+    std::ofstream f(out, std::ios::binary | std::ios::trunc);
+    f << frame;
+  }
+  o = run_and_classify("kill -9 $$", out);
+  EXPECT_EQ(o.kind, "ok");
+  EXPECT_EQ(o.detail, 0);
+  EXPECT_EQ(o.payload.value_or(""), "{\"x\":1}");
+  {
+    std::ofstream f(out, std::ios::binary | std::ios::app);
+    f << "x";
+  }
+  o = run_and_classify("exit 0", out);
+  EXPECT_EQ(o.kind, "truncated");
+  ::unlink(out.c_str());
+}
+
+TEST(RunnerProc, ExecFailureExits127AndReapWaitsForTheChild) {
+  const proc::Spawned s = proc::spawn({"/nonexistent/kronotri"});
+  ASSERT_GT(s.pid, 0) << s.error;
+  const std::optional<proc::Reaped> r = proc::reap(s.pid, /*block=*/true);
+  ASSERT_TRUE(r.has_value());
+  const proc::Outcome o = proc::classify(r->status, "/nonexistent/out");
+  EXPECT_EQ(o.kind, "exit");
+  EXPECT_EQ(o.detail, 127);
+  // Reaped once: a second non-blocking reap finds nothing.
+  EXPECT_FALSE(proc::reap(s.pid).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -573,19 +704,6 @@ TEST(RunnerBudget, CeilingCapsTheBudgetAndReportsStayIdentical) {
     expect_ok_events_at(multi, budget);
     EXPECT_EQ(multi.metadata.get_uint("omp_max_threads", 0), budget);
   }
-}
-
-TEST(RunnerGuard, OomFaultClassifiedAndRetried) {
-  const api::RunPlan plan = test_plan();
-  runner::Options opt = test_opts();
-  opt.fault_spec = "oom:shard=1:attempt=0";
-  const api::RunReport multi = runner::execute(plan, opt);
-  EXPECT_TRUE(multi.pass) << multi.error;
-  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
-  // Classified as a resource verdict, not a generic nonzero exit.
-  EXPECT_EQ(count_events(multi, 1, "oom"), 1);
-  EXPECT_EQ(count_events(multi, 1, "exit"), 0);
-  EXPECT_EQ(count_events(multi, 1, "ok"), 1);
 }
 
 TEST(RunnerGuard, GenerousMemLimitStillPasses) {
