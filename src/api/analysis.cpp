@@ -150,7 +150,35 @@ bool PlanContext::graph_ready() const noexcept {
   return !product_ || graph_.has_value();
 }
 
-void PlanContext::set_graph(Graph g) { graph_ = std::move(g); }
+void PlanContext::set_graph(Graph g) {
+  graph_ = std::move(g);
+  census_.reset();
+  edge_triangles_.reset();
+  vertex_triangles_.reset();
+}
+
+const triangle::CensusWorkspace& PlanContext::census() const {
+  if (!census_) census_.emplace(graph());
+  return *census_;
+}
+
+const std::vector<count_t>& PlanContext::edge_triangles() const {
+  if (!edge_triangles_) edge_triangles_ = census().edge_census();
+  return *edge_triangles_;
+}
+
+const std::vector<count_t>& PlanContext::vertex_triangles() const {
+  if (!vertex_triangles_) {
+    vertex_triangles_ = census().vertex_census(edge_triangles());
+  }
+  return *vertex_triangles_;
+}
+
+count_t PlanContext::total_triangles() const {
+  count_t sum = 0;
+  for (const count_t t : vertex_triangles()) sum += t;
+  return sum / 3;
+}
 
 // ---- registry --------------------------------------------------------------
 
@@ -294,7 +322,7 @@ class CensusAnalysis final : public Analysis {
           product_total);
     } else {
       const Graph& g = ctx.graph();
-      product_total = triangle::count_total(g);
+      product_total = ctx.total_triangles();
       add("G", g.num_vertices(), g.num_undirected_edges(), product_total);
     }
 
@@ -306,14 +334,10 @@ class CensusAnalysis final : public Analysis {
       const count_t n = ctx.two_factor() ? ctx.oracle().num_vertices()
                         : ctx.is_product() ? ctx.chain().num_vertices()
                                            : ctx.graph().num_vertices();
-      std::vector<count_t> per_vertex;
-      if (!ctx.is_product()) {
-        per_vertex = triangle::participation_vertices(ctx.graph());
-      }
       const auto count_at = [&](vid p) {
         return ctx.two_factor()  ? ctx.oracle().vertex_triangles(p)
                : ctx.is_product() ? ctx.chain().vertex_triangles(p)
-                                  : per_vertex[p];
+                                  : ctx.vertex_triangles()[p];
       };
       const vid step =
           sample_ == 0 ? 1 : std::max<vid>(1, static_cast<vid>(n / sample_));
@@ -484,16 +508,16 @@ class TrussAnalysis final : public Analysis {
             "modifiers");
       }
       // No wall time in `text`: the report's wall_s carries it, and text
-      // must be identical across identical runs.
-      const Graph& g = ctx.graph();
-      const auto t = truss::decompose(g);
-      os << "truss decomposition of " << g.num_undirected_edges()
-         << " edges; max truss " << t.max_truss << "\n";
-      for (count_t k = 3; k <= t.max_truss; ++k) {
-        add(k, t.edges_in_truss(k));
-      }
+      // must be identical across identical runs. The peel starts from the
+      // plan's shared census, and |T^κ| comes from one histogram pass.
+      const auto sizes = truss::truss_sizes(
+          truss::peel(ctx.census(), ctx.edge_triangles()));
+      const count_t max_truss = sizes.size() - 1;
+      os << "truss decomposition of " << ctx.graph().num_undirected_edges()
+         << " edges; max truss " << max_truss << "\n";
+      for (count_t k = 3; k <= max_truss; ++k) add(k, sizes[k]);
       r.data.set("mode", "decompose");
-      r.data.set("max_truss", t.max_truss);
+      r.data.set("max_truss", max_truss);
     }
     table.print(os);
     r.text = os.str();
@@ -534,7 +558,8 @@ class ComponentsAnalysis final : public Analysis {
 };
 
 /// `clustering` — global and average clustering coefficients of the
-/// explicit graph (the §I motivating statistics).
+/// explicit graph (the §I motivating statistics), from the plan's shared
+/// triangle counts.
 class ClusteringAnalysis final : public Analysis {
  public:
   explicit ClusteringAnalysis(const Params& p) { p.require_known({}); }
@@ -545,8 +570,9 @@ class ClusteringAnalysis final : public Analysis {
                          std::span<EdgeSink* const>) override {
     AnalysisReport r = report();
     const Graph& g = ctx.graph();
-    const double global = triangle::global_clustering(g);
-    const double average = triangle::average_clustering(g);
+    const double global = triangle::global_clustering(g, ctx.total_triangles());
+    const double average =
+        triangle::average_clustering(g, ctx.vertex_triangles());
     r.data.set("global_clustering", global);
     r.data.set("average_clustering", average);
     std::ostringstream os;
@@ -606,7 +632,7 @@ class EgonetAnalysis final : public Analysis {
       }
       const auto ego = analysis::extract_egonet(g, vertex_);
       measured = analysis::center_triangles(ego);
-      formula = triangle::participation_vertices(g)[vertex_];
+      formula = ctx.vertex_triangles()[vertex_];
       os << "vertex " << vertex_ << ": egonet "
          << ego.vertices.size() << " vertices, "
          << ego.graph.num_undirected_edges() << " edges\n";

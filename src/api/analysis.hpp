@@ -39,6 +39,7 @@
 #include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/view.hpp"
+#include "triangle/census.hpp"
 #include "util/json.hpp"
 
 namespace kronotri::api {
@@ -121,7 +122,10 @@ class Params {
 /// Everything an Analysis may read about the job. Factor-side structures
 /// (view, oracle, chain) are built lazily ONCE and shared by every
 /// analysis — census and validate both need the oracle, but it is
-/// constructed a single time per run. The context owns the factors.
+/// constructed a single time per run. So are the triangle counts of the
+/// explicit graph: truss, clustering, census and egonet read them here
+/// instead of each enumerating the graph's triangles again. The context
+/// owns the factors.
 class PlanContext {
  public:
   PlanContext(GraphSpec spec, RunOptions options, std::vector<Graph> factors);
@@ -152,6 +156,19 @@ class PlanContext {
   [[nodiscard]] bool graph_ready() const noexcept;
   void set_graph(Graph g);
 
+  /// The census workspace of graph() (with edge ids), built on first use
+  /// and kept until the plan ends.
+  [[nodiscard]] const triangle::CensusWorkspace& census() const;
+  /// Δ(e) per undirected edge id of census(): one census pass, on first
+  /// use only.
+  [[nodiscard]] const std::vector<count_t>& edge_triangles() const;
+  /// t_v per vertex of graph(): ½·Σ_{e∋v} Δ(e), an O(m) sweep over
+  /// edge_triangles() — so a plan pays one census pass whatever the order
+  /// of its analyses.
+  [[nodiscard]] const std::vector<count_t>& vertex_triangles() const;
+  /// τ(graph()) = ⅓·Σ_v t_v.
+  [[nodiscard]] count_t total_triangles() const;
+
  private:
   GraphSpec spec_;
   RunOptions options_;
@@ -162,6 +179,9 @@ class PlanContext {
   mutable std::optional<kron::TriangleOracle> oracle_;
   mutable std::optional<kron::KronChain> chain_;
   mutable std::optional<Graph> graph_;
+  mutable std::optional<triangle::CensusWorkspace> census_;
+  mutable std::optional<std::vector<count_t>> edge_triangles_;
+  mutable std::optional<std::vector<count_t>> vertex_triangles_;
 };
 
 /// One analysis's typed result inside a RunReport.

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/ops.hpp"
+#include "obs/counters.hpp"
 
 namespace kronotri::triangle {
 
@@ -18,6 +19,11 @@ BoolCsr simple_part(const Graph& a) {
 }
 
 }  // namespace
+
+void count_census_pass() {
+  static obs::Counter& passes = obs::counter("triangle.census_passes");
+  passes.add();
+}
 
 EdgeIdMap build_edge_ids(const BoolCsr& s) {
   const vid n = s.rows();
@@ -91,6 +97,44 @@ std::vector<count_t> CensusWorkspace::edge_census() const {
     count_t acc = 0;
     for (const auto& t : tls) acc += t[static_cast<esz>(e)];
     out[static_cast<esz>(e)] = acc;
+  }
+  return out;
+}
+
+std::vector<count_t> CensusWorkspace::vertex_census() const {
+  const vid n = num_vertices();
+  std::vector<std::vector<count_t>> tls(census_workers());
+  for (auto& t : tls) t.assign(n, 0);
+  for_each_triangle_vertices(
+      tls, [](std::vector<count_t>& t, vid u, vid v, vid w) {
+        ++t[u];
+        ++t[v];
+        ++t[w];
+      });
+  std::vector<count_t> out(n, 0);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
+    count_t acc = 0;
+    for (const auto& t : tls) acc += t[static_cast<vid>(v)];
+    out[static_cast<vid>(v)] = acc;
+  }
+  return out;
+}
+
+std::vector<count_t> CensusWorkspace::vertex_census(
+    const std::vector<count_t>& per_edge) const {
+  // Each triangle at v closes on exactly two of v's edges, so the row sum
+  // of Δ over v's stored entries counts every triangle at v twice.
+  const vid n = num_vertices();
+  std::vector<count_t> out(n, 0);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t vv = 0; vv < static_cast<std::int64_t>(n); ++vv) {
+    const vid v = static_cast<vid>(vv);
+    count_t acc = 0;
+    for (esz k = s_.row_ptr()[v]; k < s_.row_ptr()[v + 1]; ++k) {
+      acc += per_edge[ids_.slot_id[k]];
+    }
+    out[v] = acc / 2;
   }
   return out;
 }

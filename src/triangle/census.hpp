@@ -18,8 +18,10 @@
 //
 // Counts are exact integer sums, so results are bit-identical for every
 // thread count. All census consumers (triangle/count.cpp,
-// triangle/labeled.cpp, triangle/support.cpp, truss/decompose.cpp) run on
-// this engine.
+// triangle/labeled.cpp, triangle/support.cpp, truss/decompose.cpp, and the
+// per-plan census api::PlanContext shares between analyses) run on this
+// engine. Every enumeration pass bumps the `triangle.census_passes` counter,
+// so a RunReport shows how many censuses a plan paid for.
 #pragma once
 
 #include <algorithm>
@@ -70,6 +72,9 @@ struct EdgeIdMap {
 /// paid once per graph instead of once per triangle.
 EdgeIdMap build_edge_ids(const BoolCsr& s);
 
+/// Bumps the `triangle.census_passes` counter (one call per enumeration).
+void count_census_pass();
+
 class CensusWorkspace {
  public:
   /// What the workspace precomputes. Vertex-only censuses (count_total,
@@ -102,6 +107,7 @@ class CensusWorkspace {
   count_t for_each_triangle(std::vector<TLS>& tls, Visit&& visit) const {
     const std::int64_t n = static_cast<std::int64_t>(s_.rows());
     const esz* const eid = oriented_eid_.data();
+    count_census_pass();
     count_t checks = 0;
 #ifdef _OPENMP
     const int team = census_team(tls.size());
@@ -131,6 +137,7 @@ class CensusWorkspace {
   count_t for_each_triangle_vertices(std::vector<TLS>& tls,
                                      Visit&& visit) const {
     const std::int64_t n = static_cast<std::int64_t>(s_.rows());
+    count_census_pass();
     count_t checks = 0;
 #ifdef _OPENMP
     const int team = census_team(tls.size());
@@ -155,6 +162,15 @@ class CensusWorkspace {
 
   /// Δ(e) for every undirected edge id — thread-local accumulate + reduce.
   [[nodiscard]] std::vector<count_t> edge_census() const;
+
+  /// t_v for every vertex — one vertex-only pass (valid for both Detail
+  /// modes).
+  [[nodiscard]] std::vector<count_t> vertex_census() const;
+
+  /// t_v = ½·Σ_{e∋v} Δ(e) from per-edge-id counts (edge_census()'s
+  /// result) — one O(m) sweep, no enumeration. Requires Detail::kEdges.
+  [[nodiscard]] std::vector<count_t> vertex_census(
+      const std::vector<count_t>& per_edge) const;
 
   /// Scatters per-edge-id counts into both stored directions of the
   /// symmetric CountCsr (structure = A − I∘A).

@@ -12,10 +12,8 @@ std::vector<count_t> nonloop_degrees(const Graph& a) {
   return d;
 }
 
-}  // namespace
-
-std::vector<double> local_clustering(const Graph& a) {
-  const std::vector<count_t> t = participation_vertices(a);
+std::vector<double> local_from_counts(const Graph& a,
+                                      std::span<const count_t> t) {
   const std::vector<count_t> d = nonloop_degrees(a);
   std::vector<double> c(t.size(), 0.0);
   for (std::size_t v = 0; v < t.size(); ++v) {
@@ -28,8 +26,21 @@ std::vector<double> local_clustering(const Graph& a) {
   return c;
 }
 
+}  // namespace
+
+std::vector<double> local_clustering(const Graph& a) {
+  return local_from_counts(a, participation_vertices(a));
+}
+
 double global_clustering(const Graph& a) {
-  const count_t tau = count_total(a);
+  return global_clustering(a, count_total(a));
+}
+
+double average_clustering(const Graph& a) {
+  return average_clustering(a, participation_vertices(a));
+}
+
+double global_clustering(const Graph& a, count_t tau) {
   const std::vector<count_t> d = nonloop_degrees(a);
   long double wedges = 0;
   for (const count_t dv : d) {
@@ -43,8 +54,8 @@ double global_clustering(const Graph& a) {
                                            wedges);
 }
 
-double average_clustering(const Graph& a) {
-  const std::vector<double> c = local_clustering(a);
+double average_clustering(const Graph& a, std::span<const count_t> t) {
+  const std::vector<double> c = local_from_counts(a, t);
   if (c.empty()) return 0.0;
   long double sum = 0;
   for (const double v : c) sum += v;

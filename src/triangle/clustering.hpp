@@ -3,6 +3,7 @@
 // statistic for t_A and Δ_A).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/graph.hpp"
@@ -19,5 +20,11 @@ double global_clustering(const Graph& a);
 
 /// Mean of the local coefficients (Watts–Strogatz average clustering).
 double average_clustering(const Graph& a);
+
+/// The same coefficients from triangle counts the caller already holds —
+/// tau = τ(A), t = t_A (one entry per vertex) — so a census shared between
+/// analyses is not recomputed. Bit-identical to the overloads above.
+double global_clustering(const Graph& a, count_t tau);
+double average_clustering(const Graph& a, std::span<const count_t> t);
 
 }  // namespace kronotri::triangle

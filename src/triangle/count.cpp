@@ -57,24 +57,8 @@ UndirectedStats analyze(const Graph& a) {
 }
 
 std::vector<count_t> participation_vertices(const Graph& a) {
-  const CensusWorkspace ws(a, CensusWorkspace::Detail::kVertexOnly);
-  const vid n = ws.num_vertices();
-  std::vector<std::vector<count_t>> tls(census_workers());
-  for (auto& t : tls) t.assign(n, 0);
-  ws.for_each_triangle_vertices(
-      tls, [](std::vector<count_t>& t, vid u, vid v, vid w) {
-        ++t[u];
-        ++t[v];
-        ++t[w];
-      });
-  std::vector<count_t> out(n, 0);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-    count_t acc = 0;
-    for (const auto& t : tls) acc += t[static_cast<vid>(v)];
-    out[static_cast<vid>(v)] = acc;
-  }
-  return out;
+  return CensusWorkspace(a, CensusWorkspace::Detail::kVertexOnly)
+      .vertex_census();
 }
 
 CountCsr participation_edges(const Graph& a) { return edge_support_masked(a); }

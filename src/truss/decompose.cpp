@@ -44,13 +44,32 @@ count_t TrussDecomposition::edges_in_truss(count_t kappa) const {
   return c / 2;  // symmetric storage counts both directions
 }
 
+std::vector<count_t> truss_sizes(std::span<const count_t> truss_of) {
+  count_t max_truss = 2;
+  for (const count_t t : truss_of) max_truss = std::max(max_truss, t);
+  std::vector<count_t> sizes(max_truss + 1, 0);
+  for (const count_t t : truss_of) ++sizes[t];
+  for (count_t k = max_truss; k > 0; --k) sizes[k - 1] += sizes[k];
+  return sizes;
+}
+
 TrussDecomposition decompose(const Graph& a) {
   const triangle::CensusWorkspace ws(a);
+  return assemble(ws.structure(), ws.edge_ids(), peel(ws, ws.edge_census()),
+                  ws.num_edges());
+}
+
+std::vector<count_t> peel(const triangle::CensusWorkspace& ws,
+                          std::vector<count_t> sup) {
   const BoolCsr& s = ws.structure();
   const triangle::EdgeIdMap& eids = ws.edge_ids();
   const esz m = eids.num_edges();
+  if (eids.slot_id.size() != s.nnz() || sup.size() != m) {
+    throw std::invalid_argument(
+        "truss::peel: needs a workspace with edge ids and one support per "
+        "edge id");
+  }
 
-  std::vector<count_t> sup = ws.edge_census();
   std::vector<std::uint8_t> state(m, kAlive);
   std::vector<count_t> truss_of(m, 2);
 
@@ -185,7 +204,7 @@ TrussDecomposition decompose(const Graph& a) {
     }
   }
 
-  return assemble(s, eids, truss_of, m);
+  return truss_of;
 }
 
 TrussDecomposition decompose_serial(const Graph& a) {

@@ -14,12 +14,22 @@
 // result is bit-identical to the serial Batagelj–Zaveršnik bucket peel
 // (decompose_serial) at every thread count. Both run in roughly
 // O(Σ_e Δ(e)) after the initial support computation.
+//
+// peel() is the peel itself, over a census workspace the caller already
+// holds and its per-edge supports: a run plan's truss analysis peels from
+// the census its plan shares between analyses (api::PlanContext), and
+// reads |T^{(κ)}| off truss_sizes() instead of a symmetric matrix.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/csr.hpp"
 #include "core/graph.hpp"
+
+namespace kronotri::triangle {
+class CensusWorkspace;
+}
 
 namespace kronotri::truss {
 
@@ -34,8 +44,22 @@ struct TrussDecomposition {
   [[nodiscard]] count_t edges_in_truss(count_t kappa) const;
 };
 
-/// Computes the decomposition with the parallel level-synchronous peel.
-/// Requires an undirected graph; self loops are ignored.
+/// Truss number of every undirected edge of ws, indexed by ws.edge_ids(),
+/// by the parallel level-synchronous peel. `support` is Δ(e) per edge id
+/// (ws.edge_census()); the peel consumes it as its working supports. ws
+/// must carry edge ids (CensusWorkspace::Detail::kEdges).
+std::vector<count_t> peel(const triangle::CensusWorkspace& ws,
+                          std::vector<count_t> support);
+
+/// |T^{(κ)}| for every κ in [0, max truss], from per-edge truss numbers:
+/// one histogram pass and a suffix sum. The last index is the max truss
+/// (2 when there are no edges); entry κ equals edges_in_truss(κ) of the
+/// same graph's decomposition.
+std::vector<count_t> truss_sizes(std::span<const count_t> truss_of);
+
+/// Computes the decomposition with the parallel level-synchronous peel
+/// (peel() over a fresh census workspace of a). Requires an undirected
+/// graph; self loops are ignored.
 TrussDecomposition decompose(const Graph& a);
 
 /// The reference single-threaded bucket peel (Batagelj–Zaveršnik order).

@@ -26,6 +26,7 @@
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
 #include "kron/view.hpp"
+#include "runner/runner.hpp"
 #include "triangle/count.hpp"
 #include "truss/decompose.hpp"
 #include "truss/kron_truss.hpp"
@@ -577,6 +578,98 @@ TEST(RunPlan, ReportJsonCarriesStagesAnalysesAndMetadata) {
   // The dump parses back.
   const auto round = util::json::Value::parse(j.dump_string());
   EXPECT_TRUE(round.find("pass")->as_bool());
+}
+
+// ---- shared plan census ----------------------------------------------------
+
+/// Each analysis entry of `report`, in comparable() form (data and text).
+std::vector<std::string> comparable_analyses(const api::RunReport& report) {
+  const util::json::Value c = runner::comparable(report.to_json());
+  std::vector<std::string> out;
+  for (const auto& a : c.find("analyses")->items()) {
+    out.push_back(a.dump_string());
+  }
+  return out;
+}
+
+count_t census_passes(const api::RunReport& report) {
+  return report.counters.get_uint("triangle.census_passes", 0);
+}
+
+TEST(PlanCensus, CombinedPlansMatchOneAnalysisPlansAndShareTheCensus) {
+  const char* const graphs[] = {
+      "kron:(hk:n=30,m=2,p=0.6,seed=5,loops=1)x(clique:n=3,loops=1)",
+      "kron:(hk:n=12,m=2,p=0.6,seed=6)x(clique:n=3)x(clique:n=3,loops=1)",
+      "hk:n=60,m=3,p=0.6,seed=7",
+      "clique:n=1",
+  };
+  const std::vector<std::vector<std::string>> plans = {
+      {"truss", "clustering"},
+      {"clustering", "truss"},
+      {"census:vertices=0;1", "truss"},
+  };
+  const auto run = [](const std::string& graph,
+                      const std::vector<std::string>& analyses) {
+    std::string text = graph;
+    for (const auto& a : analyses) text += " " + a;
+    const api::RunReport report = api::run(api::RunPlan::parse(text));
+    EXPECT_TRUE(report.pass) << text;
+    return report;
+  };
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  for (const int omp_threads : {1, 2, 8}) {
+    omp_set_num_threads(omp_threads);
+#else
+  {
+    const int omp_threads = 1;
+#endif
+    for (const char* graph : graphs) {
+      SCOPED_TRACE(std::string(graph) + " at OMP " +
+                   std::to_string(omp_threads));
+      for (const auto& analyses : plans) {
+        const auto combined = comparable_analyses(run(graph, analyses));
+        ASSERT_EQ(combined.size(), analyses.size());
+        for (std::size_t i = 0; i < analyses.size(); ++i) {
+          const auto alone = comparable_analyses(run(graph, {analyses[i]}));
+          ASSERT_EQ(alone.size(), 1u);
+          EXPECT_EQ(combined[i], alone[0]) << analyses[i];
+        }
+      }
+      // Every per-vertex count derives from the one per-edge pass, so
+      // the order of the analyses does not change what the plan pays.
+      EXPECT_EQ(census_passes(run(graph, {"truss", "clustering"})), 1u);
+      EXPECT_EQ(census_passes(run(graph, {"clustering"})), 1u);
+      EXPECT_EQ(census_passes(run(graph, {"clustering", "truss"})), 1u);
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+TEST(PlanCensus, TrussRowsMatchTheDecomposition) {
+  const Graph g =
+      GeneratorRegistry::builtin().build("hk:n=80,m=4,p=0.7,seed=9");
+  const auto reference = truss::decompose(g);
+  const auto report =
+      api::run(api::RunPlan::parse("hk:n=80,m=4,p=0.7,seed=9 truss"));
+  const auto& data = report.analyses.at(0).data;
+  EXPECT_EQ(data.find("max_truss")->as_uint(), reference.max_truss);
+  const auto& rows = data.find("trusses")->items();
+  ASSERT_EQ(rows.size(), reference.max_truss - 2);
+  for (const auto& row : rows) {
+    const count_t kappa = row.find("kappa")->as_uint();
+    EXPECT_EQ(row.find("edges")->as_uint(), reference.edges_in_truss(kappa))
+        << "kappa " << kappa;
+  }
+}
+
+TEST(PlanCensus, EdgelessGraphHasNoTrusses) {
+  const auto report = api::run(api::RunPlan::parse("clique:n=1 truss"));
+  const auto& data = report.analyses.at(0).data;
+  EXPECT_EQ(data.find("max_truss")->as_uint(), 2u);
+  EXPECT_TRUE(data.find("trusses")->items().empty());
 }
 
 TEST(Sinks, MergedParallelTriangleCensusEqualsSingleThreaded) {

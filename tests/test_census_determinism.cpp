@@ -10,6 +10,7 @@
 #endif
 
 #include "helpers.hpp"
+#include "obs/counters.hpp"
 #include "triangle/bruteforce.hpp"
 #include "triangle/census.hpp"
 #include "triangle/count.hpp"
@@ -115,6 +116,21 @@ TEST_P(CensusDeterminism, ScalarsIdenticalAcrossThreadCounts) {
   for (const auto& p : parts) EXPECT_EQ(p, parts.front());
 }
 
+TEST_P(CensusDeterminism, VertexCountsFromEdgeCountsMatchTheVertexPass) {
+  for (const double loop_p : {0.0, 0.3}) {
+    const Graph g =
+        kt_test::random_undirected(50, 0.2, GetParam() + 210, loop_p);
+    const triangle::CensusWorkspace ws(g);
+    const auto from_edges = with_thread_counts(
+        [&] { return ws.vertex_census(ws.edge_census()); });
+    const auto from_pass =
+        with_thread_counts([&] { return ws.vertex_census(); });
+    const auto truth = triangle::brute::vertex_participation(g);
+    for (const auto& t : from_edges) EXPECT_EQ(t, truth);
+    for (const auto& t : from_pass) EXPECT_EQ(t, truth);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CensusDeterminism,
                          ::testing::Range<std::uint64_t>(0, 6));
 
@@ -150,6 +166,18 @@ TEST(EdgeIdMap, MirrorScattersBothDirections) {
     EXPECT_EQ(m.at(u, v), e + 1);
     EXPECT_EQ(m.at(v, u), e + 1);
   }
+}
+
+TEST(CensusWorkspace, EveryEnumerationCountsOnePass) {
+  obs::Counter& passes = obs::counter("triangle.census_passes");
+  const triangle::CensusWorkspace ws(kt_test::random_undirected(30, 0.3, 5));
+  const std::uint64_t start = passes.value();
+  const std::vector<count_t> per_edge = ws.edge_census();
+  EXPECT_EQ(passes.value(), start + 1);
+  (void)ws.vertex_census();
+  EXPECT_EQ(passes.value(), start + 2);
+  (void)ws.vertex_census(per_edge);  // a sweep over Δ, not an enumeration
+  EXPECT_EQ(passes.value(), start + 2);
 }
 
 TEST(CensusWorkspace, DirectedInputThrows) {

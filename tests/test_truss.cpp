@@ -8,6 +8,7 @@
 #include "gen/one_triangle_pa.hpp"
 #include "helpers.hpp"
 #include "kron/product.hpp"
+#include "triangle/census.hpp"
 #include "triangle/support.hpp"
 #include "truss/decompose.hpp"
 
@@ -153,6 +154,46 @@ TEST_P(TrussProperty, TrussNumberIsSymmetric) {
   const Graph g = kt_test::random_undirected(16, 0.35, GetParam() + 900);
   const auto t = truss::decompose(g);
   EXPECT_TRUE(ops::is_symmetric(t.truss_number));
+}
+
+TEST_P(TrussProperty, PeelFromWorkspaceMatchesDecomposeAndSerial) {
+  for (const double loop_p : {0.0, 0.3}) {
+    const Graph g =
+        kt_test::random_undirected(40, 0.3, GetParam() + 1300, loop_p);
+    const triangle::CensusWorkspace ws(g);
+    const std::vector<count_t> truss_of = truss::peel(ws, ws.edge_census());
+    const auto par = truss::decompose(g);
+    const auto ser = truss::decompose_serial(g);
+    const std::vector<esz>& slot_id = ws.edge_ids().slot_id;
+    ASSERT_EQ(truss_of.size(), ws.num_edges());
+    ASSERT_EQ(par.truss_number.nnz(), slot_id.size());
+    ASSERT_EQ(ser.truss_number.nnz(), slot_id.size());
+    for (esz k = 0; k < slot_id.size(); ++k) {
+      EXPECT_EQ(truss_of[slot_id[k]], par.truss_number.values()[k]) << k;
+      EXPECT_EQ(truss_of[slot_id[k]], ser.truss_number.values()[k]) << k;
+    }
+
+    // The analysis's |T^κ| rows: one histogram pass over the numbers.
+    const std::vector<count_t> sizes = truss::truss_sizes(truss_of);
+    ASSERT_EQ(sizes.size(), par.max_truss + 1);
+    for (count_t k = 0; k <= par.max_truss + 1; ++k) {
+      EXPECT_EQ(k < sizes.size() ? sizes[k] : 0, par.edges_in_truss(k))
+          << "kappa " << k;
+    }
+  }
+}
+
+TEST(Truss, PeelOfAnEdgelessGraph) {
+  const triangle::CensusWorkspace ws(gen::clique(1));
+  const std::vector<count_t> truss_of = truss::peel(ws, ws.edge_census());
+  EXPECT_TRUE(truss_of.empty());
+  EXPECT_EQ(truss::truss_sizes(truss_of), std::vector<count_t>(3, 0));
+}
+
+TEST(Truss, PeelRejectsAVertexOnlyWorkspace) {
+  const triangle::CensusWorkspace ws(
+      gen::clique(4), triangle::CensusWorkspace::Detail::kVertexOnly);
+  EXPECT_THROW((void)truss::peel(ws, {}), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrussProperty,
