@@ -1,9 +1,7 @@
 #include "api/sink.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <ostream>
-#include <stdexcept>
 
 namespace kronotri::api {
 
@@ -81,76 +79,6 @@ void TriangleCensusSink::do_consume(std::span<const kron::EdgeRecord> batch) {
 void TriangleCensusSink::merge(const TriangleCensusSink& other) {
   consumed_ += other.consumed_;
   sum_ += other.sum_;
-  for (const auto& [k, v] : other.histogram_) histogram_[k] += v;
-}
-
-namespace {
-
-/// |N(u) ∩ N(v) \ {u, v}| — the measured Δ_C(u,v) of Def. 6 (common
-/// neighbors that close a loop-free triangle).
-count_t intersect_excluding(const std::vector<vid>& nu,
-                            const std::vector<vid>& nv, vid u, vid v) {
-  count_t delta = 0;
-  std::size_t i = 0, j = 0;
-  while (i < nu.size() && j < nv.size()) {
-    if (nu[i] < nv[j]) {
-      ++i;
-    } else if (nu[i] > nv[j]) {
-      ++j;
-    } else {
-      const vid w = nu[i];
-      if (w != u && w != v) ++delta;
-      ++i;
-      ++j;
-    }
-  }
-  return delta;
-}
-
-}  // namespace
-
-ValidatingCensusSink::ValidatingCensusSink(const kron::KronGraphView& view,
-                                           const kron::TriangleOracle& oracle)
-    : view_(&view), oracle_(&oracle) {
-  if (!view.is_undirected()) {
-    throw std::invalid_argument(
-        "ValidatingCensusSink requires an undirected product");
-  }
-}
-
-void ValidatingCensusSink::do_consume(std::span<const kron::EdgeRecord> batch) {
-  for (const auto& e : batch) {
-    if (e.u >= e.v) continue;  // one check per undirected edge; skips loops
-    // The stream emits edges grouped by source, so N(u) is materialized
-    // once per run of u instead of once per edge (deg(u) fewer odometer
-    // expansions).
-    if (!cache_valid_ || cache_u_ != e.u) {
-      cache_nbrs_ = view_->neighbors(e.u);
-      cache_u_ = e.u;
-      cache_valid_ = true;
-    }
-    const count_t measured =
-        intersect_excluding(cache_nbrs_, view_->neighbors(e.v), e.u, e.v);
-    ++checked_;
-    ++histogram_[measured];
-    const auto predicted = oracle_->edge_triangles(e.u, e.v);
-    if (!predicted) {
-      ++mismatches_;
-      max_abs_err_ = std::max(max_abs_err_, measured);
-    } else if (*predicted != measured) {
-      ++mismatches_;
-      max_abs_err_ = std::max(
-          max_abs_err_,
-          measured > *predicted ? measured - *predicted : *predicted - measured);
-    }
-  }
-}
-
-void ValidatingCensusSink::merge(const ValidatingCensusSink& other) {
-  consumed_ += other.consumed_;
-  checked_ += other.checked_;
-  mismatches_ += other.mismatches_;
-  max_abs_err_ = std::max(max_abs_err_, other.max_abs_err_);
   for (const auto& [k, v] : other.histogram_) histogram_[k] += v;
 }
 

@@ -28,7 +28,6 @@
 #include "core/graph.hpp"
 #include "kron/oracle.hpp"
 #include "kron/stream.hpp"
-#include "kron/view.hpp"
 
 namespace kronotri::api {
 
@@ -195,45 +194,6 @@ class TriangleCensusSink : public EdgeSink {
   const kron::TriangleOracle* oracle_;
   count_t sum_ = 0;
   std::map<count_t, count_t> histogram_;
-};
-
-/// Validation-during-generation: for every consumed undirected edge (u,v),
-/// MEASURES Δ_C(u,v) by intersecting the implicit view's neighbor lists
-/// (never touching a materialized C) and checks it against the oracle's
-/// closed form — the per-edge half of the paper's validation loop as a
-/// sink. The view must be undirected (each edge arrives in both stored
-/// directions; only the u < v copy is checked). View and oracle must
-/// outlive the sink.
-class ValidatingCensusSink : public EdgeSink {
- public:
-  ValidatingCensusSink(const kron::KronGraphView& view,
-                       const kron::TriangleOracle& oracle);
-
-  [[nodiscard]] count_t edges_checked() const noexcept { return checked_; }
-  [[nodiscard]] count_t mismatches() const noexcept { return mismatches_; }
-  [[nodiscard]] count_t max_abs_error() const noexcept { return max_abs_err_; }
-  /// Measured Δ → frequency over the checked edges.
-  [[nodiscard]] const std::map<count_t, count_t>& histogram() const noexcept {
-    return histogram_;
-  }
-  [[nodiscard]] bool pass() const noexcept { return mismatches_ == 0; }
-
-  void merge(const ValidatingCensusSink& other);
-
- protected:
-  void do_consume(std::span<const kron::EdgeRecord> batch) override;
-
- private:
-  const kron::KronGraphView* view_;
-  const kron::TriangleOracle* oracle_;
-  count_t checked_ = 0;
-  count_t mismatches_ = 0;
-  count_t max_abs_err_ = 0;
-  std::map<count_t, count_t> histogram_;
-  // Source-vertex neighbor list reused across a run of same-u records.
-  std::vector<vid> cache_nbrs_;
-  vid cache_u_ = 0;
-  bool cache_valid_ = false;
 };
 
 }  // namespace kronotri::api

@@ -76,8 +76,7 @@ std::string Agent::endpoint() const {
   return opt_.host + ":" + std::to_string(port_);
 }
 
-bool Agent::start(std::string* error) {
-  if (running()) return true;
+bool Agent::prepare(std::string* error) {
   exe_ = opt_.worker_exe.empty() ? runner::default_worker_exe()
                                  : opt_.worker_exe;
   if (exe_.empty() || ::access(exe_.c_str(), X_OK) != 0) {
@@ -87,6 +86,13 @@ bool Agent::start(std::string* error) {
     }
     return false;
   }
+  omp_threads_ = util::omp_budget(opt_.slots);
+  return true;
+}
+
+bool Agent::start(std::string* error) {
+  if (running()) return true;
+  if (!prepare(error)) return false;
   ListenResult lr = listen_tcp(opt_.host, opt_.port);
   if (!lr.ok()) {
     if (error != nullptr) {
@@ -97,7 +103,6 @@ bool Agent::start(std::string* error) {
   }
   listen_fd_ = lr.fd;
   port_ = lr.port;
-  omp_threads_ = util::omp_budget(opt_.slots);
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread([this] { accept_loop(); });
   util::log::info("agent", "listening",
@@ -107,16 +112,32 @@ bool Agent::start(std::string* error) {
   return true;
 }
 
+bool Agent::attach(int fd, std::string scratch_prefix, std::string* error) {
+  if (!running()) {
+    if (!prepare(error)) {
+      ::close(fd);
+      return false;
+    }
+    running_.store(true, std::memory_order_release);
+  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  conns_.emplace_back([this, fd, prefix = std::move(scratch_prefix)] {
+    connection_loop(fd, prefix);
+  });
+  return true;
+}
+
 void Agent::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) {
     return;
   }
+  // Wake the acceptor, and close its fd only once it has exited.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   std::vector<std::thread> conns;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -136,18 +157,19 @@ void Agent::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     const std::lock_guard<std::mutex> lock(mu_);
-    conns_.emplace_back([this, fd] { connection_loop(fd); });
+    conns_.emplace_back([this, fd] {
+      connection_loop(fd, proc::tmp_dir() + "/kronotri." +
+                              std::to_string(::getpid()) + ".agent" +
+                              std::to_string(fd) + ".");
+    });
   }
 }
 
-void Agent::connection_loop(int fd) {
+void Agent::connection_loop(int fd, const std::string& prefix) {
   FrameReader reader;
   std::deque<Job> queue;
   std::vector<Child> children;
   double last_send = proc::monotonic_s();
-  const std::string prefix = proc::tmp_dir() + "/kronotri." +
-                             std::to_string(::getpid()) + ".agent" +
-                             std::to_string(fd) + ".";
 
   const auto send_raw = [&](std::string_view bytes) -> bool {
     last_send = proc::monotonic_s();
@@ -224,8 +246,7 @@ void Agent::connection_loop(int fd) {
   };
 
   // Reaps each finished child into a result message carrying exactly what
-  // runner::proc classified — the coordinator settles it with the same
-  // rules as a local child's.
+  // runner::proc classified, wait4 usage included.
   const auto reap = [&] {
     for (std::size_t i = 0; i < children.size();) {
       Child& c = children[i];

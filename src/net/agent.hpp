@@ -1,12 +1,12 @@
-// Remote worker agent: the daemon behind `kronotri agent --listen
-// HOST:PORT --slots N`.
+// Worker agent: the daemon behind `kronotri agent --listen HOST:PORT
+// --slots N`, and — attached to one end of a socketpair, no listener —
+// the local worker slots of `kronotri run --workers N`.
 //
-// An agent accepts coordinator connections, receives per-unit child
+// An agent serves coordinator connections, receives per-unit child
 // plans as CRC-64 frames (net/framing.hpp), executes each unit in a
 // sandboxed local worker process — spawned, reaped and classified by
-// runner::proc, the module the single-machine runner uses too, RLIMIT_AS
-// guard included — and streams back RunReport fragments plus trace
-// buffers.
+// runner::proc, RLIMIT_AS guard included — and streams back RunReport
+// fragments plus trace buffers.
 // It holds NO retry or merge policy of its own — scheduling, backoff,
 // speculation, journaling and timeouts all stay in the coordinator; the
 // agent's whole job is "run this unit here, tell me how it died".
@@ -21,8 +21,7 @@
 //     with outcome "cancelled". Either way the coordinator's slot
 //     accounting closes the loop;
 //   * agent death → the coordinator's heartbeat timeout / EOF turns
-//     in-flight attempts into "disconnect" events, re-dispatched like a
-//     SIGKILLed local child.
+//     in-flight attempts into "disconnect" events and re-dispatches them.
 // Fault injection: a `drop_conn` action matching a dispatched
 // (unit, attempt) makes the agent hard-close the connection (children
 // killed first); `garble_frame` flips a byte inside that attempt's
@@ -66,6 +65,15 @@ class Agent {
   /// Binds, listens and starts the acceptor thread. False (with *error
   /// set) when the address cannot be bound or no worker exe resolves.
   bool start(std::string* error = nullptr);
+  /// Serves one already-connected coordinator fd (an end of a
+  /// socketpair) on its own thread and binds no listener — the local
+  /// slots of runner::execute, which must never open a port that runs
+  /// plans. Worker scratch is named `scratch_prefix` + "u<U>.a<A>.*".
+  /// The first attach resolves the worker exe and omp_threads() on the
+  /// calling thread. Takes ownership of `fd`; false (with *error set, fd
+  /// closed) when no worker exe resolves.
+  bool attach(int fd, std::string scratch_prefix,
+              std::string* error = nullptr);
   /// Stops accepting, disconnects every coordinator (killing their
   /// children) and joins all threads. Idempotent.
   void stop();
@@ -79,14 +87,15 @@ class Agent {
   [[nodiscard]] std::string endpoint() const;
   [[nodiscard]] unsigned slots() const noexcept { return opt_.slots; }
   /// OpenMP team of each worker child: util::omp_budget(slots), resolved
-  /// by start() on the calling thread, so that thread's OMP_NUM_THREADS
-  /// stays the ceiling. Every result frame carries it; the coordinator
-  /// records it as WorkerEvent::omp_threads.
+  /// by start() or the first attach() on the calling thread, so that
+  /// thread's OMP_NUM_THREADS stays the ceiling. Every result frame
+  /// carries it; the coordinator records it as WorkerEvent::omp_threads.
   [[nodiscard]] unsigned omp_threads() const noexcept { return omp_threads_; }
 
  private:
+  bool prepare(std::string* error);
   void accept_loop();
-  void connection_loop(int fd);
+  void connection_loop(int fd, const std::string& prefix);
 
   AgentOptions opt_;
   std::string exe_;

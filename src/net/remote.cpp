@@ -21,14 +21,20 @@ bool AgentClient::connect(const std::string& endpoint, std::string* error) {
     if (error != nullptr) *error = endpoint + ": " + dr.error;
     return false;
   }
-  fd_ = dr.fd;
-  reader_.reset();
+  if (adopt(dr.fd, error)) return true;
+  if (error != nullptr) *error = endpoint + ": " + *error;
+  return false;
+}
+
+bool AgentClient::adopt(int fd, std::string* error) {
+  close();
+  fd_ = fd;
   set_nonblocking(fd_, true);
   Value hello = Value::object();
   hello.set("type", "hello");
   hello.set("proto", kProtoVersion);
   if (!send(hello)) {
-    if (error != nullptr) *error = endpoint + ": connection lost on hello";
+    if (error != nullptr) *error = "connection lost on hello";
     return false;
   }
   return true;

@@ -1,12 +1,12 @@
 // Coordinator-side handle to one remote agent connection.
 //
-// Deliberately dumb: AgentClient dials, frames, and pumps — every
-// policy decision (when to reconnect, what a silent agent means, how a
-// lost attempt is charged) lives in runner::execute(), which treats a
-// remote slot as just another dispatch target next to its forked
-// children. The fd is non-blocking after connect so the coordinator's
-// single-threaded poll loop can pump every agent without ever parking
-// on one of them.
+// Deliberately dumb: AgentClient dials (or adopts a socketpair end),
+// frames, and pumps — every policy decision (when to reconnect, what a
+// silent agent means, how a lost attempt is charged) lives in
+// runner::execute(), which sends every attempt, local or remote, to an
+// agent through one of these. The fd is non-blocking after connect so the
+// coordinator's single-threaded poll loop can pump every agent without
+// ever parking on one of them.
 #pragma once
 
 #include <string>
@@ -48,6 +48,10 @@ class AgentClient {
   /// leaves the fd non-blocking. False with *error set on failure; the
   /// welcome arrives later through pump().
   bool connect(const std::string& endpoint, std::string* error);
+  /// Takes over an already-connected fd (one end of a socketpair whose
+  /// other end an in-process Agent::attach serves) and proceeds as
+  /// connect() does after its dial: non-blocking, hello sent.
+  bool adopt(int fd, std::string* error);
   void close();
   [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
 

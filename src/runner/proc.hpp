@@ -1,7 +1,8 @@
 // The life of one `kronotri __worker` process: argv, fork/exec, wait4 reap
-// and the classification of how it ended. The local runner and the remote
-// agent both run their workers through this module, so a unit dies the
-// same way — same outcome, same detail — wherever its worker ran.
+// and the classification of how it ended. net::Agent runs every worker
+// through this module — the in-process agent behind the local --workers
+// slots and a remote `kronotri agent` alike — so a unit dies the same way
+// (same outcome, same detail) wherever its worker ran.
 //
 // Outcome kinds a reaped worker classifies into:
 //   ok         a verified single-frame fragment sits at the --out path

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -13,10 +15,10 @@
 #include <vector>
 
 #include <dirent.h>
-#include <signal.h>
-#include <sys/stat.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include "net/agent.hpp"
 #include "net/remote.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -123,8 +125,7 @@ void sweep_stale_tmp() {
     const long pid = std::strtol(pid_str.c_str(), &end, 10);
     if (end == nullptr || *end != '\0' || pid <= 0) continue;
     if (pid == static_cast<long>(::getpid())) continue;
-    errno = 0;
-    if (::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH) continue;
+    if (::access(("/proc/" + pid_str).c_str(), F_OK) == 0) continue;  // alive
     stale.push_back(dir + "/" + std::string(name));
   }
   ::closedir(d);
@@ -286,23 +287,23 @@ JournalState load_journal(const std::string& dir, std::uint64_t identity) {
 struct RunningAttempt {
   unsigned unit = 0;
   unsigned attempt = 0;
-  pid_t pid = -1;           // local child only
-  int agent = -1;           // index into the remote-agent table; -1 = local
+  int agent = 0;            // index into the agent table
   double start_s = 0;
-  double start_us = 0;      // obs::now_us() at spawn, for the attempt span
-  std::string out_path;
-  std::string trace_path;   // worker trace scratch ("" when tracing is off)
-  bool timed_out = false;   // we SIGKILLed it past its deadline
+  double start_us = 0;      // obs::now_us() at dispatch, for the attempt span
+  bool timed_out = false;   // cancelled past its deadline
   bool superseded = false;  // another attempt of the unit already won
-  bool aborted = false;     // run is failing, everything was killed
+  bool aborted = false;     // run is failing, everything was cancelled
 };
 
-/// Coordinator-side state of one --agents endpoint. The connection is a
-/// cattle resource: dropped and re-dialed (with backoff) whenever the
-/// transport reports damage, while the unit bookkeeping stays in the
-/// same pending/running structures the local workers use.
-struct RemoteAgent {
-  std::string endpoint;
+/// Coordinator-side state of one dispatch target: the in-process agent
+/// behind the local --workers slots, or one --agents endpoint. The
+/// connection is a cattle resource: dropped and re-dialed (with backoff)
+/// whenever the transport reports damage — a fresh socketpair for the
+/// local agent — while the unit bookkeeping stays in `running`/`pending`.
+struct AgentConn {
+  std::string endpoint;     // "" for the local agent: its events keep no host
+  std::string name;         // log label: the endpoint, or "local"
+  std::unique_ptr<net::Agent> local;  // set for the local slots only
   net::AgentClient client;
   unsigned slots = 0;       // advertised by the welcome; 0 until then
   bool welcomed = false;
@@ -483,19 +484,22 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
   // The coordinator keeps the injector for its own torn_write actions.
   const util::fault::Injector inject(opt.fault_spec);
 
+  // Graceful degradation: an in-process serial run, recorded as such
+  // instead of silently pretending to be parallel.
+  const auto degrade = [&](std::vector<api::WorkerEvent> trail) {
+    api::RunReport report = api::run(plan);
+    api::WorkerEvent e;
+    e.kind = "run";
+    e.outcome = "degraded";
+    report.worker_events = std::move(trail);
+    report.worker_events.push_back(e);
+    return report;
+  };
+
   std::string exe =
       opt.worker_exe.empty() ? default_worker_exe() : opt.worker_exe;
   if (exe.empty() || ::access(exe.c_str(), X_OK) != 0) {
-    if (opt.agents.empty()) {
-      // Graceful degradation: no worker binary → in-process serial run,
-      // recorded as such instead of silently pretending to be parallel.
-      api::RunReport report = api::run(plan);
-      api::WorkerEvent e;
-      e.kind = "run";
-      e.outcome = "degraded";
-      report.worker_events.push_back(e);
-      return report;
-    }
+    if (opt.agents.empty()) return degrade({});
     // Agents execute remotely with their own binaries; just never spawn
     // a local worker from the missing one.
     opt.workers = 0;
@@ -505,7 +509,9 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
 
   // Every local worker gets its share of this host's cores instead of a
   // full OpenMP team each (N workers x C threads on C cores); the caller's
-  // omp_get_max_threads() stays the ceiling. Agents budget their own slots.
+  // omp_get_max_threads() stays the ceiling. The local agent resolves the
+  // same budget on this thread when it is first attached; remote agents
+  // budget their own slots.
   const unsigned omp_threads = util::omp_budget(opt.workers);
 
   const util::WallTimer total_wall;
@@ -558,7 +564,6 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
   }
   std::vector<UnitState> states(units.size());
   std::vector<api::WorkerEvent> events;
-  std::vector<std::string> cleanup;
 
   journal::Journal wal;
   if (journaled) {
@@ -631,24 +636,17 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     }
   }
 
-  // Scratch lives inside the journal directory when journaling (a killed
-  // coordinator then leaks nothing into $TMPDIR), in $TMPDIR otherwise.
+  // The local agent's worker scratch lives inside the journal directory
+  // when journaling (a killed coordinator then leaks nothing into
+  // $TMPDIR), in $TMPDIR otherwise.
   const std::string prefix =
       journaled
           ? opt.journal_dir + "/tmp." + std::to_string(::getpid()) + "."
           : tmp_dir() + "/kronotri." + std::to_string(::getpid()) + ".";
-  std::vector<std::string> plan_files(units.size());
-  std::vector<std::string> plan_texts(units.size());  // remote dispatch body
+  std::vector<std::string> plan_texts(units.size());  // dispatch bodies
   for (std::size_t i = 0; i < units.size(); ++i) {
     if (states[i].done) continue;  // resumed units never touch a worker
     plan_texts[i] = units[i].plan.to_json().dump_string(0);
-    plan_files[i] = prefix + "plan" + std::to_string(units[i].id) + ".json";
-    std::ofstream out(plan_files[i], std::ios::trunc);
-    out << plan_texts[i] << "\n";
-    if (!out) {
-      throw std::runtime_error("runner: cannot write " + plan_files[i]);
-    }
-    cleanup.push_back(plan_files[i]);
   }
 
   struct Pending {
@@ -661,78 +659,93 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
   }
   std::vector<RunningAttempt> running;
   std::string error;
-  bool any_spawned = false;
+  bool any_result = false;  // some attempt's result has been settled
+  bool degraded = false;    // the local agent could not spawn at all
 
-  // Remote agents: one client per --agents endpoint, each advertised slot
-  // a dispatch target. Slot occupancy is derived from `running` (one
-  // source of truth), not counted separately.
-  std::vector<RemoteAgent> remotes;
+  // The agent table: the local --workers slots first (one in-process
+  // agent, served over a socketpair, never a listening port), then one
+  // client per --agents endpoint. Every advertised slot is a dispatch
+  // target; slot occupancy is derived from `running` (one source of
+  // truth), not counted separately.
+  std::vector<AgentConn> conns;
+  if (opt.workers > 0) {
+    net::AgentOptions ao;
+    ao.slots = opt.workers;
+    ao.worker_exe = exe;
+    ao.poll_interval_s = opt.poll_interval_s;
+    AgentConn a;
+    a.name = "local";
+    a.local = std::make_unique<net::Agent>(ao);
+    conns.push_back(std::move(a));
+  }
   {
     net::AgentClientOptions aco;
     aco.connect_timeout_s = opt.agent_connect_timeout_s;
     for (const std::string& ep : opt.agents) {
-      RemoteAgent r;
-      r.endpoint = ep;
-      r.client = net::AgentClient(aco);
-      remotes.push_back(std::move(r));
+      AgentConn a;
+      a.endpoint = ep;
+      a.name = ep;
+      a.client = net::AgentClient(aco);
+      conns.push_back(std::move(a));
     }
   }
-  const auto local_count = [&]() -> unsigned {
-    unsigned n = 0;
-    for (const RunningAttempt& ra : running) n += ra.agent < 0 ? 1 : 0;
-    return n;
+  // Dials one agent: a fresh socketpair into the local agent, a socket
+  // connect for a remote one.
+  const auto dial = [&](AgentConn& a, std::string* err) -> bool {
+    if (!a.local) return a.client.connect(a.endpoint, err);
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+      *err = std::strerror(errno);
+      return false;
+    }
+    if (!a.local->attach(sv[1], prefix, err)) {
+      ::close(sv[0]);
+      return false;
+    }
+    return a.client.adopt(sv[0], err);
   };
   const auto agent_busy = [&](int ai) -> unsigned {
     unsigned n = 0;
     for (const RunningAttempt& ra : running) n += ra.agent == ai ? 1 : 0;
     return n;
   };
-  const auto agent_free = [&](const RemoteAgent& r, int ai) -> bool {
-    return r.welcomed && r.client.connected() &&
-           agent_busy(ai) < r.slots;
+  const auto agent_free = [&](int ai) -> bool {
+    const AgentConn& a = conns[ai];
+    return a.welcomed && a.client.connected() && agent_busy(ai) < a.slots;
   };
-  const auto free_capacity = [&]() -> bool {
-    if (local_count() < opt.workers) return true;
-    for (std::size_t ai = 0; ai < remotes.size(); ++ai) {
-      if (agent_free(remotes[ai], static_cast<int>(ai))) return true;
-    }
-    return false;
-  };
-  // Remote slots fill before local ones (they are the scale-out), agents
-  // rotating round-robin so one fast welcome does not monopolize units.
+  // The next agent with a free slot, -1 when none. Agents rotate
+  // round-robin (dispatch advances the rotation) so one fast welcome does
+  // not monopolize units.
   std::size_t agent_rotation = 0;
-  const auto pick_agent = [&]() -> int {
-    for (std::size_t k = 0; k < remotes.size(); ++k) {
-      const std::size_t ai = (agent_rotation + k) % remotes.size();
-      if (agent_free(remotes[ai], static_cast<int>(ai))) {
-        agent_rotation = (ai + 1) % remotes.size();
-        return static_cast<int>(ai);
-      }
+  const auto next_free = [&]() -> int {
+    for (std::size_t k = 0; k < conns.size(); ++k) {
+      const std::size_t ai = (agent_rotation + k) % conns.size();
+      if (agent_free(static_cast<int>(ai))) return static_cast<int>(ai);
     }
     return -1;
   };
+  // Best effort: an attempt whose connection is gone already died with it.
   const auto send_cancel = [&](const RunningAttempt& ra) {
-    if (ra.agent < 0 || !remotes[ra.agent].client.connected()) return;
+    if (!conns[ra.agent].client.connected()) return;
     Value c = Value::object();
     c.set("type", "cancel");
     c.set("unit", ra.unit);
     c.set("attempt", ra.attempt);
-    (void)remotes[ra.agent].client.send(c);
+    (void)conns[ra.agent].client.send(c);
   };
 
   // Unit completion from a verified fragment. Persists into the journal,
   // then supersedes every other in-flight attempt of the unit (first
-  // result wins, local or remote).
+  // result wins, whichever agent ran it).
   const auto complete_ok = [&](const RunningAttempt& ra, Value json,
                                const std::string& payload) {
     UnitState& st = states[ra.unit];
     st.done = true;
     if (wal.is_open()) {
-      // Persist-then-record: the fragment's frame becomes DIR/unit<u>.frag
-      // by atomic replace (the same bytes a local worker wrote, or the
-      // frame a remote one's payload crossed the socket in), THEN the
-      // done record lands in the WAL. A crash between the two re-executes
-      // the unit — wasteful, never wrong.
+      // Persist-then-record: the fragment's frame (the payload crossed
+      // the socket in) becomes DIR/unit<u>.frag by atomic replace, THEN
+      // the done record lands in the WAL. A crash between the two
+      // re-executes the unit — wasteful, never wrong.
       const std::string fpath = frag_path(opt.journal_dir, ra.unit);
       Value rec = Value::object();
       rec.set("type", "done");
@@ -762,41 +775,36 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       wal.append(rec.dump_string(0));
     }
     st.fragment = std::move(json);
-    // First result wins: kill/cancel any other in-flight attempt.
+    // First result wins: cancel any other in-flight attempt (`ra` itself
+    // is already out of `running`).
     for (RunningAttempt& other : running) {
-      if (other.unit == ra.unit && !other.superseded &&
-          !(other.attempt == ra.attempt && other.agent == ra.agent)) {
+      if (other.unit == ra.unit && !other.superseded) {
         other.superseded = true;
-        if (other.agent < 0) {
-          if (other.pid > 0) ::kill(other.pid, SIGKILL);
-        } else {
-          send_cancel(other);
-        }
+        send_cancel(other);
       }
     }
   };
 
-  // The one place an attempt's end — a local reap, an agent's result,
-  // a lost agent connection, a failed spawn or an abort — becomes its
-  // WorkerEvent, `attempt` trace span, RSS gauge sample and log line.
-  // The attempt's own flags decide first (aborted, superseded or unit
-  // already won, verified fragment, deadline), then failure_of's table.
-  // Returns the retry-budget reason when the attempt is charged. The
-  // attempt must already be out of `running`. `remote_pid` is the child
-  // pid an agent reported; it goes on the event only, while the trace's
-  // pid argument and per-worker counters stay local-only.
+  // The one place an attempt's end — an agent's result, a lost agent
+  // connection or an abort — becomes its WorkerEvent, `attempt` trace
+  // span, RSS gauge sample and log line. The attempt's own flags decide
+  // first (aborted, superseded or unit already won, verified fragment,
+  // deadline), then failure_of's table. Returns the retry-budget reason
+  // when the attempt is charged. The attempt must already be out of
+  // `running`. `pid`, `use` and `team` are what the agent reported for
+  // the worker child.
   const auto settle = [&](const RunningAttempt& ra, const proc::Outcome& out,
                           const proc::Usage& use = {}, unsigned team = 0,
-                          long remote_pid = 0) -> std::optional<std::string> {
-    const bool remote = ra.agent >= 0;
+                          long pid = 0) -> std::optional<std::string> {
+    const AgentConn& a = conns[ra.agent];
     api::WorkerEvent e;
     e.unit = ra.unit;
     e.kind = units[ra.unit].kind;
     e.attempt = ra.attempt;
-    e.pid = remote ? remote_pid : (ra.pid > 0 ? ra.pid : 0);
+    e.pid = pid;
     e.detail = out.detail;
     e.wall_s = monotonic_s() - ra.start_s;
-    if (remote) e.host = remotes[ra.agent].endpoint;
+    e.host = a.endpoint;
     e.max_rss_bytes = use.max_rss_bytes;
     e.cpu_user_s = use.cpu_user_s;
     e.cpu_sys_s = use.cpu_sys_s;
@@ -835,15 +843,13 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       targs.set("unit", e.unit);
       targs.set("kind", e.kind);
       targs.set("attempt", e.attempt);
-      if (!remote && e.pid > 0) {
-        targs.set("pid", static_cast<std::int64_t>(e.pid));
-      }
+      if (e.pid > 0) targs.set("pid", static_cast<std::int64_t>(e.pid));
       targs.set("outcome", e.outcome);
-      if (remote) targs.set("agent", e.host);
+      if (!e.host.empty()) targs.set("agent", e.host);
       trace.complete_on(attempt_tid(e.unit, e.attempt), "attempt",
                         ra.start_us, obs::now_us() - ra.start_us,
                         std::move(targs));
-      if (!remote && e.pid > 0) {
+      if (e.pid > 0) {
         trace.counter("runner.worker_max_rss_bytes",
                       static_cast<double>(e.max_rss_bytes));
         trace.counter("runner.worker_cpu_s", e.cpu_user_s + e.cpu_sys_s);
@@ -855,19 +861,22 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       util::log::debug("runner", "attempt ok",
                        {{"unit", e.unit},
                         {"attempt", e.attempt},
-                        {"host", remote ? e.host : "local"},
+                        {"host", a.name},
                         {"wall_s", e.wall_s}});
     } else if (why) {
       util::log::warn("runner", "attempt failed",
                       {{"unit", e.unit},
                        {"attempt", e.attempt},
-                       {"host", remote ? e.host : "local"},
+                       {"host", a.name},
                        {"outcome", e.outcome},
                        {"detail", e.detail}});
     }
     return why;
   };
 
+  // The run fails: cancel and settle every in-flight attempt as aborted.
+  // No agent answer is awaited — an in-process agent kills whatever is
+  // left when it stops, a remote one when its connection closes.
   const auto fail_unit = [&](unsigned unit_id, const std::string& why) {
     error = "unit " + std::to_string(unit_id) + " (" + units[unit_id].kind +
             ") " + why + " after " +
@@ -877,20 +886,12 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     util::log::error("runner", "unit exhausted its retry budget",
                      {{"unit", unit_id}, {"why", why}});
     pending.clear();
-    for (std::size_t i = 0; i < running.size();) {
-      RunningAttempt& ra = running[i];
-      ra.aborted = true;
-      if (ra.agent < 0) {
-        if (ra.pid > 0) ::kill(ra.pid, SIGKILL);
-        ++i;
-        continue;
-      }
-      // Remote attempts have no child to reap: cancel best-effort and
-      // settle the abort now so the drain loop only waits on local pids.
+    std::vector<RunningAttempt> gone;
+    gone.swap(running);
+    for (RunningAttempt& ra : gone) {
       send_cancel(ra);
-      const RunningAttempt gone = ra;
-      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-      (void)settle(gone, {"cancelled", 0, std::nullopt});
+      ra.aborted = true;
+      (void)settle(ra, {"cancelled", 0, std::nullopt});
     }
   };
 
@@ -927,108 +928,22 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     pending.push_back({ra.unit, monotonic_s() + delay_s});
   };
 
-  // Starts the unit's next attempt on a remote slot when one is free, else
-  // on a local one. A fork that fails settles as spawn_failed; its
-  // retry-budget reason comes back for the caller to charge (or not).
-  const auto dispatch = [&](unsigned unit_id) -> std::optional<std::string> {
-    UnitState& st = states[unit_id];
-    RunningAttempt ra;
-    ra.unit = unit_id;
-    ra.attempt = st.next_attempt++;
-    ra.agent = remotes.empty() ? -1 : pick_agent();
-    ra.out_path = prefix + "u" + std::to_string(unit_id) + ".a" +
-                  std::to_string(ra.attempt) + ".frame";
-    cleanup.push_back(ra.out_path);
-    // WAL the dispatch BEFORE the spawn: after a crash the journal then
-    // names every attempt that may ever have existed, so a resume picks
-    // attempt numbers no orphaned worker could still be writing under.
-    if (wal.is_open()) {
-      Value rec = Value::object();
-      rec.set("type", "dispatch");
-      rec.set("unit", unit_id);
-      rec.set("attempt", ra.attempt);
-      wal.append(rec.dump_string(0));
-    }
-    if (ra.agent >= 0) {
-      RemoteAgent& r = remotes[ra.agent];
-      Value d = Value::object();
-      d.set("type", "dispatch");
-      d.set("unit", unit_id);
-      d.set("attempt", ra.attempt);
-      d.set("plan", plan_texts[unit_id]);
-      if (!opt.fault_spec.empty()) d.set("fault", opt.fault_spec);
-      if (opt.worker_mem_limit_bytes > 0) {
-        d.set("mem_limit", opt.worker_mem_limit_bytes);
-      }
-      if (obs::TraceRecorder::instance().enabled()) d.set("trace", true);
-      ra.start_s = monotonic_s();
-      ra.start_us = obs::now_us();
-      if (!r.client.send(d)) {
-        // The connection died under the dispatch. Nothing ran, so nothing
-        // is charged: the unit goes straight back to pending and the
-        // agent into its redial backoff.
-        r.welcomed = false;
-        r.slots = 0;
-        r.next_dial_s =
-            monotonic_s() + opt.backoff.delay_s(std::min(r.dial_failures, 6u));
-        ++r.dial_failures;
-        pending.push_back({unit_id, 0.0});
-        return std::nullopt;
-      }
-      any_spawned = true;
-      obs::counter("runner.remote_dispatches").add();
-      if (ra.attempt > 0) obs::counter("runner.retries").add();
-      util::log::debug("runner", "dispatched to agent",
-                       {{"unit", unit_id},
-                        {"attempt", ra.attempt},
-                        {"agent", r.endpoint}});
-      running.push_back(std::move(ra));
-      return std::nullopt;
-    }
-    if (obs::TraceRecorder::instance().enabled()) {
-      // The worker dumps its trace buffer here; the coordinator stitches
-      // the file in after the reap.
-      ra.trace_path = prefix + "u" + std::to_string(unit_id) + ".a" +
-                      std::to_string(ra.attempt) + ".trace";
-      cleanup.push_back(ra.trace_path);
-    }
-    const proc::Spawned spawned = proc::spawn(proc::worker_argv(
-        exe, {plan_files[unit_id], ra.out_path, unit_id, ra.attempt,
-              omp_threads, opt.fault_spec, opt.worker_mem_limit_bytes,
-              ra.trace_path}));
-    ra.pid = spawned.pid;
-    ra.start_s = monotonic_s();
-    ra.start_us = obs::now_us();
-    if (spawned.pid < 0) {
-      return settle(ra, {"spawn_failed", spawned.error, std::nullopt});
-    }
-    obs::counter("runner.dispatches").add();
-    if (ra.attempt > 0) obs::counter("runner.retries").add();
-    util::log::debug("runner", "dispatched worker",
-                     {{"unit", unit_id},
-                      {"attempt", ra.attempt},
-                      {"pid", static_cast<std::int64_t>(ra.pid)}});
-    any_spawned = true;
-    running.push_back(std::move(ra));
-    return std::nullopt;
-  };
-
   // Transport damage on one agent: drop the connection, schedule a
   // backed-off redial, and settle every in-flight attempt of the agent as
-  // "disconnect"/"garbled" — charged like a SIGKILLed local child.
+  // "disconnect"/"garbled" — charged like any other worker death.
   const auto drop_agent = [&](int ai, const std::string& outcome) {
-    RemoteAgent& r = remotes[ai];
-    r.client.close();
-    r.welcomed = false;
-    r.slots = 0;
-    r.next_dial_s =
-        monotonic_s() + opt.backoff.delay_s(std::min(r.dial_failures, 6u));
-    ++r.dial_failures;
+    AgentConn& a = conns[ai];
+    a.client.close();
+    a.welcomed = false;
+    a.slots = 0;
+    a.next_dial_s =
+        monotonic_s() + opt.backoff.delay_s(std::min(a.dial_failures, 6u));
+    ++a.dial_failures;
     obs::counter(outcome == "garbled" ? "runner.garbled_frames"
                                       : "runner.disconnects")
         .add();
     util::log::warn("runner", "agent connection lost",
-                    {{"agent", r.endpoint}, {"outcome", outcome}});
+                    {{"agent", a.name}, {"outcome", outcome}});
     for (std::size_t i = 0; i < running.size();) {
       if (running[i].agent != ai) {
         ++i;
@@ -1040,26 +955,72 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
               settle(ra, {outcome, 0, std::nullopt})) {
         on_failure(ra, *why);
         // on_failure may have failed the run; fail_unit then already
-        // drained every remote attempt (including the rest of ours).
+        // drained every attempt (including the rest of ours).
         if (!error.empty()) break;
         i = 0;  // fail-safe: rescan, indices may have shifted
       }
     }
   };
 
+  // Starts the unit's next attempt on agent `ai`, which has a free slot.
+  // A send that fails re-queues the unit uncharged — nothing ran — and
+  // drops the connection.
+  const auto dispatch = [&](unsigned unit_id, int ai) {
+    RunningAttempt ra;
+    ra.unit = unit_id;
+    ra.attempt = states[unit_id].next_attempt++;
+    ra.agent = ai;
+    agent_rotation = static_cast<std::size_t>(ai) + 1;
+    AgentConn& a = conns[ai];
+    // WAL the dispatch BEFORE the send: after a crash the journal then
+    // names every attempt that may ever have existed, so a resume picks
+    // attempt numbers no orphaned worker could still be writing under.
+    if (wal.is_open()) {
+      Value rec = Value::object();
+      rec.set("type", "dispatch");
+      rec.set("unit", unit_id);
+      rec.set("attempt", ra.attempt);
+      wal.append(rec.dump_string(0));
+    }
+    Value d = Value::object();
+    d.set("type", "dispatch");
+    d.set("unit", unit_id);
+    d.set("attempt", ra.attempt);
+    d.set("plan", plan_texts[unit_id]);
+    if (!opt.fault_spec.empty()) d.set("fault", opt.fault_spec);
+    if (opt.worker_mem_limit_bytes > 0) {
+      d.set("mem_limit", opt.worker_mem_limit_bytes);
+    }
+    if (obs::TraceRecorder::instance().enabled()) d.set("trace", true);
+    ra.start_s = monotonic_s();
+    ra.start_us = obs::now_us();
+    if (!a.client.send(d)) {
+      pending.push_back({unit_id, 0.0});
+      drop_agent(ra.agent, "disconnect");
+      return;
+    }
+    obs::counter("runner.dispatches").add();
+    if (ra.attempt > 0) obs::counter("runner.retries").add();
+    util::log::debug("runner", "dispatched",
+                     {{"unit", unit_id},
+                      {"attempt", ra.attempt},
+                      {"agent", a.name}});
+    running.push_back(std::move(ra));
+  };
+
   // One message from an agent connection. Results are matched to their
   // RunningAttempt by (unit, attempt, agent); a miss is a late/duplicate
-  // delivery after a reconnect — dropping it is what makes redelivery
-  // idempotent.
-  const auto handle_remote_msg = [&](int ai, const Value& m) {
-    RemoteAgent& r = remotes[ai];
+  // delivery after a reconnect or a cancel — dropping it is what makes
+  // redelivery idempotent.
+  const auto handle_msg = [&](int ai, const Value& m) {
+    AgentConn& a = conns[ai];
     const std::string type = m.get_string("type", "");
     if (type == "welcome") {
-      r.slots = static_cast<unsigned>(m.get_uint("slots", 1));
-      r.welcomed = true;
-      r.dial_failures = 0;
+      a.slots = static_cast<unsigned>(m.get_uint("slots", 1));
+      a.welcomed = true;
+      a.dial_failures = 0;
       util::log::info("runner", "agent connected",
-                      {{"agent", r.endpoint}, {"slots", r.slots}});
+                      {{"agent", a.name}, {"slots", a.slots}});
       return;
     }
     if (type != "result") return;  // heartbeats only refresh last_rx_s
@@ -1099,16 +1060,23 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     use.cpu_sys_s = number("cpu_sys_s");
     obs::TraceRecorder& trace = obs::TraceRecorder::instance();
     if (trace.enabled()) {
-      // The worker's trace buffer crossed the socket instead of $TMPDIR;
-      // the agent endpoint keys the imported pids into their own band.
+      // The worker's trace buffer crossed the socket; a remote endpoint
+      // keys the imported pids into their own band, the local agent's
+      // empty one keeps them as they are.
       if (const Value* t = m.find("trace"); t && t->is_string()) {
-        trace.import_text(t->as_string(), r.endpoint);
+        trace.import_text(t->as_string(), a.endpoint);
       }
     }
-    if (const std::optional<std::string> why = settle(
-            ra, out, use,
-            static_cast<unsigned>(m.get_uint("omp_threads", 0)),
-            static_cast<long>(m.get_uint("pid", 0)))) {
+    const bool first = !any_result;
+    any_result = true;
+    const std::optional<std::string> why = settle(
+        ra, out, use, static_cast<unsigned>(m.get_uint("omp_threads", 0)),
+        static_cast<long>(m.get_uint("pid", 0)));
+    if (first && a.local && out.kind == "spawn_failed") {
+      // fork is unavailable before anything ran: degrade to the
+      // in-process serial path rather than failing the plan.
+      degraded = true;
+    } else if (why) {
       on_failure(ra, *why);
     }
   };
@@ -1118,152 +1086,100 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
 
     // Agent transport upkeep: (re)dial disconnected agents whose backoff
     // elapsed, pump every live connection, and declare silent ones dead.
-    if (error.empty()) {
-      for (std::size_t ai = 0; ai < remotes.size(); ++ai) {
-        RemoteAgent& r = remotes[ai];
-        if (r.client.connected() || pending.empty() ||
-            now < r.next_dial_s) {
-          continue;
-        }
-        std::string derr;
-        if (r.client.connect(r.endpoint, &derr)) {
-          r.last_rx_s = monotonic_s();
-          continue;
-        }
-        r.next_dial_s =
-            monotonic_s() + opt.backoff.delay_s(std::min(r.dial_failures, 6u));
-        ++r.dial_failures;
-        util::log::debug("runner", "agent dial failed",
-                         {{"agent", r.endpoint}, {"error", derr}});
-      }
-      for (std::size_t ai = 0; ai < remotes.size(); ++ai) {
-        RemoteAgent& r = remotes[ai];
-        if (!r.client.connected()) continue;
-        std::vector<Value> msgs;
-        const net::AgentClient::Pump ps = r.client.pump(msgs);
-        if (!msgs.empty()) r.last_rx_s = monotonic_s();
-        for (const Value& m : msgs) {
-          handle_remote_msg(static_cast<int>(ai), m);
-        }
-        if (ps == net::AgentClient::Pump::kCorrupt) {
-          // A frame failed its CRC mid-stream. No resync is possible —
-          // drop the connection and re-dispatch whatever was in flight.
-          drop_agent(static_cast<int>(ai), "garbled");
-        } else if (ps == net::AgentClient::Pump::kClosed) {
-          drop_agent(static_cast<int>(ai), "disconnect");
-        } else if (opt.heartbeat_timeout_s > 0 &&
-                   monotonic_s() - r.last_rx_s > opt.heartbeat_timeout_s) {
-          drop_agent(static_cast<int>(ai), "disconnect");
-        }
-      }
-      // Pure-remote runs must not spin forever against a dead fleet: once
-      // every agent's dial budget mirrors the unit retry budget with no
-      // connection and nothing in flight, fail structurally.
-      if (error.empty() && opt.workers == 0 && !remotes.empty() &&
-          running.empty() && !pending.empty()) {
-        bool any_conn = false;
-        bool all_exhausted = true;
-        for (const RemoteAgent& r : remotes) {
-          any_conn = any_conn || r.client.connected();
-          all_exhausted = all_exhausted && r.dial_failures > opt.max_retries + 1;
-        }
-        if (!any_conn && all_exhausted) {
-          std::string list;
-          for (const std::string& ep : opt.agents) {
-            if (!list.empty()) list += ",";
-            list += ep;
-          }
-          error = "no reachable agents (" + list + ")";
-          util::log::error("runner", "no reachable agents",
-                           {{"agents", list}});
-          pending.clear();
-        }
-      }
-    }
-
-    // Deadline enforcement: SIGKILL a local worker past its per-attempt
-    // budget (the reap below classifies it "timeout"); a remote attempt
-    // is marked and cancelled, classified when the agent acknowledges —
-    // or when its connection drops.
-    for (RunningAttempt& ra : running) {
-      if (opt.shard_timeout_s > 0 && !ra.timed_out && !ra.aborted &&
-          now - ra.start_s > opt.shard_timeout_s) {
-        ra.timed_out = true;
-        if (ra.agent < 0) {
-          ::kill(ra.pid, SIGKILL);
-        } else {
-          send_cancel(ra);
-        }
-      }
-    }
-
-    // Reap (local children only; remote attempts resolve via pump above).
-    for (std::size_t i = 0; i < running.size();) {
-      std::optional<proc::Reaped> got;
-      if (running[i].agent >= 0 || !(got = proc::reap(running[i].pid))) {
-        ++i;
+    for (AgentConn& a : conns) {
+      if (a.client.connected() || pending.empty() || now < a.next_dial_s) {
         continue;
       }
-      const RunningAttempt ra = running[i];
-      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-      // Stitch the worker's own timeline in before its attempt span
-      // (missing/truncated files from killed workers are tolerated).
-      obs::TraceRecorder& trace = obs::TraceRecorder::instance();
-      if (trace.enabled() && !ra.trace_path.empty()) {
-        trace.import_file(ra.trace_path);
+      std::string derr;
+      if (dial(a, &derr)) {
+        a.last_rx_s = monotonic_s();
+        continue;
       }
-      if (const std::optional<std::string> why =
-              settle(ra, proc::classify(got->status, ra.out_path),
-                     got->usage, omp_threads)) {
-        on_failure(ra, *why);
+      a.next_dial_s =
+          monotonic_s() + opt.backoff.delay_s(std::min(a.dial_failures, 6u));
+      ++a.dial_failures;
+      util::log::debug("runner", "agent dial failed",
+                       {{"agent", a.name}, {"error", derr}});
+    }
+    for (std::size_t ai = 0; ai < conns.size(); ++ai) {
+      AgentConn& a = conns[ai];
+      if (!a.client.connected()) continue;
+      std::vector<Value> msgs;
+      const net::AgentClient::Pump ps = a.client.pump(msgs);
+      if (!msgs.empty()) a.last_rx_s = monotonic_s();
+      for (std::size_t k = 0; k < msgs.size() && !degraded && error.empty();
+           ++k) {
+        handle_msg(static_cast<int>(ai), msgs[k]);
+      }
+      if (degraded || !error.empty()) break;
+      if (ps == net::AgentClient::Pump::kCorrupt) {
+        // A frame failed its CRC mid-stream. No resync is possible —
+        // drop the connection and re-dispatch whatever was in flight.
+        drop_agent(static_cast<int>(ai), "garbled");
+      } else if (ps == net::AgentClient::Pump::kClosed) {
+        drop_agent(static_cast<int>(ai), "disconnect");
+      } else if (opt.heartbeat_timeout_s > 0 &&
+                 monotonic_s() - a.last_rx_s > opt.heartbeat_timeout_s) {
+        drop_agent(static_cast<int>(ai), "disconnect");
+      }
+    }
+    if (degraded) return degrade(std::move(events));
+    if (!error.empty()) break;  // fail_unit settled everything in flight
+
+    // A run must not spin forever against a dead fleet: once every
+    // agent's dial budget mirrors the unit retry budget with no
+    // connection and nothing in flight, fail structurally.
+    if (running.empty() && !pending.empty()) {
+      bool any_conn = false;
+      bool all_exhausted = true;
+      std::string list;
+      for (const AgentConn& a : conns) {
+        any_conn = any_conn || a.client.connected();
+        all_exhausted = all_exhausted && a.dial_failures > opt.max_retries + 1;
+        list += (list.empty() ? "" : ",") + a.name;
+      }
+      if (!any_conn && all_exhausted) {
+        error = "no reachable agents (" + list + ")";
+        util::log::error("runner", "no reachable agents", {{"agents", list}});
+        break;
       }
     }
 
-    if (!error.empty()) {
-      if (running.empty()) break;
-      util::Backoff::sleep_s(opt.poll_interval_s);
-      continue;
+    // Deadline enforcement: an attempt past its per-attempt budget is
+    // marked and cancelled — the agent SIGKILLs the worker and its
+    // result then settles as "timeout", as does a connection drop.
+    for (RunningAttempt& ra : running) {
+      if (opt.shard_timeout_s > 0 && !ra.timed_out &&
+          now - ra.start_s > opt.shard_timeout_s) {
+        ra.timed_out = true;
+        send_cancel(ra);
+      }
     }
 
     // Launch pending attempts whose backoff delay has elapsed, onto
-    // whichever slot is free — a welcomed agent's advertised slots fill
-    // before local fork/exec slots.
-    for (std::size_t i = 0; i < pending.size() && free_capacity();) {
-      if (pending[i].ready_at_s > now || states[pending[i].unit].done) {
-        if (states[pending[i].unit].done) {
-          pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-          continue;
-        }
+    // whichever agent slot is free.
+    for (std::size_t i = 0; i < pending.size() && error.empty();) {
+      const int ai = next_free();
+      if (ai < 0) break;
+      if (states[pending[i].unit].done) {
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+        continue;
+      }
+      if (pending[i].ready_at_s > now) {
         ++i;
         continue;
       }
       const unsigned unit_id = pending[i].unit;
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      if (const std::optional<std::string> why = dispatch(unit_id)) {
-        if (!any_spawned) {
-          // fork is unavailable before anything ran: degrade to the
-          // in-process serial path rather than failing the plan.
-          api::RunReport report = api::run(plan);
-          api::WorkerEvent ev;
-          ev.kind = "run";
-          ev.outcome = "degraded";
-          report.worker_events = std::move(events);
-          report.worker_events.push_back(ev);
-          for (const std::string& path : cleanup) ::unlink(path.c_str());
-          return report;
-        }
-        RunningAttempt ra;
-        ra.unit = unit_id;
-        ra.attempt = states[unit_id].next_attempt - 1;
-        on_failure(ra, *why);
-      }
+      dispatch(unit_id, ai);
     }
+    if (!error.empty()) break;
 
     // Speculative re-execution: queue drained, slots free, and a running
     // attempt has outlived the straggler threshold — re-issue its unit
     // once; whichever attempt finishes first wins.
-    if (opt.speculate && pending.empty() && !running.empty() &&
-        free_capacity() && error.empty()) {
+    if (const int ai = next_free();
+        opt.speculate && ai >= 0 && pending.empty() && !running.empty()) {
       std::vector<double> walls;
       for (const api::WorkerEvent& ev : events) {
         if (ev.outcome == "ok") walls.push_back(ev.wall_s);
@@ -1285,18 +1201,19 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
         }
       }
       if (straggler != nullptr) {
-        states[straggler->unit].speculated = true;
+        const unsigned unit_id = straggler->unit;
+        states[unit_id].speculated = true;
         obs::counter("runner.speculations").add();
         if (obs::TraceRecorder::instance().enabled()) {
           Value targs = Value::object();
-          targs.set("unit", straggler->unit);
+          targs.set("unit", unit_id);
           targs.set("running_s", now - straggler->start_s);
           obs::TraceRecorder::instance().instant("speculate",
                                                  std::move(targs));
         }
         util::log::info("runner", "speculative re-execution",
-                        {{"unit", straggler->unit}});
-        (void)dispatch(straggler->unit);
+                        {{"unit", unit_id}});
+        dispatch(unit_id, ai);
       }
     }
 
@@ -1365,7 +1282,6 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
                   {{"pass", report.pass ? "yes" : "no"},
                    {"attempts", report.worker_events.size()},
                    {"wall_s", report.total_wall_s}});
-  for (const std::string& path : cleanup) ::unlink(path.c_str());
   return report;
 }
 

@@ -1,34 +1,37 @@
 // Fault-tolerant multi-process RunPlan execution.
 //
 // The paper's trillion-edge regime assumes a fleet where individual
-// workers stall or die; this module is the single-machine half of that
-// story (and the ROADMAP's stated on-ramp to a remote transport): a
+// workers stall or die; this module is the coordinator of that story: a
 // RunPlan is decomposed into per-shard child plans — one "base" unit for
 // everything that is not a validate analysis, plus U shard-subset
 // validate units riding the deterministic `validate::` shard plan — and
-// executed by fork/exec'd worker processes (`kronotri __worker`), each
-// writing its RunReport fragment to a private tmp file. The coordinator
-// merges fragments into one report BIT-IDENTICAL (modulo timings,
-// metadata and the worker_events trail) to the single-process run:
-// shard ownership makes fragment counters disjoint, so the merge is a
-// pure fold.
+// every attempt is sent to a worker agent (net/agent.hpp): the local
+// --workers slots are one in-process agent served over a socketpair (no
+// listening port), the --agents endpoints are remote ones, and all of
+// them share one round-robin rotation. Each agent runs the unit in a
+// `kronotri __worker` process and sends its RunReport fragment back. The
+// coordinator merges fragments into one report BIT-IDENTICAL (modulo
+// timings, metadata and the worker_events trail) to the single-process
+// run: shard ownership makes fragment counters disjoint, so the merge is
+// a pure fold.
 //
 // Robustness core:
 //   * retry with exponential backoff (util::Backoff) under a bounded
 //     attempt budget; exhausting it fails the run with a structured
 //     error report, never a hang;
-//   * per-attempt wall-clock timeouts: a worker past its deadline is
-//     SIGKILLed and its unit re-dispatched;
+//   * per-attempt wall-clock timeouts: an attempt past its deadline is
+//     cancelled (its agent SIGKILLs the worker) and its unit re-dispatched;
 //   * speculative re-execution of stragglers — when the queue is drained
 //     and a slot is free, the slowest running unit is re-issued and the
 //     first result wins (safe: units are deterministic);
-//   * crash-safe accounting: runner::proc (runner/proc.hpp) spawns,
-//     reaps and classifies every worker, local or on an agent — signal
-//     vs nonzero-exit vs truncated frame vs oom (the RLIMIT_AS guard) —
-//     and one settle step turns each attempt's end, timeouts included,
-//     into the report's worker_events entry;
+//   * crash-safe accounting: the agent classifies how each worker ended
+//     (runner/proc.hpp: signal vs nonzero-exit vs truncated frame vs oom,
+//     the RLIMIT_AS guard) and a lost or garbled connection classifies its
+//     in-flight attempts; one settle step turns each attempt's end,
+//     timeouts included, into the report's worker_events entry;
 //   * graceful degradation to in-process execution when the worker
-//     binary cannot be found/spawned or workers <= 1.
+//     binary cannot be found, when the local agent's first result is a
+//     failed spawn, or when workers <= 1.
 //
 // Durability (--journal DIR / --resume): the coordinator write-ahead-logs
 // every unit transition (dispatch, done, failure) as CRC64 frames in
@@ -40,10 +43,12 @@
 // same retry/backoff/speculation machinery; the merged report is
 // bit-identical (per comparable()) to an uninterrupted run.
 //
-// fork+exec (not bare fork) on purpose: the parent has usually run OpenMP
-// regions (tests, benches, a long-lived service), and libgomp's internal
-// state does not survive fork into a child that starts its own parallel
-// regions. A fresh exec sidesteps the whole class of deadlocks.
+// Workers are fork+exec'd (not bare forks) on purpose: the coordinator
+// has usually run OpenMP regions (tests, benches, a long-lived service),
+// and libgomp's internal state does not survive fork into a child that
+// starts its own parallel regions. A fresh exec sidesteps the whole class
+// of deadlocks — which is also why the in-process agent may fork from its
+// own thread.
 #pragma once
 
 #include <string>
@@ -56,7 +61,7 @@
 namespace kronotri::runner {
 
 struct Options {
-  unsigned workers = 1;       ///< concurrent LOCAL worker processes
+  unsigned workers = 1;       ///< local worker slots (one in-process agent)
   double shard_timeout_s = 0; ///< per-attempt wall clock (0 = none)
   unsigned max_retries = 2;   ///< re-dispatches per unit beyond attempt 0
   /// Validate units per worker slot: U = workers * units_per_worker
@@ -67,7 +72,7 @@ struct Options {
   /// A running attempt becomes a straggler candidate only after
   /// max(straggler_min_s, 2 x median completed attempt wall).
   double straggler_min_s = 1.0;
-  double poll_interval_s = 0.002;
+  double poll_interval_s = 0.002;  ///< coordinator and local agent poll period
   /// Fault-injection spec forwarded to workers; empty falls back to the
   /// KRONOTRI_FAULT environment variable (the CI smoke's entry point).
   std::string fault_spec;
@@ -75,8 +80,9 @@ struct Options {
   std::string worker_exe;
   /// Durable-run directory: when non-empty, unit transitions are WAL'd to
   /// <journal_dir>/run.journal and fragments persist as CRC64 frame files
-  /// there (scratch files also live there instead of $TMPDIR, so a killed
-  /// coordinator leaks nothing outside its own journal directory).
+  /// there (the local workers' scratch files also live there instead of
+  /// $TMPDIR, so a killed coordinator leaks nothing outside its own
+  /// journal directory).
   std::string journal_dir;
   /// Resume from journal_dir instead of starting fresh: verified-complete
   /// units are reloaded ("resumed" events), damaged ones re-executed
@@ -97,8 +103,9 @@ struct Options {
   /// same backoff, timeouts, speculation and journal records. workers=0
   /// with agents set runs purely remote. A lost connection, a torn
   /// result frame or a missed heartbeat turns the agent's in-flight
-  /// attempts into "disconnect"/"garbled" events, re-dispatched exactly
-  /// like a SIGKILLed local child.
+  /// attempts into "disconnect"/"garbled" events and re-dispatches them —
+  /// for the local agent too, whose connection is redialed as a fresh
+  /// socketpair.
   std::vector<std::string> agents;
   /// Per-attempt dial deadline for an agent connection (seconds).
   double agent_connect_timeout_s = 1.0;
@@ -130,8 +137,9 @@ std::uint64_t plan_identity_hash(const api::RunPlan& plan);
 /// nothing resolves — execute() then degrades to in-process.
 std::string default_worker_exe();
 
-/// Executes the plan across opt.workers forked workers and returns the
-/// merged report. workers <= 1 runs in-process (api::run). Never throws
+/// Executes the plan across opt.workers local worker slots and the
+/// opt.agents fleet and returns the merged report. workers <= 1 without a
+/// journal or agents runs in-process (api::run). Never throws
 /// for worker failures — those come back as a pass=false report with
 /// `error` set and the full worker_events trail.
 api::RunReport execute(const api::RunPlan& plan, Options opt);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -114,6 +115,10 @@ TEST(Runner, MultiprocessMatchesSerial) {
   for (const api::WorkerEvent& e : multi.worker_events) {
     EXPECT_EQ(e.outcome, "ok") << "unit " << e.unit;
     EXPECT_EQ(e.omp_threads, budget) << "unit " << e.unit;
+    // The worker's wait4 usage crossed the agent socket intact.
+    EXPECT_GT(e.pid, 0) << "unit " << e.unit;
+    EXPECT_GT(e.max_rss_bytes, 0u) << "unit " << e.unit;
+    EXPECT_GT(e.cpu_user_s + e.cpu_sys_s, 0.0) << "unit " << e.unit;
   }
   // The merged metadata comes from a worker's fragment: the team the
   // worker saw is the one the coordinator handed down.
@@ -154,6 +159,34 @@ TEST(Runner, DegradesWithoutWorkerBinary) {
   EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(report));
   ASSERT_EQ(report.worker_events.size(), 1u);
   EXPECT_EQ(report.worker_events[0].outcome, "degraded");
+}
+
+TEST(Runner, DegradesWhenTheLocalAgentCannotSpawn) {
+  // An unwritable scratch directory fails the local agent's first spawn:
+  // with no result yet, the run falls back to in-process.
+  struct ScopedTmpdir {  // restored however the test exits
+    const char* saved = std::getenv("TMPDIR");
+    std::string restore = saved != nullptr ? saved : "";
+    ScopedTmpdir() { ::setenv("TMPDIR", "/nonexistent/kronotri-scratch", 1); }
+    ~ScopedTmpdir() {
+      if (saved != nullptr) {
+        ::setenv("TMPDIR", restore.c_str(), 1);
+      } else {
+        ::unsetenv("TMPDIR");
+      }
+    }
+  };
+  const api::RunPlan plan = test_plan();
+  api::RunReport report;
+  {
+    const ScopedTmpdir tmpdir;
+    report = runner::execute(plan, test_opts());
+  }
+  EXPECT_TRUE(report.pass) << report.error;
+  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(report));
+  ASSERT_GE(report.worker_events.size(), 2u);
+  EXPECT_EQ(report.worker_events.front().outcome, "spawn_failed");
+  EXPECT_EQ(report.worker_events.back().outcome, "degraded");
 }
 
 TEST(Runner, ValidateOnlyPlanDecomposesWithoutBaseUnit) {
@@ -254,6 +287,23 @@ class RunnerFaults : public ::testing::TestWithParam<Placement> {
     EXPECT_EQ(seen, attempts) << outcome;
   }
 
+  /// A transport fault takes down every attempt in flight on its
+  /// connection, so `outcome` may hit several units — but always attempt
+  /// 0 of `unit`, with detail 0, on the placement's host; the unit then
+  /// completes exactly once.
+  void expect_lost_with(const api::RunReport& report,
+                        const std::string& outcome, unsigned unit) const {
+    bool hit = false;
+    for (const api::WorkerEvent& e : report.worker_events) {
+      if (e.outcome != outcome) continue;
+      hit = hit || (e.unit == unit && e.attempt == 0);
+      EXPECT_EQ(e.detail, 0) << outcome;
+      EXPECT_EQ(e.host.empty(), agent_ == nullptr) << e.host;
+    }
+    EXPECT_TRUE(hit) << "no " << outcome << " event for unit " << unit;
+    EXPECT_EQ(count_events(report, unit, "ok"), 1);
+  }
+
   std::unique_ptr<net::Agent> agent_;
 };
 
@@ -322,6 +372,33 @@ TEST_P(RunnerFaults, OomFaultClassifiedAndRetried) {
   expect_events(multi, 1, "oom", runner::kOomExitCode, {0});
   EXPECT_EQ(count_events(multi, 1, "exit"), 0);
   EXPECT_EQ(count_events(multi, 1, "ok"), 1);
+}
+
+TEST_P(RunnerFaults, DroppedConnectionRedispatches) {
+  // The agent hard-closes its connection when unit 2's first dispatch
+  // arrives: every attempt in flight on it, unit 2's included, is a
+  // "disconnect", and the coordinator redials (a fresh socketpair for the
+  // local slots) to finish the run.
+  const api::RunPlan plan = test_plan();
+  runner::Options opt = opts();
+  opt.fault_spec = "drop_conn:shard=2:attempt=0";
+  const api::RunReport multi = runner::execute(plan, opt);
+  EXPECT_TRUE(multi.pass) << multi.error;
+  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
+  expect_lost_with(multi, "disconnect", 2);
+}
+
+TEST_P(RunnerFaults, GarbledFrameRedispatches) {
+  // The agent flips a byte inside unit 1's first result frame: the CRC
+  // check drops the connection, and everything in flight on it is
+  // "garbled" and re-dispatched.
+  const api::RunPlan plan = test_plan();
+  runner::Options opt = opts();
+  opt.fault_spec = "garble_frame:shard=1:attempt=0";
+  const api::RunReport multi = runner::execute(plan, opt);
+  EXPECT_TRUE(multi.pass) << multi.error;
+  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
+  expect_lost_with(multi, "garbled", 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Placements, RunnerFaults,

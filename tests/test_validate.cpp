@@ -12,8 +12,6 @@
 #include <map>
 #include <vector>
 
-#include "api/pipeline.hpp"
-#include "api/sink.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
 #include "helpers.hpp"
@@ -242,46 +240,6 @@ TEST(ValidationReport, ChainReportPassesAndCountsEdges) {
   EXPECT_EQ(report.num_edges,
             chain.num_undirected_edges() -
                 static_cast<count_t>(chain.materialize().num_self_loops()));
-}
-
-TEST(ValidatingCensusSink, AllGeneratedEdgesMatchTheOracle) {
-  const Graph a = gen::holme_kim(40, 3, 0.6, 37);
-  const Graph b = gen::clique(3).with_all_self_loops();
-  const kron::KronGraphView view(a, b);
-  const kron::TriangleOracle oracle(a, b);
-  // Parallel fan-out: each partition validates its own slice of C.
-  auto sinks = api::stream_parallel(
-      a, b, 4, [&](std::uint64_t, std::uint64_t) {
-        return std::make_unique<api::ValidatingCensusSink>(view, oracle);
-      });
-  api::ValidatingCensusSink total(view, oracle);
-  for (const auto& s : sinks) {
-    total.merge(static_cast<const api::ValidatingCensusSink&>(*s));
-  }
-  EXPECT_EQ(total.edges_consumed(), view.nnz());
-  EXPECT_EQ(total.mismatches(), 0u);
-  EXPECT_EQ(total.max_abs_error(), 0u);
-  EXPECT_TRUE(total.pass());
-  // Every undirected non-loop edge checked exactly once across partitions.
-  EXPECT_EQ(total.edges_checked(),
-            view.num_undirected_edges() -
-                static_cast<count_t>(view.num_self_loops()));
-  // The histogram is the exact measured Δ distribution — its weighted sum
-  // is 3τ.
-  count_t weighted = 0;
-  for (const auto& [delta, freq] : total.histogram()) {
-    weighted += delta * freq;
-  }
-  EXPECT_EQ(weighted, 3 * oracle.total_triangles());
-}
-
-TEST(ValidatingCensusSink, RejectsDirectedView) {
-  const Graph d = Graph::from_edges(3, {{{0, 1}, {1, 2}}}, false);
-  const Graph u = gen::clique(3);
-  const kron::KronGraphView view(d, u);
-  const kron::TriangleOracle oracle(u, u);
-  EXPECT_THROW(api::ValidatingCensusSink(view, oracle),
-               std::invalid_argument);
 }
 
 }  // namespace
