@@ -157,19 +157,39 @@ void PlanContext::set_graph(Graph g) {
   vertex_triangles_.reset();
 }
 
+void PlanContext::set_needs_edge_triangles(bool needed) {
+  if (needed == needs_edge_triangles_) return;
+  needs_edge_triangles_ = needed;
+  census_.reset();
+  edge_triangles_.reset();
+  vertex_triangles_.reset();
+}
+
 const triangle::CensusWorkspace& PlanContext::census() const {
-  if (!census_) census_.emplace(graph());
+  if (!census_) {
+    census_.emplace(graph(),
+                    needs_edge_triangles_
+                        ? triangle::CensusWorkspace::Detail::kEdges
+                        : triangle::CensusWorkspace::Detail::kVertexOnly);
+  }
   return *census_;
 }
 
 const std::vector<count_t>& PlanContext::edge_triangles() const {
+  if (!needs_edge_triangles_) {
+    throw std::logic_error(
+        "PlanContext::edge_triangles(): no analysis of this plan declared "
+        "needs_edge_triangles()");
+  }
   if (!edge_triangles_) edge_triangles_ = census().edge_census();
   return *edge_triangles_;
 }
 
 const std::vector<count_t>& PlanContext::vertex_triangles() const {
   if (!vertex_triangles_) {
-    vertex_triangles_ = census().vertex_census(edge_triangles());
+    vertex_triangles_ = needs_edge_triangles_
+                            ? census().vertex_census(edge_triangles())
+                            : census().vertex_census();
   }
   return *vertex_triangles_;
 }
@@ -476,6 +496,10 @@ class TrussAnalysis final : public Analysis {
 
   bool needs_graph(const PlanContext& ctx) const override {
     return !(oracle_ && ctx.two_factor());
+  }
+
+  bool needs_edge_triangles(const PlanContext& ctx) const override {
+    return needs_graph(ctx);
   }
 
   AnalysisReport execute(PlanContext& ctx,

@@ -156,15 +156,22 @@ class PlanContext {
   [[nodiscard]] bool graph_ready() const noexcept;
   void set_graph(Graph g);
 
-  /// The census workspace of graph() (with edge ids), built on first use
-  /// and kept until the plan ends.
+  /// Whether an analysis of the plan reads edge_triangles(). The run
+  /// engine sets it from Analysis::needs_edge_triangles() before any
+  /// analysis executes (default true); changing it drops the census.
+  void set_needs_edge_triangles(bool needed);
+
+  /// The census workspace of graph(), built on first use and kept until
+  /// the plan ends: with edge ids when the plan reads Δ(e), vertex-only
+  /// (no edge-id map) otherwise.
   [[nodiscard]] const triangle::CensusWorkspace& census() const;
   /// Δ(e) per undirected edge id of census(): one census pass, on first
-  /// use only.
+  /// use only. Throws std::logic_error when the plan declared no reader.
   [[nodiscard]] const std::vector<count_t>& edge_triangles() const;
   /// t_v per vertex of graph(): ½·Σ_{e∋v} Δ(e), an O(m) sweep over
-  /// edge_triangles() — so a plan pays one census pass whatever the order
-  /// of its analyses.
+  /// edge_triangles(), when the plan reads Δ(e); the single vertex-only
+  /// pass otherwise. Either way a plan pays one census pass, whatever the
+  /// order of its analyses.
   [[nodiscard]] const std::vector<count_t>& vertex_triangles() const;
   /// τ(graph()) = ⅓·Σ_v t_v.
   [[nodiscard]] count_t total_triangles() const;
@@ -175,6 +182,7 @@ class PlanContext {
   std::vector<Graph> factors_;
   bool two_factor_ = false;
   bool product_ = false;
+  bool needs_edge_triangles_ = true;
   mutable std::optional<kron::KronGraphView> view_;
   mutable std::optional<kron::TriangleOracle> oracle_;
   mutable std::optional<kron::KronChain> chain_;
@@ -205,6 +213,12 @@ class Analysis {
   /// Whether execute() will read ctx.graph(). The engine materializes the
   /// product before execute() when any analysis answers true.
   [[nodiscard]] virtual bool needs_graph(const PlanContext&) const {
+    return false;
+  }
+
+  /// Whether execute() will read ctx.edge_triangles(). When no analysis of
+  /// a plan does, the plan's census skips the edge-id map.
+  [[nodiscard]] virtual bool needs_edge_triangles(const PlanContext&) const {
     return false;
   }
 

@@ -475,8 +475,12 @@ RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
   for (const auto& a : analyses) want_stream = want_stream || a->wants_stream(ctx);
   const bool pass_runs = ctx.two_factor() && want_stream;
 
-  bool needs_graph = false;
-  for (const auto& a : analyses) needs_graph = needs_graph || a->needs_graph(ctx);
+  bool needs_graph = false, needs_edge_triangles = false;
+  for (const auto& a : analyses) {
+    needs_graph = needs_graph || a->needs_graph(ctx);
+    needs_edge_triangles = needs_edge_triangles || a->needs_edge_triangles(ctx);
+  }
+  ctx.set_needs_edge_triangles(needs_edge_triangles);
   // A non-stream run that must write output materializes and writes below.
   const bool write_materialized = !plan.options.output.empty() && !pass_runs;
 

@@ -78,8 +78,8 @@ void count_census_pass();
 class CensusWorkspace {
  public:
   /// What the workspace precomputes. Vertex-only censuses (count_total,
-  /// participation_vertices) skip the edge-id build — one binary search per
-  /// undirected edge plus two m-sized arrays they would never read.
+  /// participation_vertices, run plans whose analyses read no Δ(e)) skip the edge-id build — one binary search per undirected edge
+  /// plus two m-sized arrays they would never read.
   enum class Detail { kVertexOnly, kEdges };
 
   /// Requires an undirected graph (throws std::invalid_argument otherwise);

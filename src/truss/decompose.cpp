@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "core/ops.hpp"
+#include "obs/counters.hpp"
 #include "triangle/census.hpp"
 #include "triangle/support.hpp"
 
@@ -73,8 +75,14 @@ std::vector<count_t> peel(const triangle::CensusWorkspace& ws,
   std::vector<std::uint8_t> state(m, kAlive);
   std::vector<count_t> truss_of(m, 2);
 
+  const vid n = s.rows();
   const unsigned workers = triangle::census_workers();
   std::vector<std::vector<esz>> tl_found(workers);
+  // Per-thread owner-sorted slice and n-sized row marks (4·n bytes each,
+  // allocated by each thread on its first sub-round).
+  std::vector<std::vector<std::pair<vid, esz>>> tl_slice(workers);
+  std::vector<std::vector<std::uint32_t>> tl_mark(workers);
+  count_t lookups = 0, sub_rounds = 0;
   std::vector<esz> curr;
   count_t level = 0;
 
@@ -92,6 +100,15 @@ std::vector<count_t> peel(const triangle::CensusWorkspace& ws,
         break;
       }
     }
+  };
+
+  // The owner of an edge is its endpoint with the longer row, ties to the
+  // larger id: a function of the graph alone, so the scanned rows (and the
+  // lookup count) do not depend on the team size or the frontier's order.
+  const auto owner_of = [&](vid u, vid v) {
+    const esz du = s.row_ptr()[u + 1] - s.row_ptr()[u];
+    const esz dv = s.row_ptr()[v + 1] - s.row_ptr()[v];
+    return du > dv || (du == dv && u > v) ? u : v;
   };
 
   esz remaining = m;
@@ -139,48 +156,73 @@ std::vector<count_t> peel(const triangle::CensusWorkspace& ws,
     for (const esz e : curr) state[e] = kInFrontier;
 
     // Sub-rounds: peel the frontier, collect the edges its removal drags to
-    // the level, repeat until the level is exhausted.
+    // the level, repeat until the level is exhausted. The frontier is cut
+    // into ~8 slices per thread; each slice is grouped by owner endpoint,
+    // the owner's row is marked once per group (mark[w] = position + 1),
+    // and every frontier edge of the group scans only its other, shorter
+    // row with O(1) lookups — Σ_e min(d_u, d_v) instead of a full merge.
     while (!curr.empty()) {
-#pragma omp parallel
+      ++sub_rounds;
+      const std::size_t size = curr.size();
+      const std::size_t slices = std::min<std::size_t>(size, 8 * workers);
+#pragma omp parallel reduction(+ : lookups)
       {
 #ifdef _OPENMP
-        auto& found = tl_found[static_cast<std::size_t>(omp_get_thread_num())];
+        const auto tid = static_cast<std::size_t>(omp_get_thread_num());
 #else
-        auto& found = tl_found.front();
+        const std::size_t tid = 0;
 #endif
-#pragma omp for schedule(dynamic, 64) nowait
-        for (std::int64_t i = 0; i < static_cast<std::int64_t>(curr.size());
-             ++i) {
-          const esz e = curr[static_cast<std::size_t>(i)];
-          const auto [u, v] = eids.ends[e];
-          const auto ru = s.row_cols(u), rv = s.row_cols(v);
-          std::size_t p = 0, q = 0;
-          while (p < ru.size() && q < rv.size()) {
-            if (ru[p] < rv[q]) {
-              ++p;
-            } else if (ru[p] > rv[q]) {
-              ++q;
-            } else {
-              const esz euw = eids.slot_id[s.row_ptr()[u] + p];
-              const esz evw = eids.slot_id[s.row_ptr()[v] + q];
-              const std::uint8_t su = state[euw], sv = state[evw];
-              if (su != kPeeled && sv != kPeeled) {
+        auto& found = tl_found[tid];
+        auto& slice = tl_slice[tid];
+        auto& mark = tl_mark[tid];
+        if (mark.empty()) mark.assign(n, 0);
+#pragma omp for schedule(dynamic, 1) nowait
+        for (std::int64_t si = 0; si < static_cast<std::int64_t>(slices);
+             ++si) {
+          const auto i = static_cast<std::size_t>(si);
+          slice.clear();
+          for (std::size_t k = size * i / slices;
+               k < size * (i + 1) / slices; ++k) {
+            const auto [u, v] = eids.ends[curr[k]];
+            slice.emplace_back(owner_of(u, v), curr[k]);
+          }
+          std::sort(slice.begin(), slice.end());
+          for (std::size_t a = 0; a < slice.size();) {
+            const vid o = slice[a].first;
+            const esz obase = s.row_ptr()[o];
+            const auto ro = s.row_cols(o);
+            for (std::size_t p = 0; p < ro.size(); ++p) {
+              mark[ro[p]] = static_cast<std::uint32_t>(p + 1);
+            }
+            for (; a < slice.size() && slice[a].first == o; ++a) {
+              const esz e = slice[a].second;
+              const auto [u, v] = eids.ends[e];
+              const vid x = u == o ? v : u;
+              const esz xbase = s.row_ptr()[x];
+              const auto rx = s.row_cols(x);
+              lookups += rx.size();
+              for (std::size_t q = 0; q < rx.size(); ++q) {
+                const std::uint32_t p = mark[rx[q]];
+                if (p == 0) continue;
+                const esz eow = eids.slot_id[obase + p - 1];
+                const esz exw = eids.slot_id[xbase + q];
+                const std::uint8_t so = state[eow], sx = state[exw];
+                if (so == kPeeled || sx == kPeeled) continue;
                 // Frontier-frontier triangles are destroyed once: the
                 // smaller edge id performs the shared decrement.
-                if (su == kInFrontier && sv == kInFrontier) {
+                if (so == kInFrontier && sx == kInFrontier) {
                   // all three peel together — nothing survives to update
-                } else if (su == kInFrontier) {
-                  if (e < euw) try_decrement(evw, found);
-                } else if (sv == kInFrontier) {
-                  if (e < evw) try_decrement(euw, found);
+                } else if (so == kInFrontier) {
+                  if (e < eow) try_decrement(exw, found);
+                } else if (sx == kInFrontier) {
+                  if (e < exw) try_decrement(eow, found);
                 } else {
-                  try_decrement(euw, found);
-                  try_decrement(evw, found);
+                  try_decrement(eow, found);
+                  try_decrement(exw, found);
                 }
               }
-              ++p;
-              ++q;
             }
+            for (const vid w : ro) mark[w] = 0;
           }
         }
       }
@@ -204,6 +246,8 @@ std::vector<count_t> peel(const triangle::CensusWorkspace& ws,
     }
   }
 
+  obs::counter("truss.peel_lookups").add(lookups);
+  obs::counter("truss.peel_sub_rounds").add(sub_rounds);
   return truss_of;
 }
 

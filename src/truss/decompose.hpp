@@ -10,10 +10,16 @@
 // Madduri): all edges at the current support level form a frontier whose
 // triangles are enumerated in parallel, supports of surviving edges drop via
 // bounded CAS (never below the level), and edges crossing the level join the
-// next sub-round's frontier. The κ-truss decomposition is unique, so the
-// result is bit-identical to the serial Batagelj–Zaveršnik bucket peel
-// (decompose_serial) at every thread count. Both run in roughly
-// O(Σ_e Δ(e)) after the initial support computation.
+// next sub-round's frontier. Each frontier edge finds its triangles by
+// scanning only its shorter row against marks of its owner's row (the
+// higher-degree endpoint, ties to the larger id; one mark pass per run of
+// frontier edges sharing an owner), so the peel costs O(Σ_e min(d_u, d_v))
+// lookups plus the mark passes, after the initial support computation,
+// and 4·n bytes of marks per team thread, allocated once per peel. The
+// serial peel merges both rows of every edge: O(Σ_e (d_u + d_v)). The
+// κ-truss decomposition is unique, so the result is bit-identical to the
+// serial Batagelj–Zaveršnik bucket peel (decompose_serial) at every
+// thread count.
 //
 // peel() is the peel itself, over a census workspace the caller already
 // holds and its per-edge supports: a run plan's truss analysis peels from
@@ -45,7 +51,8 @@ struct TrussDecomposition {
 };
 
 /// Truss number of every undirected edge of ws, indexed by ws.edge_ids(),
-/// by the parallel level-synchronous peel. `support` is Δ(e) per edge id
+/// by the parallel level-synchronous peel. Adds its work to the
+/// `truss.peel_lookups` and `truss.peel_sub_rounds` counters. `support` is Δ(e) per edge id
 /// (ws.edge_census()); the peel consumes it as its working supports. ws
 /// must carry edge ids (CensusWorkspace::Detail::kEdges).
 std::vector<count_t> peel(const triangle::CensusWorkspace& ws,

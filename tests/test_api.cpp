@@ -631,6 +631,49 @@ TEST(PlanCensus, CombinedPlansMatchOneAnalysisPlansAndShareTheCensus) {
 #endif
 }
 
+TEST(PlanCensus, VertexOnlyPlansPayOnePassWithoutEdgeIds) {
+  const std::string graph = "hk:n=20000,m=4,p=0.6,seed=3";
+  const std::vector<std::vector<std::string>> plans = {
+      {"census"}, {"clustering"}, {"truss", "clustering"},
+      {"clustering", "truss"}};
+  for (const auto& analyses : plans) {
+    std::string text = graph;
+    for (const auto& a : analyses) text += " " + a;
+    const api::RunReport report = api::run(api::RunPlan::parse(text));
+    EXPECT_TRUE(report.pass) << text;
+    EXPECT_EQ(census_passes(report), 1u) << text;
+  }
+}
+
+TEST(PlanCensus, VertexOnlyCountsEqualTheEdgeDerivedOnes) {
+  for (const std::string graph :
+       {"hk:n=20000,m=4,p=0.6,seed=3",
+        "kron:(hk:n=200,m=3,p=0.7,seed=5)x(clique:n=12)"}) {
+    SCOPED_TRACE(graph);
+    const GraphSpec spec = GraphSpec::parse(graph);
+    const auto& reg = GeneratorRegistry::builtin();
+    const api::PlanContext edges(spec, {}, reg.build_factors(spec));
+    api::PlanContext vertices(spec, {}, reg.build_factors(spec));
+    vertices.set_needs_edge_triangles(false);
+    EXPECT_EQ(vertices.vertex_triangles(), edges.vertex_triangles());
+    EXPECT_EQ(vertices.total_triangles(), edges.total_triangles());
+    EXPECT_EQ(vertices.census().num_edges(), 0u);  // no edge-id map
+    EXPECT_THROW((void)vertices.edge_triangles(), std::logic_error);
+
+    // In a plan: t_v and clustering read alone (vertex-only census) equal
+    // the ones a truss analysis makes the plan derive from Δ(e).
+    const std::string vertex_only = " census:vertices=0;17;1999 clustering";
+    const auto alone =
+        comparable_analyses(api::run(api::RunPlan::parse(graph + vertex_only)));
+    const auto with_truss = comparable_analyses(
+        api::run(api::RunPlan::parse(graph + " truss" + vertex_only)));
+    ASSERT_EQ(alone.size(), 2u);
+    ASSERT_EQ(with_truss.size(), 3u);
+    EXPECT_EQ(alone[0], with_truss[1]);
+    EXPECT_EQ(alone[1], with_truss[2]);
+  }
+}
+
 TEST(PlanCensus, TrussRowsMatchTheDecomposition) {
   const Graph g =
       GeneratorRegistry::builtin().build("hk:n=80,m=4,p=0.7,seed=9");

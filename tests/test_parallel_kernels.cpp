@@ -3,7 +3,9 @@
 // components, the counting-sort COO→CSR build, and the blocked parallel
 // SpGEMM. Every kernel must be bit-identical to its serial reference
 // (decompose_serial / connected_components_serial / from_coo_serial / a
-// dense brute-force product) at OMP_NUM_THREADS 1, 2 and 8.
+// dense brute-force product) at OMP_NUM_THREADS 1, 2 and 8. The peel's work
+// counters (truss.peel_lookups, truss.peel_sub_rounds) must not depend on
+// the team size either.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
@@ -16,6 +18,7 @@
 #include "gen/random.hpp"
 #include "helpers.hpp"
 #include "kron/product.hpp"
+#include "obs/counters.hpp"
 #include "truss/decompose.hpp"
 #include "util/prng.hpp"
 
@@ -200,6 +203,83 @@ TEST(ParallelSpgemm, EmptyAndRectangular) {
   EXPECT_EQ(c.at(0, 1), 7u);
   EXPECT_EQ(c.at(2, 1), 21u);
   EXPECT_EQ(c.nnz(), 3u);
+}
+
+/// A hub adjacent to every vertex, a clique through the hub, and a sparse
+/// random graph among the remaining leaves: thousands of frontier edges
+/// share the hub as owner, so one owner's run spans several slices.
+Graph star_fused_with_clique(vid leaves, vid clique, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const vid n = 1 + clique + leaves;
+  std::vector<std::pair<vid, vid>> edges;
+  for (vid v = 1; v < n; ++v) edges.emplace_back(0, v);
+  for (vid u = 1; u <= clique; ++u) {
+    for (vid v = u + 1; v <= clique; ++v) edges.emplace_back(u, v);
+  }
+  for (vid u = clique + 1; u < n; ++u) {
+    for (int k = 0; k < 3; ++k) {
+      const vid v = clique + 1 + static_cast<vid>(rng() % leaves);
+      if (v != u) edges.emplace_back(u, v);
+    }
+  }
+  return Graph::from_edges(n, edges, /*symmetrize=*/true);
+}
+
+struct PeelRun {
+  truss::TrussDecomposition decomposition;
+  std::uint64_t lookups = 0;
+  std::uint64_t sub_rounds = 0;
+};
+
+PeelRun peel_with_counters(const Graph& g) {
+  obs::Counter& lookups = obs::counter("truss.peel_lookups");
+  obs::Counter& sub_rounds = obs::counter("truss.peel_sub_rounds");
+  const std::uint64_t l0 = lookups.value(), s0 = sub_rounds.value();
+  PeelRun run{truss::decompose(g)};
+  run.lookups = lookups.value() - l0;
+  run.sub_rounds = sub_rounds.value() - s0;
+  return run;
+}
+
+TEST(ParallelTruss, OwnerMarkedPeelMatchesSerialWithTeamFreeCounters) {
+  const struct {
+    const char* name;
+    Graph g;
+  } cases[] = {
+      {"star fused with clique", star_fused_with_clique(3000, 24, 41)},
+      {"clique", gen::clique(40)},
+      {"triangle-free", gen::complete_bipartite(60, 70)},
+      {"skewed hk m=8", gen::holme_kim(3000, 8, 0.6, 43)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto ref = truss::decompose_serial(c.g);
+    const auto runs = with_thread_counts([&] { return peel_with_counters(c.g); });
+    for (const auto& run : runs) {
+      EXPECT_TRUE(run.decomposition.truss_number == ref.truss_number);
+      EXPECT_EQ(run.decomposition.max_truss, ref.max_truss);
+      EXPECT_EQ(run.lookups, runs.front().lookups);
+      EXPECT_EQ(run.sub_rounds, runs.front().sub_rounds);
+    }
+    EXPECT_GT(runs.front().sub_rounds, 0u);
+  }
+}
+
+TEST(ParallelTruss, LookupsAreTheShorterRowOfEveryEdge) {
+  // Every edge is peeled exactly once and scans the row of its non-owner
+  // endpoint: the lower degree, or on a tie the smaller id.
+  const Graph g = star_fused_with_clique(500, 12, 7);
+  std::uint64_t expected = 0;
+  for (vid u = 0; u < g.num_vertices(); ++u) {
+    for (const vid v : g.matrix().row_cols(u)) {
+      if (v > u) {
+        expected += std::min(g.matrix().row_cols(u).size(),
+                             g.matrix().row_cols(v).size());
+      }
+    }
+  }
+  const auto runs = with_thread_counts([&] { return peel_with_counters(g); });
+  for (const auto& run : runs) EXPECT_EQ(run.lookups, expected);
 }
 
 }  // namespace
