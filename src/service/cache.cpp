@@ -46,7 +46,7 @@ void ResultCache::put(const std::string& key, std::string report_json) {
   } else {
     lru_.push_front(Entry{key, std::move(report_json)});
     bytes_ += charge(lru_.front());
-    index_.emplace(key, lru_.begin());
+    index_.emplace(lru_.front().key, lru_.begin());
   }
   while (bytes_ > capacity_ && !lru_.empty()) {
     const Entry& victim = lru_.back();

@@ -27,6 +27,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "api/plan.hpp"
@@ -56,6 +57,10 @@ class ResultCache {
   /// larger than the whole capacity is not stored.
   void put(const std::string& key, std::string report_json);
 
+  /// Bookkeeping charge per entry on top of its key and value bytes: the
+  /// list node and the index slot.
+  static constexpr std::size_t kEntryOverhead = 128;
+
   struct Stats {
     std::size_t entries = 0;
     std::size_t bytes = 0;
@@ -70,16 +75,15 @@ class ResultCache {
     std::string key;
     std::string value;
   };
-  /// Bookkeeping charge per entry: the two strings plus map/list overhead.
-  static constexpr std::size_t kEntryOverhead = 128;
   [[nodiscard]] static std::size_t charge(const Entry& e) {
     return e.key.size() + e.value.size() + kEntryOverhead;
   }
 
   const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::list<Entry> lru_;  ///< front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::list<Entry> lru_;  ///< front = most recent; owns each key once
+  /// Keyed by views into the list nodes' keys (list nodes never move).
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
   std::size_t bytes_ = 0;
   std::uint64_t evictions_ = 0;
 };

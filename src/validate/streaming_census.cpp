@@ -27,6 +27,61 @@ std::vector<const Graph*> chain_factor_ptrs(const kron::KronChain& chain) {
   return fs;
 }
 
+/// One center's wedge loop, enumerated by factor blocks. u's neighbors
+/// come out of the odometer in lexicographic coordinate order, so the ones
+/// sharing coordinates 0..f−1 form a contiguous level-f block, which
+/// coordinate f cuts into contiguous level-(f+1) blocks (dropping u itself
+/// leaves every block contiguous). A pair of blocks closes only if factor
+/// f has the edge between their coordinates, so one test decides all
+/// |I|·|J| product pairs across them: a failed test skips them, a passed
+/// one pairs their sub-blocks at factor f+1. At the last factor every
+/// block is one neighbor and every test is one product pair.
+struct BlockWedges {
+  const Graph* const* factors;
+  std::size_t k;
+  std::size_t deg;
+  const vid* coords;         ///< coords[i*k + f]: factor-f coordinate of i
+  const std::size_t* ends;   ///< ends[f*deg + i]: end of i's level-(f+1) block
+  std::size_t split;         ///< first neighbor with id > u
+  count_t* eb;               ///< u's owned-edge counters
+  count_t t = 0;             ///< closed wedges at u
+  count_t checks = 0;        ///< factor-membership tests
+
+  /// Closes every wedge {i, j}, i < j, with i ∈ [i0, i1) and j ∈ [j0, j1),
+  /// two level-f blocks (the same block when `same`).
+  void close(std::size_t f, std::size_t i0, std::size_t i1, std::size_t j0,
+             std::size_t j1, bool same) {
+    const Graph& g = *factors[f];
+    if (f + 1 == k) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        const vid x = coords[i * k + f];
+        for (std::size_t j = same ? i + 1 : j0; j < j1; ++j) {
+          ++checks;
+          if (!g.has_edge(x, coords[j * k + f])) continue;
+          ++t;
+          if (i >= split) ++eb[i - split];
+          if (j >= split) ++eb[j - split];
+        }
+      }
+      return;
+    }
+    const std::size_t* const end = ends + f * deg;
+    for (std::size_t i = i0; i < i1; i = end[i]) {
+      const vid x = coords[i * k + f];
+      // A block pairs with itself (a self-loop test) only if it holds a
+      // pair.
+      std::size_t j = same ? i : j0;
+      if (same && end[i] == i + 1) ++j;
+      for (; j < j1; j = end[j]) {
+        ++checks;
+        if (g.has_edge(x, coords[j * k + f])) {
+          close(f + 1, i, end[i], j, end[j], same && i == j);
+        }
+      }
+    }
+  }
+};
+
 }  // namespace
 
 StreamingCensus::StreamingCensus(std::vector<const Graph*> factors,
@@ -213,6 +268,7 @@ void StreamingCensus::process_shard(ShardRange range,
 #pragma omp parallel reduction(+ : checks)
   {
     std::vector<vid> ids, coords;
+    std::vector<std::size_t> ends;
 #pragma omp for schedule(dynamic, 16) nowait
     for (std::int64_t uu = 0; uu < len; ++uu) {
       const vid u = lo + static_cast<vid>(uu);
@@ -224,30 +280,29 @@ void StreamingCensus::process_shard(ShardRange range,
           std::upper_bound(ids.begin(), ids.end(), u) - ids.begin());
       assert(deg - split == offsets[static_cast<std::size_t>(uu) + 1] -
                                 offsets[static_cast<std::size_t>(uu)]);
+      if (deg < 2) continue;  // vertex[uu] stays 0
+      // Block ends for factors 0..k−2: neighbor i stays in i+1's
+      // level-(f+1) block when both share coordinates 0..f.
+      ends.resize((k - 1) * deg);
+      for (std::size_t f = 0; f + 1 < k; ++f) {
+        std::size_t* const e = ends.data() + f * deg;
+        e[deg - 1] = deg;
+        for (std::size_t i = deg - 1; i-- > 0;) {
+          const bool joined =
+              coords[i * k + f] == coords[(i + 1) * k + f] &&
+              (f == 0 || ends[(f - 1) * deg + i] > i + 1);
+          e[i] = joined ? e[i + 1] : i + 1;
+        }
+      }
       // Every counter below is owned by this u alone: vertex[uu] and the
       // owned-edge slice [offsets[uu], offsets[uu+1]) — single-writer, so
       // no atomics, no thread-local copies, no reduction.
-      count_t t = 0;
-      count_t* const eb = edge.data() + offsets[static_cast<std::size_t>(uu)];
-      for (std::size_t i = 0; i + 1 < deg; ++i) {
-        const vid* const ci = coords.data() + i * k;
-        for (std::size_t j = i + 1; j < deg; ++j) {
-          const vid* const cj = coords.data() + j * k;
-          ++checks;
-          bool closed = true;
-          for (std::size_t f = 0; f < k; ++f) {
-            if (!factors_[f]->has_edge(ci[f], cj[f])) {
-              closed = false;
-              break;
-            }
-          }
-          if (!closed) continue;
-          ++t;
-          if (i >= split) ++eb[i - split];
-          if (j >= split) ++eb[j - split];
-        }
-      }
-      vertex[static_cast<std::size_t>(uu)] = t;
+      BlockWedges w{factors_.data(), k, deg, coords.data(), ends.data(),
+                    split,
+                    edge.data() + offsets[static_cast<std::size_t>(uu)]};
+      w.close(0, 0, deg, 0, deg, true);
+      vertex[static_cast<std::size_t>(uu)] = w.t;
+      checks += w.checks;
     }
   }
   wedge_checks = checks;

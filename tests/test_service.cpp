@@ -4,6 +4,7 @@
 // drain, byte-identical cache replay, and concurrent-client survival.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -471,6 +472,48 @@ TEST(Service, CacheEvictionStaysWithinByteBudget) {
   // The evicted first plan misses again.
   const Value again = c.submit_text("hk:n=50,seed=11 census");
   EXPECT_EQ(again.get_string("cache", ""), "miss");
+}
+
+TEST(ResultCache, BytesAreKeyPlusValuePlusOverheadOfLiveEntries) {
+  // Each entry is charged its key once, its value and a fixed overhead;
+  // a model LRU replays puts, refreshes and evictions alongside.
+  constexpr std::size_t kOverhead = service::ResultCache::kEntryOverhead;
+  service::ResultCache cache(3 * (kOverhead + 40));
+  std::vector<std::pair<std::string, std::string>> model;  // front = newest
+  std::vector<std::string> seen;
+  const auto put = [&](const std::string& key, const std::string& value) {
+    cache.put(key, value);
+    seen.push_back(key);
+    std::erase_if(model, [&](const auto& e) { return e.first == key; });
+    model.insert(model.begin(), {key, value});
+    std::size_t bytes = 0;
+    for (const auto& [k, v] : model) bytes += k.size() + v.size() + kOverhead;
+    while (bytes > cache.stats().capacity_bytes) {
+      bytes -= model.back().first.size() + model.back().second.size() +
+               kOverhead;
+      model.pop_back();
+    }
+    const auto st = cache.stats();
+    EXPECT_EQ(st.bytes, bytes) << "after put(" << key << ")";
+    EXPECT_EQ(st.entries, model.size());
+    for (const std::string& k : seen) {
+      if (std::none_of(model.begin(), model.end(),
+                       [&](const auto& e) { return e.first == k; })) {
+        EXPECT_FALSE(cache.get(k).has_value()) << k << " was evicted";
+      }
+    }
+    for (const auto& [k, v] : model) EXPECT_EQ(cache.get(k), v);
+    // get() refreshed every live entry in model order: newest last now.
+    std::reverse(model.begin(), model.end());
+  };
+  put("alpha", std::string(20, 'a'));
+  put("beta", std::string(25, 'b'));
+  put("alpha", std::string(10, 'A'));  // refresh shrinks the value
+  put("gamma", std::string(30, 'c'));
+  put("delta", std::string(35, 'd'));  // evicts the least recent
+  put("beta", std::string(5, 'B'));
+  put("epsilon", std::string(60, 'e'));
+  EXPECT_GE(cache.stats().evictions, 2u);
 }
 
 TEST(Service, SurvivesClientDisconnectMidResponseWrite) {

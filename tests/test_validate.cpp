@@ -10,6 +10,7 @@
 #endif
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "gen/classic.hpp"
@@ -119,31 +120,135 @@ TEST_P(StreamingParity, BitIdenticalToWorkspaceAcrossThreadsAndShards) {
   }
 }
 
-TEST_P(StreamingParity, ThreeFactorChainMatchesWorkspaceAndClosedForm) {
-  const Graph f1 = kt_test::random_undirected(5, 0.5, GetParam(), 0.3);
-  const Graph f2 = kt_test::random_undirected(4, 0.5, GetParam() + 1);
-  const Graph f3 = kt_test::random_undirected(3, 0.6, GetParam() + 2, 0.5);
-  const kron::KronChain chain({f1, f2, f3});
-  const Graph c = chain.materialize();
-  const FullCensus ref = materialized_reference(c);
-  StreamingOptions opt;
-  opt.force_shards = 4;
-  const FullCensus run = collect(StreamingCensus(chain, opt));
-  EXPECT_EQ(run.vertex, ref.vertex);
-  EXPECT_EQ(run.edge, ref.edge);
-  // Oracle-vs-measured parity on the 3-factor composition (closed forms).
-  EXPECT_EQ(run.stats.total_triangles, chain.total_triangles());
-  for (vid p = 0; p < chain.num_vertices(); ++p) {
-    EXPECT_EQ(run.vertex[p], chain.vertex_triangles(p)) << "vertex " << p;
+/// Streams `chain` at OMP 1/2/8 × shards 1/4/16 and checks every run
+/// against the materialized product, and against the chain's closed forms
+/// when they apply (some factor loop-free). The factor-membership test
+/// count depends on neither teams nor shards.
+void expect_chain_parity(const kron::KronChain& chain) {
+  const FullCensus ref = materialized_reference(chain.materialize());
+  bool closed_forms = false;
+  for (std::size_t i = 0; i < chain.num_factors(); ++i) {
+    closed_forms |= chain.factor(i).num_self_loops() == 0;
   }
-  for (const auto& [uv, d] : run.edge) {
+  std::optional<count_t> checks;
+  for (const std::uint64_t shards : {1u, 4u, 16u}) {
+    StreamingOptions opt;
+    opt.force_shards = shards;
+    const auto runs = with_thread_counts(
+        [&] { return collect(StreamingCensus(chain, opt)); });
+    for (const auto& run : runs) {
+      EXPECT_EQ(run.vertex, ref.vertex) << "shards=" << shards;
+      EXPECT_EQ(run.edge, ref.edge) << "shards=" << shards;
+      EXPECT_EQ(run.stats.total_triangles, runs.front().stats.total_triangles);
+      if (!checks) checks = run.stats.wedge_checks;
+      EXPECT_EQ(run.stats.wedge_checks, *checks) << "shards=" << shards;
+    }
+  }
+  if (!closed_forms) return;
+  count_t vsum = 0;
+  for (vid p = 0; p < chain.num_vertices(); ++p) {
+    EXPECT_EQ(ref.vertex[p], chain.vertex_triangles(p)) << "vertex " << p;
+    vsum += ref.vertex[p];
+  }
+  EXPECT_EQ(vsum, 3 * chain.total_triangles());
+  for (const auto& [uv, d] : ref.edge) {
     EXPECT_EQ(d, chain.edge_triangles(uv.first, uv.second))
         << "edge (" << uv.first << "," << uv.second << ")";
   }
 }
 
+TEST_P(StreamingParity, ThreeFactorChainMatchesWorkspaceAndClosedForm) {
+  expect_chain_parity(kron::KronChain(
+      {kt_test::random_undirected(5, 0.5, GetParam(), 0.3),
+       kt_test::random_undirected(4, 0.5, GetParam() + 1),
+       kt_test::random_undirected(3, 0.6, GetParam() + 2, 0.5)}));
+}
+
+TEST_P(StreamingParity, FourFactorChainMatchesWorkspaceAndClosedForm) {
+  expect_chain_parity(kron::KronChain(
+      {kt_test::random_undirected(4, 0.6, GetParam() + 3, 0.4),
+       kt_test::random_undirected(3, 0.7, GetParam() + 4, 0.5),
+       kt_test::random_undirected(3, 0.7, GetParam() + 5),
+       kt_test::random_undirected(3, 0.7, GetParam() + 6, 0.5)}));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingParity,
                          ::testing::Range<std::uint64_t>(0, 6));
+
+// Factor sets that reach each branch of the block recursion.
+TEST(StreamingBlocks, LoopsOnlyOnAnInnerFactor) {
+  // Outer factors loop-free: no same-block test at level 0 passes, so the
+  // inner loops only matter inside closed outer pairs.
+  expect_chain_parity(kron::KronChain(
+      {gen::clique(4), gen::clique(3).with_all_self_loops(), gen::cycle(4)}));
+  expect_chain_parity(kron::KronChain(
+      {kt_test::random_undirected(6, 0.6, 41),
+       kt_test::random_undirected(5, 0.6, 42, 0.6)}));
+}
+
+TEST(StreamingBlocks, LoopedK1Factor) {
+  // A looped K1 is one coordinate every vertex shares. Outermost, every
+  // neighbor is in one level-0 block that pairs with itself. Innermost,
+  // each level-0 block is a single neighbor, and the block at u's own
+  // coordinate is u itself, dropped: an empty block.
+  const Graph k1 = gen::clique(1).with_all_self_loops();
+  const Graph x = kt_test::random_undirected(7, 0.5, 43, 0.5);
+  expect_chain_parity(kron::KronChain({k1, x}));
+  expect_chain_parity(kron::KronChain({x, k1}));
+  expect_chain_parity(kron::KronChain({x, k1, gen::clique(3)}));
+  expect_chain_parity(kron::KronChain({k1, k1, x}));
+}
+
+TEST(StreamingBlocks, FactorsWithIsolatedVertices) {
+  // Empty rows give neighbor-free product vertices and empty blocks.
+  const Graph sparse =
+      Graph::from_edges(6, {{{0, 1}, {1, 2}, {0, 2}, {2, 2}, {3, 3}}}, true);
+  expect_chain_parity(kron::KronChain({sparse, gen::clique(3)}));
+  expect_chain_parity(
+      kron::KronChain({gen::clique(3).with_all_self_loops(), sparse}));
+  expect_chain_parity(kron::KronChain(
+      {sparse, kt_test::random_undirected(4, 0.6, 44, 0.5), sparse}));
+}
+
+/// Σ_u of the block recursion's factor tests on a clique-like 2-factor
+/// product: every vertex sees `ra` A-blocks of `rb` neighbors each, every
+/// pair of distinct A-coordinates is an A-edge, and B is a clique (plus
+/// loops) on each block's coordinates. Level 0 tests each block against
+/// itself (when it holds a pair) and the C(ra, 2) block pairs; each passed
+/// pair costs rb² B-tests, and each self-looped A-block (`a_loops`)
+/// C(rb, 2) more.
+count_t block_checks(vid n, count_t ra, bool a_loops, count_t rb) {
+  const count_t pairs_a = ra * (ra - 1) / 2;
+  const count_t per_u = (rb >= 2 ? ra : 0) + pairs_a + pairs_a * rb * rb +
+                        (a_loops ? ra * (rb * (rb - 1) / 2) : 0);
+  return per_u * n;
+}
+
+TEST(StreamingBlocks, WedgeChecksFollowTheBlockClosedForm) {
+  // Pinned so that a kernel that keeps counts right but stops pruning
+  // fails: the unpruned loop tested each of the C(d, 2) pairs per vertex.
+  for (const auto& [a, b] : {std::pair<vid, vid>{5, 4}, {6, 3}, {4, 7}}) {
+    const count_t n = static_cast<count_t>(a) * b;
+    // K_a ⊗ K_b: A-row a−1, B-row b−1.
+    const auto plain =
+        StreamingCensus(gen::clique(a), gen::clique(b)).run();
+    EXPECT_EQ(plain.wedge_checks, block_checks(n, a - 1, false, b - 1))
+        << "K" << a << " x K" << b;
+    // K_a ⊗ looped K_b: the B-row holds b entries (its own coordinate
+    // too), and u is never its own neighbor since K_a has no loop.
+    const auto looped_b = StreamingCensus(
+        gen::clique(a), gen::clique(b).with_all_self_loops()).run();
+    EXPECT_EQ(looped_b.wedge_checks, block_checks(n, a - 1, false, b))
+        << "K" << a << " x J" << b;
+    // Looped K_a ⊗ K_b: every A-block passes its self-loop test and pairs
+    // its own B-coordinates.
+    const auto looped_a = StreamingCensus(
+        gen::clique(a).with_all_self_loops(), gen::clique(b)).run();
+    EXPECT_EQ(looped_a.wedge_checks, block_checks(n, a, true, b - 1))
+        << "J" << a << " x K" << b;
+  }
+}
+
 
 TEST(StreamingCensus, BudgetDrivesShardCountAndBoundsAccumulators) {
   const Graph a = gen::holme_kim(60, 3, 0.6, 11);
