@@ -32,8 +32,8 @@ struct Components {
 Components connected_components(const Graph& g);
 
 /// The reference single-threaded DFS labeling (discovery order of the
-/// smallest vertex per component). Work-equal baseline for the parallel
-/// implementation (benches) and its determinism oracle (tests).
+/// smallest vertex per component). The determinism oracle of the parallel
+/// implementation (tests).
 Components connected_components_serial(const Graph& g);
 
 /// True when every vertex is reachable from vertex 0 (empty graphs are

@@ -61,8 +61,8 @@ class CsrMatrix {
   }
 
   /// The reference single-threaded build: stable sort by (row, col), then a
-  /// linear merge pass. Kept callable on its own as the work-equal baseline
-  /// for the parallel build (benches) and its determinism oracle (tests).
+  /// linear merge pass. Kept callable on its own as the determinism oracle
+  /// of the parallel build (tests).
   static CsrMatrix from_coo_serial(const Coo<T>& coo,
                                    DupPolicy policy = DupPolicy::kSum) {
     CsrMatrix m(coo.rows(), coo.cols());

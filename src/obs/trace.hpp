@@ -6,7 +6,7 @@
 //      one relaxed atomic bool load; when false, nothing allocates — Span
 //      keeps only string_views, arg() is a no-op, names are never
 //      composed. Untraced runs (the default) must stay measurably
-//      unchanged; the bench gates traced overhead ≤5%.
+//      unchanged; CI gates traced overhead at ≤5%.
 //   2. Lock-free recording. Each thread appends to its own buffer; the
 //      recorder hands a thread its buffer once (one mutex acquisition per
 //      thread lifetime) via a thread_local pointer and owns the storage,

@@ -41,6 +41,13 @@ using util::json::Value;
 using proc::monotonic_s;
 using proc::tmp_dir;
 
+/// Validate units per worker slot: U = width * kUnitsPerWorker shard-subset
+/// units per validate analysis, so the schedule has slack for stragglers
+/// without a unit being too small to measure.
+constexpr unsigned kUnitsPerWorker = 2;
+/// Coordinator and local agent poll period (seconds).
+constexpr double kPollIntervalS = 0.002;
+
 /// One work unit of the decomposed plan: a child plan a worker executes to
 /// a RunReport fragment.
 struct Unit {
@@ -543,8 +550,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
   // actual advertised count only shapes scheduling, never the merge.
   const unsigned assumed_width =
       opt.workers + 2 * static_cast<unsigned>(opt.agents.size());
-  unsigned units_per_validate =
-      std::max(1u, assumed_width) * std::max(1u, opt.units_per_worker);
+  unsigned units_per_validate = std::max(1u, assumed_width) * kUnitsPerWorker;
   JournalState js;
   if (opt.resume) {
     js = load_journal(opt.journal_dir, identity);
@@ -672,7 +678,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     net::AgentOptions ao;
     ao.slots = opt.workers;
     ao.worker_exe = exe;
-    ao.poll_interval_s = opt.poll_interval_s;
+    ao.poll_interval_s = kPollIntervalS;
     AgentConn a;
     a.name = "local";
     a.local = std::make_unique<net::Agent>(ao);
@@ -1179,7 +1185,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     // attempt has outlived the straggler threshold — re-issue its unit
     // once; whichever attempt finishes first wins.
     if (const int ai = next_free();
-        opt.speculate && ai >= 0 && pending.empty() && !running.empty()) {
+        ai >= 0 && pending.empty() && !running.empty()) {
       std::vector<double> walls;
       for (const api::WorkerEvent& ev : events) {
         if (ev.outcome == "ok") walls.push_back(ev.wall_s);
@@ -1221,7 +1227,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     // off state (nothing running, every pending attempt waiting out its
     // delay), which must not busy-spin.
     if (!running.empty() || !pending.empty()) {
-      util::Backoff::sleep_s(opt.poll_interval_s);
+      util::Backoff::sleep_s(kPollIntervalS);
     }
   }
 

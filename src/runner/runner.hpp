@@ -64,15 +64,9 @@ struct Options {
   unsigned workers = 1;       ///< local worker slots (one in-process agent)
   double shard_timeout_s = 0; ///< per-attempt wall clock (0 = none)
   unsigned max_retries = 2;   ///< re-dispatches per unit beyond attempt 0
-  /// Validate units per worker slot: U = workers * units_per_worker
-  /// shard-subset units per validate analysis, so the schedule has slack
-  /// for stragglers without a unit being too small to measure.
-  unsigned units_per_worker = 2;
-  bool speculate = true;      ///< re-issue stragglers when otherwise drained
-  /// A running attempt becomes a straggler candidate only after
-  /// max(straggler_min_s, 2 x median completed attempt wall).
+  /// Once the queue drains, a running attempt is re-issued as a straggler
+  /// only after max(straggler_min_s, 2 x median completed attempt wall).
   double straggler_min_s = 1.0;
-  double poll_interval_s = 0.002;  ///< coordinator and local agent poll period
   /// Fault-injection spec forwarded to workers; empty falls back to the
   /// KRONOTRI_FAULT environment variable (the CI smoke's entry point).
   std::string fault_spec;
@@ -150,7 +144,7 @@ api::RunReport execute(const api::RunPlan& plan);
 /// A report JSON with every volatile field removed — timings, rss,
 /// metadata, worker_events, counters, and the runner-only plan options — so a
 /// multi-process report can be compared bit-identically against the
-/// serial run. Tests, bench_runner and the CI smoke all use this one
+/// serial run. Tests, the CI smokes and the benchmark all use this one
 /// definition of "identical".
 util::json::Value comparable(const util::json::Value& report_json);
 

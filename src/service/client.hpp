@@ -1,8 +1,8 @@
 // Blocking client for the kronotri analysis service.
 //
 // One unix-socket connection, one request/response at a time — the shape
-// the `kronotri submit` subcommand, the tests and the latency bench all
-// want (the bench gets concurrency by running many Clients on many
+// the `kronotri submit` subcommand, the tests and the benchmark all
+// want (the benchmark gets concurrency by running many Clients on many
 // threads). send()/read_response() are exposed separately so tests can
 // exercise the rude paths: disconnect between send and read, half-written
 // frames, a server draining mid-conversation.

@@ -1,5 +1,5 @@
 // The degree-ordered "forward" triangle enumeration kernel, shared by the
-// undirected analytics, the labeled census, and the ablation benchmarks.
+// undirected analytics and the labeled census.
 //
 // orient_by_degree() turns an undirected loop-free graph into a DAG in which
 // u → v when (deg(u), u) < (deg(v), v); forward_row() then emits every

@@ -5,7 +5,7 @@
 // Since the census-engine rework this runs on the atomic-free enumeration
 // engine (triangle/census.hpp) rather than a masked SpGEMM; the
 // linear-algebra formulation is still available as
-// ops::masked_product(S, S, S) and the ablation bench compares the two.
+// ops::masked_product(S, S, S).
 #pragma once
 
 #include "core/csr.hpp"

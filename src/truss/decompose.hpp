@@ -70,8 +70,7 @@ std::vector<count_t> truss_sizes(std::span<const count_t> truss_of);
 TrussDecomposition decompose(const Graph& a);
 
 /// The reference single-threaded bucket peel (Batagelj–Zaveršnik order).
-/// Work-equal baseline for decompose() (benches) and its determinism oracle
-/// (tests).
+/// The determinism oracle of decompose() (tests).
 TrussDecomposition decompose_serial(const Graph& a);
 
 /// The κ-truss T^{(κ)} as a subgraph of g (same vertex set, only edges with

@@ -1,14 +1,13 @@
 // Minimal JSON library: one Value type that both parses and writes.
 //
-// Every machine-readable artifact the repo emits — the BENCH_*.json
-// snapshots, `validate --json`, the RunReport of `kronotri run` — used to
-// hand-roll its JSON with ostream inserts, each file re-inventing escaping
-// and number formatting. This module centralizes that: build a Value tree
-// and dump() it, or parse() an incoming document (the `run --plan` job
-// descriptions). The surface is deliberately tiny — objects keep insertion
-// order, numbers distinguish unsigned/signed/double so 64-bit triangle
-// counts round-trip exactly, and there is no DOM mutation API beyond
-// set/push_back.
+// Every machine-readable artifact the repo emits — `validate --json`, the
+// RunReport of `kronotri run` — used to hand-roll its JSON with ostream
+// inserts, each file re-inventing escaping and number formatting. This
+// module centralizes that: build a Value tree and dump() it, or parse() an
+// incoming document (the `run --plan` job descriptions). The surface is
+// deliberately tiny — objects keep insertion order, numbers distinguish
+// unsigned/signed/double so 64-bit triangle counts round-trip exactly, and
+// there is no DOM mutation API beyond set/push_back.
 #pragma once
 
 #include <cstdint>

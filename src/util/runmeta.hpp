@@ -1,11 +1,11 @@
 // Hardware/run metadata stamped into every machine-readable artifact.
 //
-// The BENCH_*.json snapshots and RunReports travel between machines (CI
-// artifacts, the single-hardware-thread dev container, real multi-core
-// boxes), and a throughput number is meaningless without the execution
-// context it was measured in. run_metadata() packages the context once:
-// hardware concurrency, the OpenMP team ceiling, the streaming batch size,
-// and the source revision (git describe, captured at configure time).
+// RunReports travel between machines (CI artifacts, single-core
+// containers, real multi-core boxes), and a throughput number is
+// meaningless without the execution context it was measured in.
+// run_metadata() packages the context once: hardware concurrency, the
+// OpenMP team ceiling, the streaming batch size, and the source revision
+// (git describe, captured at configure time).
 #pragma once
 
 #include <cstddef>

@@ -87,8 +87,8 @@ struct ValidationReport {
   void print(std::ostream& os) const;
 
   /// Single JSON object with every scalar field plus the histograms — the
-  /// building block of BENCH_validate.json, `validate --json` and the
-  /// RunReport `validate` stage.
+  /// building block of `validate --json` and the RunReport `validate`
+  /// stage.
   [[nodiscard]] util::json::Value to_json() const;
   void write_json(std::ostream& os) const;
 

@@ -142,7 +142,6 @@ TEST(Runner, SpeculativeRedispatchBeatsStraggler) {
   // speculative duplicate (attempt 1, no fault match) wins.
   opt.fault_spec = "stall:shard=1:attempt=0:secs=20";
   opt.straggler_min_s = 0.2;
-  opt.speculate = true;
   const api::RunReport multi = runner::execute(plan, opt);
   EXPECT_TRUE(multi.pass);
   EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));

@@ -646,49 +646,54 @@ TEST(Service, ConnectFailureReportsAttemptBudget) {
 }
 
 TEST(Service, SurvivesManyConcurrentClients) {
-  service::ServerOptions opt = small_options("many");
-  opt.workers = 4;
-  opt.queue_depth = 64;
-  service::Server server(opt);
-  server.start();
+  // At 64 clients the whole queue depth can be in flight at once: every
+  // request must still succeed and no job may fail.
+  for (const int clients : {16, 64}) {
+    SCOPED_TRACE(std::to_string(clients) + " clients");
+    service::ServerOptions opt =
+        small_options("many" + std::to_string(clients));
+    opt.workers = 4;
+    opt.queue_depth = 64;
+    service::Server server(opt);
+    server.start();
 
-  constexpr int kClients = 16;
-  std::vector<std::thread> threads;
-  std::vector<int> ok_count(kClients, 0);
-  for (int i = 0; i < kClients; ++i) {
-    threads.emplace_back([&, i] {
-      service::Client c;
-      c.connect(opt.socket_path);
-      // Half the clients share a plan (exercising concurrent cache hits),
-      // half get unique seeds (concurrent executions).
-      const int seed = (i % 2 == 0) ? 1000 : 2000 + i;
-      const Value r = c.submit_text("hk:n=70,seed=" + std::to_string(seed) +
-                                    " census degree");
-      if (r.get_bool("ok", false) &&
-          r.find("report")->get_bool("pass", false)) {
-        ok_count[i] = 1;
-      }
-    });
+    std::vector<std::thread> threads;
+    std::vector<int> ok_count(clients, 0);
+    for (int i = 0; i < clients; ++i) {
+      threads.emplace_back([&, i] {
+        service::Client c;
+        c.connect(opt.socket_path);
+        // Half the clients share a plan (exercising concurrent cache
+        // hits), half get unique seeds (concurrent executions).
+        const int seed = (i % 2 == 0) ? 1000 : 2000 + i;
+        const Value r = c.submit_text(
+            "hk:n=70,seed=" + std::to_string(seed) + " census degree");
+        if (r.get_bool("ok", false) &&
+            r.find("report")->get_bool("pass", false)) {
+          ok_count[i] = 1;
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    int total = 0;
+    for (const int ok : ok_count) total += ok;
+    EXPECT_EQ(total, clients);
+    EXPECT_EQ(server.metrics().jobs_failed.load(), 0u);
+
+    // The shared plan is cached by now: one more submit must hit (during
+    // the race itself all the sharers may legitimately miss at once).
+    service::Client c;
+    c.connect(opt.socket_path);
+    EXPECT_EQ(c.submit_text("hk:n=70,seed=1000 census degree")
+                  .get_string("cache", ""),
+              "hit");
+    const Value& s = stats_of(c.stats());
+    const Value* exec = s.find("latency")->find("execute");
+    ASSERT_NE(exec, nullptr);
+    EXPECT_GT(exec->get_uint("count", 0), 0u);
+    EXPECT_GE(exec->find("p99_s")->as_double(),
+              exec->find("p50_s")->as_double());
   }
-  for (std::thread& t : threads) t.join();
-  int total = 0;
-  for (const int ok : ok_count) total += ok;
-  EXPECT_EQ(total, kClients);
-  EXPECT_EQ(server.metrics().jobs_failed.load(), 0u);
-
-  // The shared plan is cached by now: one more submit must hit (during the
-  // race itself all 8 sharers may legitimately miss simultaneously).
-  service::Client c;
-  c.connect(opt.socket_path);
-  EXPECT_EQ(c.submit_text("hk:n=70,seed=1000 census degree")
-                .get_string("cache", ""),
-            "hit");
-  const Value& s = stats_of(c.stats());
-  const Value* exec = s.find("latency")->find("execute");
-  ASSERT_NE(exec, nullptr);
-  EXPECT_GT(exec->get_uint("count", 0), 0u);
-  EXPECT_GE(exec->find("p99_s")->as_double(),
-            exec->find("p50_s")->as_double());
 }
 
 /// Scratch directory for --state journals; removed with contents on exit.

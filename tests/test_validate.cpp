@@ -19,6 +19,7 @@
 #include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
+#include "kron/stream.hpp"
 #include "kron/view.hpp"
 #include "triangle/census.hpp"
 #include "validate/report.hpp"
@@ -267,8 +268,11 @@ TEST(StreamingCensus, BudgetDrivesShardCountAndBoundsAccumulators) {
   EXPECT_EQ(expect_lo, census.num_vertices());
   const auto stats = census.run();
   // Every per-shard accumulator stayed within the budget (no product vertex
-  // here needs more than the budget alone, so the bound is exact).
+  // here needs more than the budget alone, so the bound is exact) ...
   EXPECT_LE(stats.peak_accumulator_bytes, tight.mem_budget_bytes);
+  // ... while the product's edge list alone would not fit in it.
+  const esz nnz = kron::KronGraphView(a, b).nnz();
+  EXPECT_GT(nnz * sizeof(kron::EdgeRecord), tight.mem_budget_bytes);
   // Identical to the one-shard run.
   StreamingOptions one;
   one.force_shards = 1;
