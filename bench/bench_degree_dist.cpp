@@ -18,9 +18,9 @@ void print_artifact() {
 
   const auto sa = analysis::summarize_degrees(a);
   const auto sb = analysis::summarize_degrees(b);
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   const auto sc = analysis::summarize_kron_degrees(a, b);
-  const double conv_s = timer.seconds();
+  const double conv_s = timer.wall_s();
 
   auto fmt = [](double v) {
     char buf[40];
@@ -61,10 +61,10 @@ void print_artifact() {
 
   // Contribution (d): triangle distributions transfer the same way. The
   // exact t_C histogram of the 10⁹-vertex product, factor-side.
-  util::WallTimer tri_timer;
+  obs::Stopwatch tri_timer;
   const kron::TriangleOracle oracle(a, b);
   const auto th = oracle.triangle_histogram();
-  const double tri_s = tri_timer.seconds();
+  const double tri_s = tri_timer.wall_s();
   count_t nonzero_vertices = 0, max_t = 0;
   for (const auto& [tval, cnt] : th) {
     if (tval > 0) nonzero_vertices += cnt;

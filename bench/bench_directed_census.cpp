@@ -25,10 +25,10 @@ void print_artifact() {
             << " reciprocal slots + " << parts.ad.nnz()
             << " directed edges; B = K3\n\n";
 
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   const auto vertex_exprs = kron::directed_vertex_triangles(a, b);
   const auto edge_exprs = kron::directed_edge_triangles(a, b);
-  const double lift_s = timer.seconds();
+  const double lift_s = timer.wall_s();
 
   util::Table t({"flavor", "t total (A)", "t total (C)", "Δ total (C)"});
   for (int f = 0; f < triangle::kNumVertexTriTypes; ++f) {

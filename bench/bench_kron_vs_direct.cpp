@@ -21,14 +21,14 @@ void print_artifact() {
     const Graph f = api::GeneratorRegistry::builtin().build(
         "hk:n=" + std::to_string(n) + ",m=3,p=0.7,seed=59");
 
-    util::WallTimer formula_timer;
+    obs::Stopwatch formula_timer;
     const count_t tau_formula = kron::total_triangles(f, f);
-    const double formula_s = formula_timer.seconds();
+    const double formula_s = formula_timer.wall_s();
 
     const Graph c = kron::kron_graph(f, f);
-    util::WallTimer direct_timer;
+    obs::Stopwatch direct_timer;
     const count_t tau_direct = triangle::count_total(c);
-    const double direct_s = direct_timer.seconds();
+    const double direct_s = direct_timer.wall_s();
 
     char speed[32];
     std::snprintf(speed, sizeof speed, "%.1fx",

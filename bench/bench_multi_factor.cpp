@@ -21,10 +21,10 @@ void print_artifact() {
       factors.push_back(api::GeneratorRegistry::builtin().build(
           "hk:n=200,m=3,p=0.6,seed=" + std::to_string(111 + i)));
     }
-    util::WallTimer timer;
+    obs::Stopwatch timer;
     const kron::KronChain chain(factors);
     const count_t tau = chain.total_triangles();
-    const double secs = timer.seconds();
+    const double secs = timer.wall_s();
     t.row({std::to_string(k),
            util::human(static_cast<double>(chain.num_vertices())),
            util::human(static_cast<double>(chain.num_undirected_edges())),

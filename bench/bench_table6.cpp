@@ -21,18 +21,18 @@ Graph make_factor(vid n) { return gen::holme_kim(n, 3, 0.6, 1803); }
 void print_artifact() {
   kt_bench::banner("E1 (Table, §VI)",
                    "trillion-edge census from factor statistics");
-  util::WallTimer gen_timer;
+  obs::Stopwatch gen_timer;
   const Graph a = make_factor(kNotreDameVertices);
   const Graph b = a.with_all_self_loops();
   std::cout << "factor: Holme-Kim n=" << kNotreDameVertices
             << " (web-NotreDame stand-in), generated in "
-            << gen_timer.seconds() << " s\n\n";
+            << gen_timer.wall_s() << " s\n\n";
 
-  util::WallTimer census;
+  obs::Stopwatch census;
   const auto stats_a = triangle::analyze(a);
   const count_t tau_aa = kron::total_triangles(a, a);
   const count_t tau_ab = kron::total_triangles(a, b);
-  const double census_s = census.seconds();
+  const double census_s = census.wall_s();
 
   const kron::KronGraphView caa(a, a), cab(a, b);
   util::Table t({"Matrix", "Vertices", "Edges", "Triangles"});

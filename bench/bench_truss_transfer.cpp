@@ -21,14 +21,14 @@ void print_artifact() {
             << (truss::edges_in_at_most_one_triangle(b) ? "yes" : "NO")
             << ")\n\n";
 
-  util::WallTimer oracle_timer;
+  obs::Stopwatch oracle_timer;
   const truss::KronTrussOracle oracle(a, b);
-  const double oracle_s = oracle_timer.seconds();
+  const double oracle_s = oracle_timer.wall_s();
 
-  util::WallTimer direct_timer;
+  obs::Stopwatch direct_timer;
   const Graph c = kron::kron_graph(a, b);
   const auto direct = truss::decompose(c);
-  const double direct_s = direct_timer.seconds();
+  const double direct_s = direct_timer.wall_s();
 
   util::Table t({"kappa", "|T^kappa| via Thm 3", "|T^kappa| direct peel",
                  "agree"});

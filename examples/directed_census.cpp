@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
   std::cout << "product C = A (x) K3: " << a.num_vertices() * 3
             << " vertices\n\n";
 
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   const auto census = triangle::directed_vertex_census(a);
   const auto lifted = kron::directed_vertex_triangles(a, b);
-  const double census_s = timer.seconds();
+  const double census_s = timer.wall_s();
 
   util::Table table({"flavor", "factor total", "product total (Thm 4)"});
   count_t factor_sum = 0, product_sum = 0;

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   if (nthreads > 0) {
     const std::string base = cli.get("out", "edges.txt");
     std::vector<std::unique_ptr<std::ofstream>> files;
-    util::WallTimer timer;
+    obs::Stopwatch timer;
     auto sinks = api::stream_parallel(
         a, b, nthreads,
         [&](std::uint64_t p, std::uint64_t) -> std::unique_ptr<api::EdgeSink> {
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
               base + ".part" + std::to_string(p)));
           return std::make_unique<api::TextEdgeSink>(*files.back());
         });
-    const double secs = timer.seconds();
+    const double secs = timer.wall_s();
     esz total = 0;
     for (const auto& s : sinks) total += s->edges_consumed();
     std::cout << "streamed " << util::commas(total) << " edges into "
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   esz emitted = 0;
   if (cli.has("out")) {
     std::ofstream file(cli.get("out", ""));
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
       ++emitted;
     }
   }
-  const double secs = timer.seconds();
+  const double secs = timer.wall_s();
   std::cout << "emitted " << util::commas(emitted) << " edges in " << secs
             << " s ("
             << util::human(static_cast<double>(emitted) / secs)

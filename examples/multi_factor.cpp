@@ -25,10 +25,10 @@ int main(int argc, char** argv) {
   }
   std::vector<Graph> factors = api::GeneratorRegistry::builtin().build_factors(
       api::GraphSpec::parse(spec));
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   const kron::KronChain chain(factors);
   const count_t tau = chain.total_triangles();
-  const double secs = timer.seconds();
+  const double secs = timer.wall_s();
 
   std::cout << "C = ";
   for (std::size_t i = 0; i < k; ++i) std::cout << (i ? " (x) A" : "A") << i + 1;

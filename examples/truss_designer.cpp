@@ -31,11 +31,11 @@ int main(int argc, char** argv) {
             << (truss::edges_in_at_most_one_triangle(b) ? "yes" : "NO")
             << "\n";
 
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   const truss::KronTrussOracle oracle(a, b);
   std::cout << "C = A (x) B: " << na * nb << " vertices, "
             << kron::KronGraphView(a, b).num_undirected_edges()
-            << " edges — truss decomposition known in " << timer.seconds()
+            << " edges — truss decomposition known in " << timer.wall_s()
             << " s (decomposed only A)\n\n";
 
   util::Table table({"kappa", "|T^kappa(A)|", "|T^kappa(C)|"});

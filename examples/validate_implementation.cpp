@@ -83,10 +83,10 @@ int main(int argc, char** argv) {
               << ".truth for external tools\n";
   }
 
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   const auto got = implementation_under_test(c);
   const std::size_t bad = diff_count(got, expected);
-  std::cout << "\nimplementation under test: " << timer.seconds() << " s, "
+  std::cout << "\nimplementation under test: " << timer.wall_s() << " s, "
             << bad << "/" << expected.size() << " vertices wrong — "
             << (bad == 0 ? "PASS" : "FAIL") << "\n";
 

@@ -12,11 +12,11 @@
 #include "api/pipeline.hpp"
 #include "core/io.hpp"
 #include "obs/counters.hpp"
+#include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
 #include "util/runmeta.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace kronotri::api {
 
@@ -59,6 +59,20 @@ std::size_t byte_count_field(const Value& options, const char* key,
   if (v->is_string()) return util::parse_byte_count(v->as_string());
   return static_cast<std::size_t>(v->as_uint());
 }
+
+/// One report stage: its "stage:<name>" trace span and one obs::Stopwatch,
+/// whose wall and CPU seconds done() appends to the report's stages.
+struct StageClock {
+  StageClock(std::vector<StageTiming>& out, const char* name)
+      : out(out), name(name), span("stage:", name) {}
+  void done(esz edges = 0) {
+    out.push_back({name, sw.wall_s(), sw.cpu_s(), edges});
+  }
+  std::vector<StageTiming>& out;
+  const char* name;
+  obs::Span span;
+  const obs::Stopwatch sw;
+};
 
 }  // namespace
 
@@ -386,8 +400,7 @@ void RunReport::print(std::ostream& os) const {
 
 RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
               const AnalysisRegistry& registry) {
-  const util::WallTimer total_wall;
-  const util::CpuTimer total_cpu;
+  const obs::Stopwatch elapsed;
   // The registry is process-global; the report carries this run's delta so
   // back-to-back runs (service worker loop, tests) don't inherit counts.
   const util::json::Value counters_start =
@@ -419,10 +432,7 @@ RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
       (spec.get_bool("prune", false) || spec.get_bool("loops", false));
   std::vector<Graph> factors;
   {
-    StageTiming st{"generate", 0, 0, 0};
-    obs::Span span("stage:generate");
-    const util::WallTimer w;
-    const util::CpuTimer c;
+    StageClock stage(report.stages, "generate");
     if (modified_kron) {
       factors.push_back(generators.build(spec));
     } else if (spec.is_kron()) {
@@ -441,10 +451,8 @@ RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
     } else {
       factors = generators.build_factors(spec);
     }
-    st.wall_s = w.seconds();
-    st.cpu_s = c.seconds();
-    span.arg("factors", factors.size());
-    report.stages.push_back(st);
+    stage.span.arg("factors", factors.size());
+    stage.done();
   }
 
   PlanContext ctx(spec, plan.options, std::move(factors));
@@ -492,10 +500,7 @@ RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
     std::vector<CooCollectorSink*> collectors;
     const bool binary = plan.options.format == "binary";
     const bool collect = needs_graph && !ctx.graph_ready();
-    StageTiming st{"stream", 0, 0, 0};
-    obs::Span span("stage:stream");
-    const util::WallTimer w;
-    const util::CpuTimer c;
+    StageClock stage(report.stages, "stream");
     pass_sinks = stream_parallel(
         ctx.factors()[0], ctx.factors()[1], plan.options.threads,
         [&](std::uint64_t part,
@@ -533,14 +538,11 @@ RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
           return std::make_unique<TeeSink>(std::move(children));
         },
         plan.options.batch_size);
-    st.wall_s = w.seconds();
-    st.cpu_s = c.seconds();
     esz total = 0;
     for (const auto& s : pass_sinks) total += s->edges_consumed();
-    st.edges = total;
-    span.arg("edges", total).arg("partitions", pass_sinks.size());
+    stage.span.arg("edges", total).arg("partitions", pass_sinks.size());
+    stage.done(total);
     obs::counter("api.edges_streamed").add(total);
-    report.stages.push_back(st);
     report.streamed = true;
     report.partitions = static_cast<unsigned>(pass_sinks.size());
     report.stored_entries = total;
@@ -549,38 +551,23 @@ RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
       // Per-partition merge in partition order: the concatenation is
       // exactly the single-threaded stream's edge multiset, so the
       // materialized graph is identical at every partition count.
-      StageTiming mt{"materialize", 0, 0, 0};
-      obs::Span mspan("stage:materialize");
-      const util::WallTimer mw;
-      const util::CpuTimer mc;
+      StageClock mstage(report.stages, "materialize");
       std::vector<std::pair<vid, vid>> edges;
       edges.reserve(total);
       for (CooCollectorSink* col : collectors) {
         edges.insert(edges.end(), col->edges().begin(), col->edges().end());
       }
       ctx.set_graph(Graph::from_edges(report.num_vertices, edges, false));
-      mt.wall_s = mw.seconds();
-      mt.cpu_s = mc.seconds();
-      mt.edges = total;
-      report.stages.push_back(mt);
+      mstage.done(total);
     }
   } else if ((needs_graph || write_materialized) && !ctx.graph_ready()) {
-    StageTiming mt{"materialize", 0, 0, 0};
-    obs::Span mspan("stage:materialize");
-    const util::WallTimer mw;
-    const util::CpuTimer mc;
-    mt.edges = ctx.graph().nnz();  // forces the build
-    report.stored_entries = mt.edges;
-    mt.wall_s = mw.seconds();
-    mt.cpu_s = mc.seconds();
-    report.stages.push_back(mt);
+    StageClock stage(report.stages, "materialize");
+    report.stored_entries = ctx.graph().nnz();  // forces the build
+    stage.done(report.stored_entries);
   }
 
   if (write_materialized) {
-    StageTiming wt{"write", 0, 0, 0};
-    obs::Span wspan("stage:write");
-    const util::WallTimer ww;
-    const util::CpuTimer wc;
+    StageClock stage(report.stages, "write");
     if (plan.options.format == "binary") {
       // The validated format contract holds on the materialized path too:
       // raw native-endian u64 pairs, one record per stored entry.
@@ -606,20 +593,17 @@ RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
     } else {
       io::write_edge_list(ctx.graph(), plan.options.output);
     }
-    wt.wall_s = ww.seconds();
-    wt.cpu_s = wc.seconds();
-    wt.edges = ctx.graph().nnz();
-    report.stages.push_back(wt);
+    stage.done(ctx.graph().nnz());
   }
 
   for (std::size_t i = 0; i < analyses.size(); ++i) {
     obs::Span span("analyze:", analyses[i]->name());
-    const util::WallTimer w;
+    const obs::Stopwatch w;
     AnalysisReport ar = analyses[i]->execute(
         ctx, std::span<EdgeSink* const>(analysis_sinks[i].data(),
                                         analysis_sinks[i].size()));
     ar.name = analyses[i]->name();
-    ar.wall_s = w.seconds();
+    ar.wall_s = w.wall_s();
     span.arg("pass", ar.pass);
     obs::counter("api.analyses_run").add();
     report.pass = report.pass && ar.pass;
@@ -627,8 +611,8 @@ RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
   }
 
   report.metadata = util::run_metadata(plan.options.batch_size);
-  report.total_wall_s = total_wall.seconds();
-  report.total_cpu_s = total_cpu.seconds();
+  report.total_wall_s = elapsed.wall_s();
+  report.total_cpu_s = elapsed.cpu_s();
   report.peak_rss_bytes = util::peak_rss_bytes();
   report.counters = obs::CounterRegistry::delta(
       counters_start, obs::CounterRegistry::instance().snapshot());

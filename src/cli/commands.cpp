@@ -107,6 +107,13 @@ class TraceScope {
     const util::json::Value counters =
         obs::CounterRegistry::instance().snapshot();
     for (const auto& [name, value] : counters.members()) {
+      // One track per histogram bucket ("<h>.b<i>") would bury the rest;
+      // the histogram's .count and .max tracks stay.
+      const std::size_t b = name.rfind(".b");
+      if (b != std::string::npos && b + 2 < name.size() &&
+          name.find_first_not_of("0123456789", b + 2) == std::string::npos) {
+        continue;
+      }
       rec.counter(name, value.as_double());
     }
     if (!rec.export_file(path_)) {

@@ -4,8 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/ops.hpp"
-#include "triangle/forward.hpp"
+#include "triangle/census.hpp"
 #include "util/prng.hpp"
 
 namespace kronotri::gen {
@@ -13,6 +12,7 @@ namespace kronotri::gen {
 namespace {
 
 struct Tri {
+  vid u;           // degree-minimal vertex (enumeration order key)
   esz e0, e1, e2;  // undirected edge ids
   bool alive = true;
 };
@@ -23,25 +23,12 @@ Graph prune_to_one_triangle(const Graph& g, std::uint64_t seed) {
   if (!g.is_undirected()) {
     throw std::invalid_argument("prune_to_one_triangle: graph must be undirected");
   }
-  const BoolCsr s =
-      g.has_self_loops() ? ops::remove_diag(g.matrix()) : g.matrix();
+  // Strips self loops and numbers the undirected edges (row-major, u < v).
+  const triangle::CensusWorkspace ws(g);
+  const BoolCsr& s = ws.structure();
   const vid n = s.rows();
-
-  // Undirected edge ids.
-  std::vector<std::pair<vid, vid>> ends;
-  std::vector<esz> id(s.nnz());
-  for (vid u = 0; u < n; ++u) {
-    const auto row = s.row_cols(u);
-    for (std::size_t k = 0; k < row.size(); ++k) {
-      const vid v = row[k];
-      if (u < v) {
-        id[s.row_ptr()[u] + k] = ends.size();
-        id[s.find(v, u)] = ends.size();
-        ends.emplace_back(u, v);
-      }
-    }
-  }
-  const esz m = ends.size();
+  const std::vector<esz>& id = ws.edge_ids().slot_id;
+  const esz m = ws.num_edges();
 
   // Spanning forest by BFS: tree edges are protected.
   std::vector<bool> in_tree(m, false);
@@ -68,19 +55,22 @@ Graph prune_to_one_triangle(const Graph& g, std::uint64_t seed) {
     }
   }
 
-  // Enumerate all triangles once; build edge -> triangle incidence.
+  // Enumerate all triangles once into per-thread lists, then order them by
+  // their degree-minimal vertex. Each u's triangles come from one thread in
+  // enumeration order, so the stable sort yields the serial order whatever
+  // the team — and with it the RNG tie-breaks below.
   std::vector<Tri> tris;
   {
-    const triangle::Oriented o = triangle::orient_by_degree(s);
-    std::vector<Tri> collected;
-    triangle::forward_triangles(o, n, [&](vid u, vid v, vid w) {
-      const esz e0 = id[s.find(u, v)];
-      const esz e1 = id[s.find(u, w)];
-      const esz e2 = id[s.find(v, w)];
-#pragma omp critical(kronotri_prune_collect)
-      collected.push_back({e0, e1, e2, true});
+    std::vector<std::vector<Tri>> local(triangle::census_workers());
+    ws.for_each_triangle(local, [](std::vector<Tri>& out, vid u, vid, vid,
+                                   esz e0, esz e1, esz e2) {
+      out.push_back({u, e0, e1, e2});
     });
-    tris = std::move(collected);
+    for (const std::vector<Tri>& part : local) {
+      tris.insert(tris.end(), part.begin(), part.end());
+    }
+    std::stable_sort(tris.begin(), tris.end(),
+                     [](const Tri& x, const Tri& y) { return x.u < y.u; });
   }
   std::vector<std::vector<std::size_t>> tris_of_edge(m);
   for (std::size_t t = 0; t < tris.size(); ++t) {
@@ -137,7 +127,7 @@ Graph prune_to_one_triangle(const Graph& g, std::uint64_t seed) {
   std::vector<std::pair<vid, vid>> kept;
   kept.reserve(m);
   for (esz e = 0; e < m; ++e) {
-    if (edge_alive[e]) kept.push_back(ends[e]);
+    if (edge_alive[e]) kept.push_back(ws.edge_ids().ends[e]);
   }
   return Graph::from_edges(n, kept, /*symmetrize=*/true);
 }

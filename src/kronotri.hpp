@@ -37,6 +37,7 @@
 #include "kron/product.hpp"       // IWYU pragma: export
 #include "kron/stream.hpp"        // IWYU pragma: export
 #include "kron/view.hpp"          // IWYU pragma: export
+#include "obs/stopwatch.hpp"      // IWYU pragma: export
 #include "triangle/bruteforce.hpp"  // IWYU pragma: export
 #include "triangle/census.hpp"    // IWYU pragma: export
 #include "triangle/clustering.hpp"  // IWYU pragma: export
@@ -52,6 +53,5 @@
 #include "util/runmeta.hpp"       // IWYU pragma: export
 #include "util/stats.hpp"         // IWYU pragma: export
 #include "util/table.hpp"         // IWYU pragma: export
-#include "util/timer.hpp"         // IWYU pragma: export
 #include "validate/report.hpp"    // IWYU pragma: export
 #include "validate/streaming_census.hpp"  // IWYU pragma: export

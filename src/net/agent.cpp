@@ -14,6 +14,7 @@
 
 #include "net/framing.hpp"
 #include "net/socket.hpp"
+#include "obs/stopwatch.hpp"
 #include "runner/proc.hpp"
 #include "runner/runner.hpp"
 #include "util/fault.hpp"
@@ -169,10 +170,10 @@ void Agent::connection_loop(int fd, const std::string& prefix) {
   FrameReader reader;
   std::deque<Job> queue;
   std::vector<Child> children;
-  double last_send = proc::monotonic_s();
+  double last_send = obs::now_s();
 
   const auto send_raw = [&](std::string_view bytes) -> bool {
-    last_send = proc::monotonic_s();
+    last_send = obs::now_s();
     return write_all(fd, bytes);
   };
   const auto send_msg = [&](const Value& msg) -> bool {
@@ -240,7 +241,7 @@ void Agent::connection_loop(int fd, const std::string& prefix) {
       return;
     }
     c.pid = s.pid;
-    c.start_s = proc::monotonic_s();
+    c.start_s = obs::now_s();
     busy_.fetch_add(1, std::memory_order_acq_rel);
     children.push_back(std::move(c));
   };
@@ -258,7 +259,7 @@ void Agent::connection_loop(int fd, const std::string& prefix) {
       const proc::Outcome out = proc::classify(got->status, c.out_path);
       Value r = result_msg(c.job.unit, c.job.attempt, out.kind, out.detail);
       r.set("pid", static_cast<std::int64_t>(c.pid));
-      r.set("wall_s", proc::monotonic_s() - c.start_s);
+      r.set("wall_s", obs::now_s() - c.start_s);
       r.set("max_rss_bytes",
             static_cast<std::uint64_t>(got->usage.max_rss_bytes));
       r.set("cpu_user_s", got->usage.cpu_user_s);
@@ -400,7 +401,7 @@ void Agent::connection_loop(int fd, const std::string& prefix) {
       spawn(std::move(job));
     }
     reap();
-    if (open && proc::monotonic_s() - last_send > opt_.heartbeat_interval_s) {
+    if (open && obs::now_s() - last_send > opt_.heartbeat_interval_s) {
       Value hb = Value::object();
       hb.set("type", "heartbeat");
       if (!send_msg(hb)) open = false;

@@ -1,11 +1,11 @@
 // The one clock source behind every wall/CPU measurement in the repo.
 //
-// Three timing paths used to coexist — util::WallTimer (steady_clock),
-// util::CpuTimer (CLOCK_PROCESS_CPUTIME_ID) and the service metrics'
-// stopwatches — each reading its own clock its own way. obs::Stopwatch
-// dedups them: one type reads both clocks, trace spans and report timings
-// quote the same time base, and util::{Wall,Cpu}Timer are thin shims over
-// it (kept so benches and examples compile unchanged).
+// Every elapsed time and deadline in the library, the CLI, bench/ and
+// examples/ reads these functions: RunReport stage timings, the runner's
+// and agent's deadlines and heartbeats, service latencies and client
+// timeouts, and trace spans. (Log lines stamp calendar time, not a
+// duration.) obs::Stopwatch reads both clocks at once, so a stage's wall
+// and CPU seconds come from one object.
 //
 // Wall time is CLOCK_MONOTONIC, deliberately NOT steady_clock-as-abstract:
 // on Linux CLOCK_MONOTONIC is shared across fork/exec, so the trace
@@ -27,6 +27,9 @@ namespace kronotri::obs {
          static_cast<double>(ts.tv_nsec) * 1e-3;
 }
 
+/// now_us() in seconds: the runner's and agent's deadline clock.
+[[nodiscard]] inline double now_s() noexcept { return now_us() * 1e-6; }
+
 /// Summed CPU seconds of every thread in the process. Wall on an
 /// oversubscribed box measures the scheduler; CPU seconds measure the work.
 [[nodiscard]] inline double cpu_now_s() noexcept {
@@ -41,26 +44,16 @@ class Stopwatch {
  public:
   Stopwatch() noexcept : wall_start_us_(now_us()), cpu_start_s_(cpu_now_s()) {}
 
-  void reset() noexcept {
-    wall_start_us_ = now_us();
-    cpu_start_s_ = cpu_now_s();
-  }
-
   [[nodiscard]] double wall_s() const noexcept {
     return (now_us() - wall_start_us_) * 1e-6;
   }
-  [[nodiscard]] double wall_ms() const noexcept { return wall_s() * 1e3; }
   [[nodiscard]] double cpu_s() const noexcept {
     return cpu_now_s() - cpu_start_s_;
   }
 
-  /// The start instant on the now_us() axis — what a trace span records as
-  /// its `ts` so span timing and report timing agree to the microsecond.
-  [[nodiscard]] double start_us() const noexcept { return wall_start_us_; }
-
  private:
-  double wall_start_us_;
-  double cpu_start_s_;
+  const double wall_start_us_;
+  const double cpu_start_s_;
 };
 
 }  // namespace kronotri::obs

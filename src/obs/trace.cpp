@@ -239,16 +239,6 @@ bool TraceRecorder::export_file(const std::string& path) {
   return static_cast<bool>(out);
 }
 
-std::size_t TraceRecorder::event_count() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  std::size_t n = 0;
-  for (const std::unique_ptr<ThreadBuffer>& buf : r.buffers) {
-    n += buf->events.size();
-  }
-  return n;
-}
-
 void TraceRecorder::clear() {
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mu);

@@ -90,7 +90,6 @@ class TraceRecorder {
   /// Writes export_json() to `path`; false on I/O failure.
   bool export_file(const std::string& path);
 
-  [[nodiscard]] std::size_t event_count();
   /// Drops all recorded events (buffers stay registered). Test hygiene and
   /// the CLI's fresh-start on --trace.
   void clear();

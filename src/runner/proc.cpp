@@ -1,7 +1,6 @@
 #include "runner/proc.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 
 #include <sys/resource.h>
@@ -14,12 +13,6 @@
 namespace kronotri::runner::proc {
 
 namespace journal = util::journal;
-
-double monotonic_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string tmp_dir() {
   const char* dir = std::getenv("TMPDIR");

@@ -25,9 +25,6 @@
 
 namespace kronotri::runner::proc {
 
-/// CLOCK_MONOTONIC seconds (steady_clock), the runner's and agent's clock.
-[[nodiscard]] double monotonic_s();
-
 /// $TMPDIR, or /tmp when unset or empty.
 [[nodiscard]] std::string tmp_dir();
 

@@ -21,6 +21,7 @@
 #include "net/agent.hpp"
 #include "net/remote.hpp"
 #include "obs/counters.hpp"
+#include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
 #include "runner/proc.hpp"
 #include "util/fault.hpp"
@@ -28,7 +29,6 @@
 #include "util/log.hpp"
 #include "util/runmeta.hpp"
 #include "util/threads.hpp"
-#include "util/timer.hpp"
 #include "validate/report.hpp"
 
 namespace kronotri::runner {
@@ -38,7 +38,6 @@ namespace {
 namespace journal = util::journal;
 using util::json::Value;
 
-using proc::monotonic_s;
 using proc::tmp_dir;
 
 /// Validate units per worker slot: U = width * kUnitsPerWorker shard-subset
@@ -295,8 +294,7 @@ struct RunningAttempt {
   unsigned unit = 0;
   unsigned attempt = 0;
   int agent = 0;            // index into the agent table
-  double start_s = 0;
-  double start_us = 0;      // obs::now_us() at dispatch, for the attempt span
+  double start_s = 0;      // obs::now_s() at dispatch
   bool timed_out = false;   // cancelled past its deadline
   bool superseded = false;  // another attempt of the unit already won
   bool aborted = false;     // run is failing, everything was cancelled
@@ -521,8 +519,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
   // budget their own slots.
   const unsigned omp_threads = util::omp_budget(opt.workers);
 
-  const util::WallTimer total_wall;
-  const util::CpuTimer total_cpu;
+  const obs::Stopwatch elapsed;
   const Value counters_start = obs::CounterRegistry::instance().snapshot();
   obs::Span coord_span("runner::execute");
   coord_span.arg("workers", opt.workers);
@@ -538,8 +535,8 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     r.pass = false;
     r.error = why;
     r.metadata = util::run_metadata(plan.options.batch_size);
-    r.total_wall_s = total_wall.seconds();
-    r.total_cpu_s = total_cpu.seconds();
+    r.total_wall_s = elapsed.wall_s();
+    r.total_cpu_s = elapsed.cpu_s();
     r.peak_rss_bytes = util::peak_rss_bytes();
     return r;
   };
@@ -809,7 +806,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     e.attempt = ra.attempt;
     e.pid = pid;
     e.detail = out.detail;
-    e.wall_s = monotonic_s() - ra.start_s;
+    e.wall_s = obs::now_s() - ra.start_s;
     e.host = a.endpoint;
     e.max_rss_bytes = use.max_rss_bytes;
     e.cpu_user_s = use.cpu_user_s;
@@ -853,7 +850,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       targs.set("outcome", e.outcome);
       if (!e.host.empty()) targs.set("agent", e.host);
       trace.complete_on(attempt_tid(e.unit, e.attempt), "attempt",
-                        ra.start_us, obs::now_us() - ra.start_us,
+                        ra.start_s * 1e6, (obs::now_s() - ra.start_s) * 1e6,
                         std::move(targs));
       if (e.pid > 0) {
         trace.counter("runner.worker_max_rss_bytes",
@@ -861,8 +858,9 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
         trace.counter("runner.worker_cpu_s", e.cpu_user_s + e.cpu_sys_s);
       }
     }
-    obs::gauge("runner.worker_max_rss_bytes")
-        .max_of(static_cast<double>(e.max_rss_bytes));
+    if (e.max_rss_bytes > 0) {
+      obs::histogram("runner.worker_rss_bytes").record(e.max_rss_bytes);
+    }
     if (e.outcome == "ok") {
       util::log::debug("runner", "attempt ok",
                        {{"unit", e.unit},
@@ -931,7 +929,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       targs.set("backoff_s", delay_s);
       obs::TraceRecorder::instance().instant("retry", std::move(targs));
     }
-    pending.push_back({ra.unit, monotonic_s() + delay_s});
+    pending.push_back({ra.unit, obs::now_s() + delay_s});
   };
 
   // Transport damage on one agent: drop the connection, schedule a
@@ -943,7 +941,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     a.welcomed = false;
     a.slots = 0;
     a.next_dial_s =
-        monotonic_s() + opt.backoff.delay_s(std::min(a.dial_failures, 6u));
+        obs::now_s() + opt.backoff.delay_s(std::min(a.dial_failures, 6u));
     ++a.dial_failures;
     obs::counter(outcome == "garbled" ? "runner.garbled_frames"
                                       : "runner.disconnects")
@@ -998,8 +996,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       d.set("mem_limit", opt.worker_mem_limit_bytes);
     }
     if (obs::TraceRecorder::instance().enabled()) d.set("trace", true);
-    ra.start_s = monotonic_s();
-    ra.start_us = obs::now_us();
+    ra.start_s = obs::now_s();
     if (!a.client.send(d)) {
       pending.push_back({unit_id, 0.0});
       drop_agent(ra.agent, "disconnect");
@@ -1088,7 +1085,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
   };
 
   while (!running.empty() || (!pending.empty() && error.empty())) {
-    const double now = monotonic_s();
+    const double now = obs::now_s();
 
     // Agent transport upkeep: (re)dial disconnected agents whose backoff
     // elapsed, pump every live connection, and declare silent ones dead.
@@ -1098,11 +1095,11 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       }
       std::string derr;
       if (dial(a, &derr)) {
-        a.last_rx_s = monotonic_s();
+        a.last_rx_s = obs::now_s();
         continue;
       }
       a.next_dial_s =
-          monotonic_s() + opt.backoff.delay_s(std::min(a.dial_failures, 6u));
+          obs::now_s() + opt.backoff.delay_s(std::min(a.dial_failures, 6u));
       ++a.dial_failures;
       util::log::debug("runner", "agent dial failed",
                        {{"agent", a.name}, {"error", derr}});
@@ -1112,7 +1109,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       if (!a.client.connected()) continue;
       std::vector<Value> msgs;
       const net::AgentClient::Pump ps = a.client.pump(msgs);
-      if (!msgs.empty()) a.last_rx_s = monotonic_s();
+      if (!msgs.empty()) a.last_rx_s = obs::now_s();
       for (std::size_t k = 0; k < msgs.size() && !degraded && error.empty();
            ++k) {
         handle_msg(static_cast<int>(ai), msgs[k]);
@@ -1125,7 +1122,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       } else if (ps == net::AgentClient::Pump::kClosed) {
         drop_agent(static_cast<int>(ai), "disconnect");
       } else if (opt.heartbeat_timeout_s > 0 &&
-                 monotonic_s() - a.last_rx_s > opt.heartbeat_timeout_s) {
+                 obs::now_s() - a.last_rx_s > opt.heartbeat_timeout_s) {
         drop_agent(static_cast<int>(ai), "disconnect");
       }
     }
@@ -1242,13 +1239,13 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     report.metadata = util::run_metadata(plan.options.batch_size);
   }
   report.worker_events = std::move(events);
-  report.total_wall_s = total_wall.seconds();
-  report.total_cpu_s = total_cpu.seconds();
+  report.total_wall_s = elapsed.wall_s();
+  report.total_cpu_s = elapsed.cpu_s();
   report.peak_rss_bytes = util::peak_rss_bytes();
   // The report's counters are the coordinator's own delta plus every
   // finished worker fragment's delta (the workers did the validate shards;
   // their counts must not vanish with the scratch files). Counters sum;
-  // gauges (doubles) keep the max.
+  // histogram maxima (doubles) keep the max.
   Value agg = obs::CounterRegistry::delta(
       counters_start, obs::CounterRegistry::instance().snapshot());
   for (const UnitState& st : states) {

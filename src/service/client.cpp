@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -13,6 +12,7 @@
 #include <unistd.h>
 
 #include "net/socket.hpp"
+#include "obs/stopwatch.hpp"
 #include "service/protocol.hpp"
 
 namespace kronotri::service {
@@ -72,8 +72,7 @@ util::json::Value Client::read_response() {
   if (fd_ < 0) throw std::runtime_error("service::Client: not connected");
   // One overall deadline per response frame, not per read(): a server
   // trickling bytes forever must still hit it.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(opt_.request_timeout_s);
+  const double deadline_s = obs::now_s() + opt_.request_timeout_s;
   while (true) {
     const std::size_t nl = buffer_.find('\n');
     if (nl != std::string::npos) {
@@ -82,12 +81,11 @@ util::json::Value Client::read_response() {
       return util::json::Value::parse(line);
     }
     if (opt_.request_timeout_s > 0) {
-      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
+      const double remaining_ms = (deadline_s - obs::now_s()) * 1e3;
       pollfd pfd{fd_, POLLIN, 0};
+      // Clamped into int's range: converting a larger double is undefined.
       const int ready = ::poll(
-          &pfd, 1,
-          static_cast<int>(std::max<long long>(0, remaining.count())));
+          &pfd, 1, static_cast<int>(std::clamp(remaining_ms, 0.0, 1e9)));
       if (ready == 0) {
         throw std::runtime_error(
             "service::Client: request timed out after " +

@@ -1,5 +1,6 @@
 #include "service/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -21,7 +22,6 @@
 #include "service/protocol.hpp"
 #include "util/log.hpp"
 #include "util/threads.hpp"
-#include "util/timer.hpp"
 
 namespace kronotri::service {
 
@@ -52,6 +52,43 @@ bool socket_alive(const std::string& path) {
   }
 }
 
+/// The registry entries the service bumps, resolved once so the request
+/// path pays relaxed atomics and never the registry lock. Each stats field
+/// X is the delta of "service.X" (see Server::stats_json).
+struct ServiceCounters {
+  obs::Counter& requests = obs::counter("service.requests");
+  obs::Counter& connections_opened =
+      obs::counter("service.connections_opened");
+  obs::Counter& client_disconnects =
+      obs::counter("service.client_disconnects");  ///< mid-stream EOF/EPIPE
+  obs::Counter& jobs_accepted = obs::counter("service.jobs_accepted");
+  obs::Counter& jobs_completed = obs::counter("service.jobs_completed");
+  obs::Counter& jobs_failed = obs::counter("service.jobs_failed");
+  obs::Counter& jobs_replayed = obs::counter("service.jobs_replayed");
+  obs::Counter& rejected_queue_full =
+      obs::counter("service.rejected.queue_full");
+  obs::Counter& rejected_over_budget =
+      obs::counter("service.rejected.over_budget");
+  obs::Counter& rejected_bad_request =
+      obs::counter("service.rejected.bad_request");
+  obs::Counter& rejected_draining = obs::counter("service.rejected.draining");
+  obs::Counter& cache_hits = obs::counter("service.cache_hits");
+  obs::Counter& cache_misses = obs::counter("service.cache_misses");
+  /// Nanoseconds: queue wait, execution, and admission → response built.
+  obs::Histogram& wait_ns = obs::histogram("service.latency.wait");
+  obs::Histogram& execute_ns = obs::histogram("service.latency.execute");
+  obs::Histogram& total_ns = obs::histogram("service.latency.total");
+};
+
+ServiceCounters& tally() {
+  static ServiceCounters c;
+  return c;
+}
+
+void record_s(obs::Histogram& h, double seconds) {
+  h.record(static_cast<std::uint64_t>(std::max(0.0, seconds) * 1e9));
+}
+
 }  // namespace
 
 Server::Server(ServerOptions opt, const api::GeneratorRegistry& generators,
@@ -59,6 +96,7 @@ Server::Server(ServerOptions opt, const api::GeneratorRegistry& generators,
     : opt_(std::move(opt)),
       generators_(generators),
       analyses_(analyses),
+      counters_start_(obs::CounterRegistry::instance().snapshot()),
       cache_(opt_.cache_bytes),
       queue_(std::make_unique<BoundedQueue<std::shared_ptr<Job>>>(
           opt_.queue_depth)) {
@@ -68,12 +106,12 @@ Server::Server(ServerOptions opt, const api::GeneratorRegistry& generators,
 Server::~Server() { stop(); }
 
 void Server::touch_activity() {
-  last_activity_s_.store(metrics_.uptime.wall_s(), std::memory_order_relaxed);
+  last_activity_s_.store(uptime_.wall_s(), std::memory_order_relaxed);
 }
 
 double Server::seconds_idle() const {
-  if (metrics_.jobs_active.load() > 0 || queue_->size() > 0) return 0;
-  return metrics_.uptime.wall_s() -
+  if (jobs_active_.load() > 0 || queue_->size() > 0) return 0;
+  return uptime_.wall_s() -
          last_activity_s_.load(std::memory_order_relaxed);
 }
 
@@ -198,7 +236,8 @@ void Server::stop() {
   ::unlink(opt_.socket_path.c_str());
   state_wal_.close();
   util::log::info("service", "drained and stopped",
-                  {{"jobs_completed", metrics_.jobs_completed.load()}});
+                  {{"jobs_completed",
+                    stats_json().get_uint("jobs_completed", 0)}});
 }
 
 void Server::journal_state(const util::json::Value& record) {
@@ -241,6 +280,7 @@ void Server::replay_state() {
 
   state_wal_.open(path);
 
+  std::uint64_t replayed = 0;
   for (const auto& [key, plan_text] : submits) {
     if (finished.count(key) > 0 || plan_text.empty()) continue;
     api::RunPlan plan;
@@ -252,17 +292,18 @@ void Server::replay_state() {
     auto job = std::make_shared<Job>();
     job->plan = std::move(plan);
     job->key = key;
-    job->enqueued_at_s = metrics_.uptime.wall_s();
     // No connection is waiting on a replayed job — its promise is simply
     // never read; the result lands in the cache (and its done record in
     // the journal), which is what the re-submitting client will hit.
     if (!queue_->try_push(job)) break;  // full queue: the rest wait for the
                                        // next restart, records intact
-    jobs_replayed_.fetch_add(1);
-    metrics_.jobs_accepted.fetch_add(1);
+    ++replayed;
+    tally().jobs_replayed.add();
+    tally().jobs_accepted.add();
   }
-  if (const std::uint64_t n = jobs_replayed_.load(); n > 0) {
-    util::log::info("service", "replayed journaled submits", {{"jobs", n}});
+  if (replayed > 0) {
+    util::log::info("service", "replayed journaled submits",
+                    {{"jobs", replayed}});
   }
   touch_activity();
 }
@@ -274,7 +315,7 @@ void Server::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listen socket shut down — server stopping
     }
-    metrics_.connections_opened.fetch_add(1);
+    tally().connections_opened.add();
     touch_activity();
 
     const std::lock_guard<std::mutex> lock(connections_mutex_);
@@ -314,7 +355,7 @@ void Server::connection_loop(Connection* conn) {
       if (!delivered) {
         // Peer vanished between submit and response: the job (if any)
         // already completed and is cached — only this connection dies.
-        metrics_.client_disconnects.fetch_add(1);
+        tally().client_disconnects.add();
         break;
       }
       touch_activity();
@@ -325,7 +366,7 @@ void Server::connection_loop(Connection* conn) {
   } catch (const std::exception&) {
     // Read error (reset mid-stream): same as a disconnect.
     conn->busy.store(false);
-    metrics_.client_disconnects.fetch_add(1);
+    tally().client_disconnects.add();
   }
   ::shutdown(fd, SHUT_RDWR);  // close happens after join (fd reuse safety)
 }
@@ -339,7 +380,7 @@ std::string Server::handle_request(const std::string& line) {
       throw std::invalid_argument("request must be a JSON object");
     }
   } catch (const std::exception& e) {
-    metrics_.rejected_bad_request.fetch_add(1);
+    tally().rejected_bad_request.add();
     return error_frame("bad_request", e.what());
   }
 
@@ -357,17 +398,17 @@ std::string Server::handle_request(const std::string& line) {
     v.set("pong", true);
     return frame(v);
   }
-  metrics_.rejected_bad_request.fetch_add(1);
+  tally().rejected_bad_request.add();
   return error_frame("bad_request", "unknown request type \"" + type +
                                         "\" (expected submit|stats|ping)");
 }
 
 std::string Server::handle_submit(const util::json::Value& request) {
-  const util::WallTimer total;
+  const obs::Stopwatch total;
   // One span per request: admission → (queue wait + execute, inside the
   // worker's span) → respond, with the cache verdict as an arg/marker.
   obs::Span span("service:submit");
-  obs::counter("service.requests").add();
+  tally().requests.add();
   api::RunPlan plan;
   try {
     const util::json::Value* p = request.find("plan");
@@ -377,14 +418,14 @@ std::string Server::handle_submit(const util::json::Value& request) {
     plan = p->is_string() ? api::RunPlan::parse(p->as_string())
                           : api::RunPlan::from_json(*p);
   } catch (const std::exception& e) {
-    metrics_.rejected_bad_request.fetch_add(1);
+    tally().rejected_bad_request.add();
     return error_frame("bad_request", e.what());
   }
   if (!cacheable(plan)) {
     // options.output would write files on the SERVER's filesystem and make
     // the result uncacheable; neither is something a remote client should
     // trigger.
-    metrics_.rejected_bad_request.fetch_add(1);
+    tally().rejected_bad_request.add();
     return error_frame("bad_request",
                        "plans with options.output are not accepted over the "
                        "service (server-side file writes); fetch the report "
@@ -397,51 +438,48 @@ std::string Server::handle_submit(const util::json::Value& request) {
   // Cache first: a hit costs no admission and no queue slot, and must be
   // served even when the server is saturated — that is the whole point.
   if (auto cached = cache_.get(key)) {
-    metrics_.cache_hits.fetch_add(1);
-    obs::counter("service.cache_hits").add();
+    tally().cache_hits.add();
     span.arg("cache", "hit");
     if (obs::TraceRecorder::instance().enabled()) {
       util::json::Value targs = util::json::Value::object();
       targs.set("key_hash", hash);
       obs::TraceRecorder::instance().instant("cache:hit", std::move(targs));
     }
-    const double wall = total.seconds();
-    metrics_.total_latency.record(wall);
+    const double wall = total.wall_s();
+    record_s(tally().total_ns, wall);
     touch_activity();
     return report_frame("hit", hash, 0.0, wall, *cached);
   }
-  metrics_.cache_misses.fetch_add(1);
-  obs::counter("service.cache_misses").add();
+  tally().cache_misses.add();
   span.arg("cache", "miss");
 
   if (draining_.load()) {
-    metrics_.rejected_draining.fetch_add(1);
+    tally().rejected_draining.add();
     return error_frame("draining", "server is shutting down");
   }
   if (const std::string reason =
           over_budget_reason(plan, opt_.mem_budget_bytes);
       !reason.empty()) {
-    metrics_.rejected_over_budget.fetch_add(1);
+    tally().rejected_over_budget.add();
     return error_frame("over_budget", reason);
   }
 
   auto job = std::make_shared<Job>();
   job->plan = std::move(plan);
   job->key = key;
-  job->enqueued_at_s = metrics_.uptime.wall_s();
   std::future<std::string> result = job->result.get_future();
   if (!queue_->try_push(job)) {
     if (draining_.load()) {
-      metrics_.rejected_draining.fetch_add(1);
+      tally().rejected_draining.add();
       return error_frame("draining", "server is shutting down");
     }
-    metrics_.rejected_queue_full.fetch_add(1);
+    tally().rejected_queue_full.add();
     return error_frame(
         "queue_full",
         "job queue is full (" + std::to_string(opt_.queue_depth) +
             " waiting jobs); retry with backoff");
   }
-  metrics_.jobs_accepted.fetch_add(1);
+  tally().jobs_accepted.add();
   // Admission is durable from this point: the submit record is fsynced
   // before the connection blocks on the result, so a kill -9 anywhere
   // after here replays the job on restart.
@@ -456,10 +494,10 @@ std::string Server::handle_submit(const util::json::Value& request) {
 
   try {
     std::string response = result.get();  // worker-built complete frame
-    metrics_.total_latency.record(total.seconds());
+    record_s(tally().total_ns, total.wall_s());
     return response;
   } catch (const std::exception& e) {
-    metrics_.total_latency.record(total.seconds());
+    record_s(tally().total_ns, total.wall_s());
     return error_frame("execution_failed", e.what());
   }
 }
@@ -474,21 +512,21 @@ void Server::worker_loop() {
   }
   while (auto popped = queue_->pop()) {
     const std::shared_ptr<Job>& job = *popped;
-    const double wait_s = metrics_.uptime.wall_s() - job->enqueued_at_s;
-    metrics_.wait_latency.record(wait_s);
-    metrics_.jobs_active.fetch_add(1);
+    const double wait_s = job->queued.wall_s();
+    record_s(tally().wait_ns, wait_s);
+    jobs_active_.fetch_add(1);
     obs::Span span("service:execute");
     span.arg("queue_wait_s", wait_s);
-    const util::WallTimer exec;
+    const obs::Stopwatch exec;
     try {
       api::RunReport report = api::run(job->plan, generators_, analyses_);
       report.queue_wait_s = wait_s;
-      const double execute_s = exec.seconds();
-      metrics_.execute_latency.record(execute_s);
+      const double execute_s = exec.wall_s();
+      record_s(tally().execute_ns, execute_s);
       // indent 0 keeps the document newline-free — the framing invariant.
       std::string report_json = report.to_json().dump_string(0);
       cache_.put(job->key, report_json);
-      metrics_.jobs_completed.fetch_add(1);
+      tally().jobs_completed.add();
       if (state_wal_.is_open()) {
         util::json::Value rec = util::json::Value::object();
         rec.set("type", "done");
@@ -498,29 +536,67 @@ void Server::worker_loop() {
       job->result.set_value(report_frame("miss",
                                          util::json::hash64(job->key), wait_s,
                                          execute_s, report_json));
-      obs::counter("service.jobs_completed").add();
     } catch (...) {
       // Exception isolation: the plan failed, the worker survives. The
       // connection thread turns this into an execution_failed frame.
-      metrics_.execute_latency.record(exec.seconds());
-      metrics_.jobs_failed.fetch_add(1);
-      obs::counter("service.jobs_failed").add();
+      record_s(tally().execute_ns, exec.wall_s());
+      tally().jobs_failed.add();
       util::log::warn("service", "job failed during execute");
       job->result.set_exception(std::current_exception());
     }
-    metrics_.jobs_active.fetch_sub(1);
+    jobs_active_.fetch_sub(1);
     touch_activity();
   }
 }
 
 util::json::Value Server::stats_json() const {
-  util::json::Value v = metrics_.to_json(queue_->size());
+  using util::json::Value;
+  Value counters = obs::CounterRegistry::delta(
+      counters_start_, obs::CounterRegistry::instance().snapshot());
+  const auto count = [&](const std::string& field) {
+    return counters.get_uint("service." + field, 0);
+  };
+  Value v = Value::object();
+  v.set("uptime_s", uptime_.wall_s());
+  for (const char* field : {"connections_opened", "client_disconnects",
+                            "jobs_accepted", "jobs_completed", "jobs_failed"}) {
+    v.set(field, count(field));
+  }
+  v.set("jobs_active", jobs_active_.load());
+  v.set("queue_depth", static_cast<std::uint64_t>(queue_->size()));
+  Value rejected = Value::object();
+  for (const char* reason :
+       {"queue_full", "over_budget", "bad_request", "draining"}) {
+    rejected.set(reason, count(std::string("rejected.") + reason));
+  }
+  v.set("rejected", std::move(rejected));
+  const std::uint64_t hits = count("cache_hits");
+  const std::uint64_t misses = count("cache_misses");
+  Value cache = Value::object();
+  cache.set("hits", hits);
+  cache.set("misses", misses);
+  cache.set("hit_rate",
+            hits + misses == 0
+                ? 0.0
+                : static_cast<double>(hits) /
+                      static_cast<double>(hits + misses));
+  v.set("cache", std::move(cache));
+  Value latency = Value::object();
+  for (const char* phase : {"wait", "execute", "total"}) {
+    const obs::Histogram::Summary h = obs::Histogram::summarize(
+        counters, std::string("service.latency.") + phase);
+    Value q = Value::object();
+    q.set("count", h.count);
+    q.set("p50_s", h.p50 * 1e-9);
+    q.set("p99_s", h.p99 * 1e-9);
+    q.set("max_s", h.max * 1e-9);
+    latency.set(phase, std::move(q));
+  }
+  v.set("latency", std::move(latency));
   v.set("cache_store", cache_.stats_json());
-  v.set("jobs_replayed", jobs_replayed_.load());
-  // The process-wide obs registry rides along: analysis-layer counts
-  // (edges streamed, shards executed) the service metrics don't track.
-  v.set("counters", obs::CounterRegistry::instance().snapshot());
-  util::json::Value cfg = util::json::Value::object();
+  v.set("jobs_replayed", count("jobs_replayed"));
+  v.set("counters", std::move(counters));
+  Value cfg = Value::object();
   cfg.set("socket", opt_.socket_path);
   cfg.set("workers", opt_.workers);
   cfg.set("omp_threads", omp_threads_);

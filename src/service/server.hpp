@@ -49,8 +49,8 @@
 #include "api/analysis.hpp"
 #include "api/plan.hpp"
 #include "api/registry.hpp"
+#include "obs/stopwatch.hpp"
 #include "service/cache.hpp"
-#include "service/metrics.hpp"
 #include "service/queue.hpp"
 #include "util/journal.hpp"
 #include "util/json.hpp"
@@ -98,14 +98,16 @@ class Server {
   /// what an idle-timeout loop polls.
   [[nodiscard]] double seconds_idle() const;
 
-  [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] const ServerOptions& options() const noexcept { return opt_; }
   /// OpenMP team of each job worker thread: util::omp_budget(workers),
   /// resolved by start() on the calling thread (0 before start()). Also
   /// reported as config.omp_threads in stats_json().
   [[nodiscard]] unsigned omp_threads() const noexcept { return omp_threads_; }
 
-  /// The `stats` response payload (also handy for tests/benches).
+  /// The `stats` response payload (also handy for tests/benches): the obs
+  /// registry's delta since this server was constructed (`counters`) and
+  /// the fields read from its `service.*` entries. Servers run one after
+  /// another count from zero; concurrent ones in one process share counts.
   [[nodiscard]] util::json::Value stats_json() const;
 
  private:
@@ -114,7 +116,7 @@ class Server {
   struct Job {
     api::RunPlan plan;
     std::string key;           ///< cache_key() — the result-cache identity
-    double enqueued_at_s = 0;  ///< metrics_.uptime timestamp
+    obs::Stopwatch queued;     ///< started at admission, read at pop
     /// Fulfilled by the worker with the COMPLETE response frame (the worker
     /// knows the wait/execute split); an execution error arrives as the
     /// thrown exception, which the connection thread wraps in an
@@ -142,13 +144,15 @@ class Server {
   const api::GeneratorRegistry& generators_;
   const api::AnalysisRegistry& analyses_;
 
-  Metrics metrics_;
+  obs::Stopwatch uptime_;  ///< started when the server constructs
+  util::json::Value counters_start_;  ///< registry snapshot at construction
+  /// Jobs inside api::run() now: a level, read by seconds_idle().
+  std::atomic<std::uint64_t> jobs_active_{0};
   ResultCache cache_;
   std::unique_ptr<BoundedQueue<std::shared_ptr<Job>>> queue_;
 
   util::journal::Journal state_wal_;
   std::mutex state_mutex_;
-  std::atomic<std::uint64_t> jobs_replayed_{0};
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};

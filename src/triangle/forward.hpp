@@ -60,23 +60,4 @@ inline count_t forward_row(const Oriented& o, vid u, Emit&& emit) {
   return checks;
 }
 
-/// Enumerates each triangle exactly once, invoking emit(u, v, w) with
-/// u ≺ v ≺ w in degree order. Parallel over u; `emit` must be thread-safe.
-/// Returns the number of wedge checks (merge comparisons).
-///
-/// Prefer the census engine (triangle/census.hpp) for counting workloads:
-/// it gives each worker thread-local buffers so `emit` needs no atomics.
-template <typename Emit>
-count_t forward_triangles(const Oriented& o, vid n, Emit&& emit) {
-  count_t checks = 0;
-#pragma omp parallel for schedule(dynamic, 64) reduction(+ : checks)
-  for (std::int64_t uu = 0; uu < static_cast<std::int64_t>(n); ++uu) {
-    checks += forward_row(o, static_cast<vid>(uu),
-                          [&](vid u, vid v, vid w, esz, esz, esz) {
-                            emit(u, v, w);
-                          });
-  }
-  return checks;
-}
-
 }  // namespace kronotri::triangle

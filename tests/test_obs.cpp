@@ -11,10 +11,12 @@
 #endif
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -26,6 +28,7 @@
 #include "runner/runner.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
+#include "util/prng.hpp"
 
 namespace {
 
@@ -112,9 +115,8 @@ TEST(Stopwatch, WallAdvancesAndCpuNonNegative) {
   EXPECT_GT(obs::now_us(), t0);
   EXPECT_GE(sw.wall_s(), 0.0);
   EXPECT_GE(sw.cpu_s(), 0.0);
-  EXPECT_NEAR(sw.wall_ms(), sw.wall_s() * 1000.0, 1.0);
-  sw.reset();
-  EXPECT_LT(sw.wall_s(), 1.0);
+  EXPECT_NEAR(obs::now_s(), obs::now_us() * 1e-6, 1e-3);
+  EXPECT_LT(obs::Stopwatch().wall_s(), 1.0);
 }
 
 TEST(Counters, RegistrySnapshotAndDelta) {
@@ -126,11 +128,12 @@ TEST(Counters, RegistrySnapshotAndDelta) {
   const Value start = reg.snapshot();
   obs::counter("test.alpha").add(3);
   obs::counter("test.alpha").add(2);
-  obs::gauge("test.peak").max_of(7.5);
-  obs::gauge("test.peak").max_of(2.0);  // lower: must not win
+  obs::histogram("test.peak").record(7);
+  obs::histogram("test.peak").record(2);  // lower: must not win the max
   const Value end = reg.snapshot();
   EXPECT_EQ(end.get_uint("test.alpha", 0), 5u);
-  EXPECT_DOUBLE_EQ(end.find("test.peak")->as_double(), 7.5);
+  EXPECT_DOUBLE_EQ(end.find("test.peak.max")->as_double(), 7.0);
+  EXPECT_EQ(end.get_uint("test.peak.count", 0), 2u);
 
   // Delta vs the pre-increment snapshot reports exactly this run's bumps.
   const Value d = obs::CounterRegistry::delta(start, end);
@@ -138,6 +141,129 @@ TEST(Counters, RegistrySnapshotAndDelta) {
   // Delta vs the post-increment snapshot reports no counter movement.
   const Value d2 = obs::CounterRegistry::delta(end, end);
   EXPECT_EQ(d2.find("test.alpha"), nullptr);
+  reg.reset();
+}
+
+/// The sample of nearest rank floor(q·(n−1)) — what Histogram::summarize
+/// estimates.
+std::uint64_t exact_rank(std::vector<std::uint64_t> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1))];
+}
+
+void expect_within_bucket_error(double estimate, std::uint64_t exact) {
+  const double x = static_cast<double>(exact);
+  EXPECT_LE(std::abs(estimate - x), x / 32.0 * (1 + 1e-12))
+      << "estimate " << estimate << " exact " << exact;
+}
+
+TEST(Histogram, BucketsTileTheU64Range) {
+  using H = obs::Histogram;
+  EXPECT_EQ(H::bucket_low(0), 0u);
+  EXPECT_EQ(H::bucket_high(H::kBuckets - 1), ~std::uint64_t{0});
+  for (std::size_t b = 0; b < H::kBuckets; ++b) {
+    EXPECT_EQ(H::bucket_of(H::bucket_low(b)), b);
+    EXPECT_EQ(H::bucket_of(H::bucket_high(b)), b);
+    if (b + 1 < H::kBuckets) {
+      EXPECT_EQ(H::bucket_high(b) + 1, H::bucket_low(b + 1));
+    }
+    // Width at most 1/16 of the lower edge (exact below 16).
+    EXPECT_LE(H::bucket_high(b) - H::bucket_low(b),
+              H::bucket_low(b) / H::kSub);
+  }
+}
+
+TEST(Histogram, QuantilesWithinDocumentedError) {
+  obs::CounterRegistry::instance().reset();
+  obs::Histogram& h = obs::histogram("test.hist.quantiles");
+  util::Xoshiro256 rng(42);
+  std::vector<std::uint64_t> samples;
+  for (int i = 0; i < 20000; ++i) {
+    // Every magnitude from 0 to 2^64 − 1.
+    samples.push_back(rng() >> (rng() % 64));
+  }
+  for (int i = 0; i < 16; ++i) samples.push_back(static_cast<std::uint64_t>(i));
+  for (const std::uint64_t v : samples) h.record(v);
+
+  const obs::Histogram::Summary s = obs::Histogram::summarize(
+      obs::CounterRegistry::instance().snapshot(), "test.hist.quantiles");
+  EXPECT_EQ(s.count, samples.size());
+  EXPECT_DOUBLE_EQ(s.max, static_cast<double>(*std::max_element(
+                              samples.begin(), samples.end())));
+  expect_within_bucket_error(s.p50, exact_rank(samples, 0.50));
+  expect_within_bucket_error(s.p99, exact_rank(samples, 0.99));
+
+  // Values below 16 have a bucket each: quantiles are exact.
+  obs::Histogram& small = obs::histogram("test.hist.small");
+  for (std::uint64_t v = 0; v < 10; ++v) small.record(v);
+  const obs::Histogram::Summary ss = obs::Histogram::summarize(
+      obs::CounterRegistry::instance().snapshot(), "test.hist.small");
+  EXPECT_EQ(ss.count, 10u);
+  EXPECT_DOUBLE_EQ(ss.p50, 4.0);
+  EXPECT_DOUBLE_EQ(ss.p99, 8.0);
+  EXPECT_DOUBLE_EQ(ss.max, 9.0);
+  obs::CounterRegistry::instance().reset();
+}
+
+TEST(Histogram, ConcurrentRecordsCountExactly) {
+  obs::CounterRegistry::instance().reset();
+  obs::Histogram& h = obs::histogram("test.hist.threads");
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kPerThread = 50000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        h.record((i * 7919 + static_cast<std::uint64_t>(t)) % 100000);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(h.max(), 99999u);
+  std::uint64_t in_buckets = 0;
+  for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
+    in_buckets += h.bucket(b);
+  }
+  EXPECT_EQ(in_buckets, kThreads * kPerThread);
+  const Value snap = obs::CounterRegistry::instance().snapshot();
+  EXPECT_EQ(snap.get_uint("test.hist.threads.count", 0), kThreads * kPerThread);
+  obs::CounterRegistry::instance().reset();
+}
+
+TEST(Histogram, DeltaOfSnapshotsCoversOnlyTheInterval) {
+  obs::CounterRegistry& reg = obs::CounterRegistry::instance();
+  reg.reset();
+  obs::Histogram& h = obs::histogram("test.hist.delta");
+  for (std::uint64_t i = 0; i < 1000; ++i) h.record(1000000 + i * 1000);
+  const Value before = reg.snapshot();
+  std::vector<std::uint64_t> interval;
+  std::map<std::size_t, std::uint64_t> per_bucket;
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    const std::uint64_t v = 1000 + i * 2;
+    interval.push_back(v);
+    ++per_bucket[obs::Histogram::bucket_of(v)];
+    h.record(v);
+  }
+  const Value d = obs::CounterRegistry::delta(before, reg.snapshot());
+
+  EXPECT_EQ(d.get_uint("test.hist.delta.count", 0), 500u);
+  std::uint64_t bucket_entries = 0;
+  for (const auto& [key, v] : d.members()) {
+    if (key.starts_with("test.hist.delta.b")) ++bucket_entries;
+  }
+  EXPECT_EQ(bucket_entries, per_bucket.size());
+  for (const auto& [b, c] : per_bucket) {
+    EXPECT_EQ(d.get_uint("test.hist.delta.b" + std::to_string(b), 0), c);
+  }
+  const obs::Histogram::Summary s =
+      obs::Histogram::summarize(d, "test.hist.delta");
+  EXPECT_EQ(s.count, 500u);
+  expect_within_bucket_error(s.p50, exact_rank(interval, 0.50));
+  expect_within_bucket_error(s.p99, exact_rank(interval, 0.99));
+  // The lifetime max (~2e6) predates the interval; the reported max stays
+  // within the interval's top bucket.
+  EXPECT_GE(s.max, static_cast<double>(interval.back()));
+  EXPECT_LE(s.max, static_cast<double>(interval.back()) * (1 + 1.0 / 16));
   reg.reset();
 }
 
@@ -180,7 +306,7 @@ TEST(Trace, DisabledModeRecordsNothing) {
     rec.counter("none", 1.0);
     EXPECT_FALSE(span.active());
   }
-  EXPECT_EQ(rec.event_count(), 0u);
+  EXPECT_TRUE(trace_events(rec.export_json()).empty());
 }
 
 TEST(Trace, ExportParsesAndSpansNest) {
@@ -278,7 +404,7 @@ TEST(Trace, ImportToleratesMissingAndTruncatedFiles) {
   const TempFile file("truncated");
   { std::ofstream(file.path) << "{\"traceEvents\":[{\"name\":\"x\","; }
   EXPECT_FALSE(rec.import_file(file.path));
-  EXPECT_EQ(rec.event_count(), 0u);
+  EXPECT_TRUE(trace_events(rec.export_json()).empty());
 }
 
 TEST(Trace, RoundTripsThroughFile) {
@@ -338,7 +464,8 @@ TEST(TraceApi, TracingDoesNotPerturbResults) {
     const std::string traced =
         runner::comparable(api::run(plan).to_json()).dump_string(2);
     EXPECT_EQ(traced, baseline);
-    EXPECT_GT(obs::TraceRecorder::instance().event_count(), 0u);
+    EXPECT_FALSE(
+        trace_events(obs::TraceRecorder::instance().export_json()).empty());
   }
 #ifdef _OPENMP
   omp_set_num_threads(saved);

@@ -2,6 +2,10 @@
 // spanning tree (connectivity) intact.
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "analysis/components.hpp"
 #include "gen/classic.hpp"
 #include "gen/prune.hpp"
@@ -99,6 +103,44 @@ TEST(Prune, Thm3EndToEndWithPrunedB) {
       EXPECT_EQ(oracle.truss_number(p, q), direct.truss_number.at(p, q));
     }
   }
+}
+
+/// FNV-1a over the (u < v) edge list in row order.
+std::uint64_t edge_fingerprint(const Graph& g) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (vid u = 0; u < g.num_vertices(); ++u) {
+    for (const vid v : g.neighbors(u)) {
+      if (v < u) continue;
+      h = (h ^ (static_cast<std::uint64_t>(u) << 32 | v)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(Prune, SameGraphAtEveryTeamSize) {
+  // 3000 vertices span ~47 dynamic,64 enumeration chunks, so teams of 2+
+  // interleave them; tie-breaks consume the RNG in triangle order, so any
+  // team-dependent order changes the pruned graph.
+  const Graph g = gen::holme_kim(3000, 4, 0.8, 7);
+  std::vector<Graph> pruned;
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  for (const int t : {1, 2, 4, 8}) {
+    omp_set_num_threads(t);
+    pruned.push_back(gen::prune_to_one_triangle(g, 5));
+  }
+  omp_set_num_threads(saved);
+#else
+  pruned.push_back(gen::prune_to_one_triangle(g, 5));
+#endif
+  for (std::size_t i = 1; i < pruned.size(); ++i) {
+    EXPECT_TRUE(pruned[i] == pruned[0]) << "team index " << i;
+  }
+  // The serial enumeration order: the graph the single-threaded prune has
+  // always produced for this input.
+  EXPECT_EQ(pruned[0].num_undirected_edges(), 9834u);
+  EXPECT_EQ(edge_fingerprint(pruned[0]), 0x9a6a2354b1299fb2ull);
+  EXPECT_TRUE(truss::edges_in_at_most_one_triangle(pruned[0]));
 }
 
 }  // namespace

@@ -141,6 +141,75 @@ TEST(Service, PingStatsAndConfigShape) {
   EXPECT_EQ(s.find("config")->get_uint("queue_depth", 0), 8u);
 }
 
+TEST(Service, ServersInSequenceEachCountFromZero) {
+  // The service counts in the process-wide obs registry; each server's
+  // stats are the delta since it was constructed, so a second server in
+  // the same process does not inherit the first one's counts.
+  for (const char* tag : {"seq1", "seq2"}) {
+    SCOPED_TRACE(tag);
+    service::Server server(small_options(tag));
+    server.start();
+    service::Client c;
+    c.connect(server.options().socket_path);
+    EXPECT_TRUE(c.submit_text("hk:n=60,seed=4 census").get_bool("ok", false));
+    const Value& s = stats_of(c.stats());
+    EXPECT_EQ(s.get_uint("jobs_completed", 0), 1u);
+    EXPECT_EQ(s.get_uint("jobs_accepted", 0), 1u);
+    EXPECT_EQ(s.get_uint("connections_opened", 0), 1u);
+    EXPECT_EQ(s.find("cache")->get_uint("misses", 0), 1u);
+    EXPECT_EQ(s.find("latency")->find("execute")->get_uint("count", 0), 1u);
+  }
+}
+
+TEST(Service, StatsFieldsAreTheRegistryCounters) {
+  // Each service event bumps exactly one `service.*` registry entry, and
+  // the stats fields are read back from those entries.
+  service::Server server(small_options("onecount"));
+  server.start();
+  service::Client c;
+  c.connect(server.options().socket_path);
+  const std::string plan = "hk:n=60,seed=6 census";
+  EXPECT_EQ(c.submit_text(plan).get_string("cache", ""), "miss");
+  EXPECT_EQ(c.submit_text(plan).get_string("cache", ""), "hit");
+  Value bogus = Value::object();
+  bogus.set("type", "bogus");
+  EXPECT_EQ(error_code(c.request(bogus)), "bad_request");
+
+  const Value& s = stats_of(c.stats());
+  const Value* counters = s.find("counters");
+  ASSERT_NE(counters, nullptr);
+  const auto registry = [&](const std::string& name) {
+    return counters->get_uint("service." + name, 0);
+  };
+  for (const char* field : {"connections_opened", "client_disconnects",
+                            "jobs_accepted", "jobs_completed", "jobs_failed",
+                            "jobs_replayed"}) {
+    EXPECT_EQ(s.get_uint(field, 99), registry(field)) << field;
+  }
+  for (const auto& [reason, v] : s.find("rejected")->members()) {
+    EXPECT_EQ(v.as_uint(), registry("rejected." + reason)) << reason;
+  }
+  EXPECT_EQ(s.find("cache")->get_uint("hits", 99), registry("cache_hits"));
+  EXPECT_EQ(s.find("cache")->get_uint("misses", 99), registry("cache_misses"));
+  for (const char* phase : {"wait", "execute", "total"}) {
+    EXPECT_EQ(s.find("latency")->find(phase)->get_uint("count", 99),
+              registry(std::string("latency.") + phase + ".count"))
+        << phase;
+  }
+  // And each of the events above counted once.
+  EXPECT_EQ(s.get_uint("connections_opened", 0), 1u);
+  EXPECT_EQ(s.get_uint("jobs_completed", 0), 1u);
+  EXPECT_EQ(s.find("cache")->get_uint("hits", 0), 1u);
+  EXPECT_EQ(s.find("cache")->get_uint("misses", 0), 1u);
+  EXPECT_EQ(s.find("rejected")->get_uint("bad_request", 0), 1u);
+  EXPECT_EQ(registry("requests"), 2u);
+  const Value* total = s.find("latency")->find("total");
+  EXPECT_EQ(total->get_uint("count", 0), 2u);
+  EXPECT_LE(total->find("p50_s")->as_double(),
+            total->find("max_s")->as_double());
+  EXPECT_GT(total->find("max_s")->as_double(), 0.0);
+}
+
 TEST(Service, SubmitExecutesPlanAndFillsReportFields) {
   service::Server server(small_options("submit"));
   server.start();
@@ -410,8 +479,9 @@ TEST(Service, GracefulDrainDeliversInFlightResponses) {
   in_flight.join();
   EXPECT_TRUE(response.get_bool("ok", false));
   EXPECT_TRUE(response.find("report")->get_bool("pass", false));
-  EXPECT_EQ(server.metrics().jobs_completed.load(), 1u);
-  EXPECT_EQ(server.metrics().jobs_failed.load(), 0u);
+  const Value after = server.stats_json();
+  EXPECT_EQ(after.get_uint("jobs_completed", 0), 1u);
+  EXPECT_EQ(after.get_uint("jobs_failed", 1), 0u);
 
   // After the drain the socket is gone: new connections are refused.
   service::Client late;
@@ -678,7 +748,7 @@ TEST(Service, SurvivesManyConcurrentClients) {
     int total = 0;
     for (const int ok : ok_count) total += ok;
     EXPECT_EQ(total, clients);
-    EXPECT_EQ(server.metrics().jobs_failed.load(), 0u);
+    EXPECT_EQ(server.stats_json().get_uint("jobs_failed", 1), 0u);
 
     // The shared plan is cached by now: one more submit must hit (during
     // the race itself all the sharers may legitimately miss at once).

@@ -7,7 +7,6 @@
 #include "helpers.hpp"
 #include "triangle/bruteforce.hpp"
 #include "triangle/count.hpp"
-#include "triangle/forward.hpp"
 #include "triangle/support.hpp"
 
 namespace {
@@ -141,23 +140,6 @@ TEST_P(TriangleProperty, TotalIsOneThirdOfVertexSum) {
   for (const count_t v : t) sum += v;
   EXPECT_EQ(sum % 3, 0u);
   EXPECT_EQ(triangle::count_total(g), sum / 3);
-}
-
-TEST_P(TriangleProperty, ForwardEnumeratesEachTriangleOnce) {
-  const Graph g = kt_test::random_undirected(22, 0.3, GetParam() + 300);
-  const triangle::Oriented o = triangle::orient_by_degree(g.matrix());
-  count_t count = 0;
-  triangle::forward_triangles(o, g.num_vertices(), [&](vid u, vid v, vid w) {
-    EXPECT_TRUE(g.has_edge(u, v));
-    EXPECT_TRUE(g.has_edge(v, w));
-    EXPECT_TRUE(g.has_edge(u, w));
-    EXPECT_NE(u, v);
-    EXPECT_NE(v, w);
-    EXPECT_NE(u, w);
-#pragma omp atomic
-    ++count;
-  });
-  EXPECT_EQ(count, triangle::brute::total(g));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TriangleProperty,
