@@ -3,8 +3,9 @@
 // d_C = d_A ⊗ d_B for loop-free factors, with the self-loop corrections of
 // §III.A otherwise. The qualitative observation the paper makes — the ratio
 // of maximum degree to vertex count SQUARES under the product,
-// ‖d_C‖∞/n_C = (‖d_A‖∞/n_A)·(‖d_B‖∞/n_B) — is what bench_degree_dist
-// reports, together with heavy-tail summary statistics.
+// ‖d_C‖∞/n_C = (‖d_A‖∞/n_A)·(‖d_B‖∞/n_B) — is checked on
+// examples/plans/paper_degree_dist.json; the summary also carries heavy-tail
+// statistics.
 #pragma once
 
 #include <map>

@@ -262,7 +262,10 @@ namespace {
 ///   vertices=L  ground truth at exactly these ;-separated vertex ids
 ///               (claim-sized work — never expands the full vector)
 ///   edges=1     additionally ride the stream pass with a TriangleCensusSink
-///               (Σ Δ(e) + edge-count histogram measured during generation)
+///               (Σ Δ(e) + edge-count histogram measured during generation).
+///               Both count stored slots, so each undirected edge counts
+///               twice: streamed_edge_histogram is twice validate's
+///               edge_histogram, and streamed_edge_triangle_sum is 6τ.
 class CensusAnalysis final : public Analysis {
  public:
   explicit CensusAnalysis(const Params& p)

@@ -3,8 +3,10 @@
 // Erdős–Rényi and Barabási–Albert are baselines; Holme–Kim (BA with triad
 // formation) is the library's stand-in for the paper's web-NotreDame
 // factor: it produces scale-free graphs with tunable, high triangle density
-// — the two properties the §VI experiment needs from its factor (see
-// DESIGN.md, "Substitutions"). All generators are deterministic in `seed`.
+// — the two properties the §VI experiment needs from its factor. The
+// paper's web-NotreDame data set is not shipped, so a seeded generator of
+// the same vertex count stands in for it. All generators are deterministic
+// in `seed`.
 #pragma once
 
 #include <cstdint>

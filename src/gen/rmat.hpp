@@ -3,9 +3,9 @@
 // This is the baseline the paper's Rem. 1 argues against: stochastic
 // Kronecker graphs (the Graph500 generator family [1]) have very few
 // triangles relative to real-world graphs because edges are sampled
-// independently. bench_stochastic_vs_nonstochastic quantifies that claim by
-// comparing this generator's triangle census against a non-stochastic
-// Kronecker product of equal scale.
+// independently. tests/test_clustering.cpp pins that claim: at equal vertex
+// count this generator leaves a far larger share of vertices in no triangle
+// than a non-stochastic Kronecker product does.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // The one clock source behind every wall/CPU measurement in the repo.
 //
-// Every elapsed time and deadline in the library, the CLI, bench/ and
-// examples/ reads these functions: RunReport stage timings, the runner's
+// Every elapsed time and deadline in the library, the CLI and examples/
+// reads these functions: RunReport stage timings, the runner's
 // and agent's deadlines and heartbeats, service latencies and client
 // timeouts, and trace spans. (Log lines stamp calendar time, not a
 // duration.) obs::Stopwatch reads both clocks at once, so a stage's wall

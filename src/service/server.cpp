@@ -521,6 +521,17 @@ void Server::worker_loop() {
     try {
       api::RunReport report = api::run(job->plan, generators_, analyses_);
       report.queue_wait_s = wait_s;
+      // The delta spans the whole process, so it caught what connections
+      // and other workers counted meanwhile (and every `service.*.max`
+      // level). Those belong to the server's stats, not to this job, and
+      // the cache would replay them with every hit.
+      if (report.counters.is_object()) {
+        util::json::Value own = util::json::Value::object();
+        for (const auto& [name, v] : report.counters.members()) {
+          if (!name.starts_with("service.")) own.append(name, v);
+        }
+        report.counters = std::move(own);
+      }
       const double execute_s = exec.wall_s();
       record_s(tally().execute_ns, execute_s);
       // indent 0 keeps the document newline-free — the framing invariant.

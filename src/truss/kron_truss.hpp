@@ -2,7 +2,7 @@
 //
 // In general the truss decomposition of C = A ⊗ B is NOT a simple product
 // of the factor decompositions (the paper's Ex. 2 is the counterexample,
-// reproduced in bench_ex2_truss). Under the strong assumption Δ_B ≤ 1
+// checked by examples/plans/paper_ex2_truss.json). Under the strong assumption Δ_B ≤ 1
 // (every edge of B in at most one triangle) Thm 3 gives an exact transfer:
 //
 //   (p,q) ∈ T^{(κ)}_C  ⟺  (i,j) ∈ T^{(κ)}_A and (k,l) ∈ T^{(3)}_B,

@@ -1,9 +1,9 @@
-// Tiny command-line flag parser shared by the examples and benchmark
-// harnesses. Supports `--name value` and `--name=value`, with typed getters
-// and defaults; unknown flags are collected so google-benchmark flags pass
-// through untouched. A bare `--` ends flag parsing: everything after it is
-// positional, so values that themselves start with `--` can be passed
-// positionally (or via the always-unambiguous `--name=value` form).
+// Tiny command-line flag parser shared by the CLI and the examples.
+// Supports `--name value` and `--name=value`, with typed getters and
+// defaults; every flag is stored, so each caller reads the ones it knows.
+// A bare `--` ends flag parsing: everything after it is positional, so
+// values that themselves start with `--` can be passed positionally (or
+// via the always-unambiguous `--name=value` form).
 #pragma once
 
 #include <cstdint>

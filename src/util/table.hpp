@@ -1,6 +1,6 @@
-// Plain-text table rendering for the benchmark harnesses. Every bench binary
-// re-prints its paper table through this facility so the output of
-// `for b in build/bench/*; do $b; done` reads like the paper's evaluation.
+// Plain-text table rendering for human-readable reports: the CLI, the
+// text blocks of run-plan analyses and the examples print their tables
+// through this facility.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -292,6 +293,47 @@ TEST(Service, CacheHitReplaysByteIdentical) {
   const Value third = c.submit(threaded);
   ASSERT_TRUE(third.get_bool("ok", false));
   EXPECT_EQ(third.get_string("cache", ""), "hit");
+}
+
+TEST(Service, JobReportsCarryNoServiceCounters) {
+  // A report's counters are api::run's delta of the process-wide registry.
+  // What the server counted while the job ran (cache hits on other
+  // connections, latency maxima) is the server's, and must not be cached
+  // and replayed with the job.
+  service::Server server(small_options("jobcounters"));
+  server.start();
+  const std::string socket = server.options().socket_path;
+  const std::string hot = "hk:n=60,seed=8 census";
+  {
+    service::Client c;
+    c.connect(socket);
+    ASSERT_TRUE(c.submit_text(hot).get_bool("ok", false));
+  }
+  std::atomic<bool> done{false};
+  std::thread hits([&] {
+    service::Client c;
+    c.connect(socket);
+    while (!done.load()) (void)c.submit_text(hot);
+  });
+  const std::string fresh_plan =
+      "kron:(hk:n=80,seed=9)x(clique:n=3) census test-sleep:ms=100,tag=own";
+  service::Client c;
+  c.connect(socket);
+  const Value fresh = c.submit_text(fresh_plan);
+  done = true;
+  hits.join();
+  const Value replay = c.submit_text(fresh_plan);
+  ASSERT_TRUE(fresh.get_bool("ok", false));
+  EXPECT_EQ(fresh.get_string("cache", ""), "miss");
+  EXPECT_EQ(replay.get_string("cache", ""), "hit");
+  EXPECT_GT(stats_of(c.stats()).find("cache")->get_uint("hits", 0), 1u);
+  for (const Value* response : {&fresh, &replay}) {
+    const Value* counters = response->find("report")->find("counters");
+    ASSERT_NE(counters, nullptr);  // the job's own counters stay
+    for (const auto& [name, v] : counters->members()) {
+      EXPECT_FALSE(name.starts_with("service.")) << name;
+    }
+  }
 }
 
 TEST(Service, FullQueueRejectsWithReason) {
