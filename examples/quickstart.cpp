@@ -33,9 +33,9 @@ int main() {
             << " triangles (report pass: " << (report.pass ? "yes" : "no")
             << ")\n";
 
-  // Everything above is also one CLI call:
-  //   kronotri run --plan "kron:(hubcycle)x(clique:n=3,loops=1) \
-  //                        census:edges=1 degree validate" --json report.json
+  // Everything above is also one CLI call (a single shell line):
+  //   kronotri run --json report.json
+  //     --plan "kron:(hubcycle)x(clique:n=3,loops=1) census:edges=1 degree validate"
 
   // Below the plan API: the oracle gives exact per-vertex / per-edge
   // ground truth straight from the factors.

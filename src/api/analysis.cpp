@@ -336,8 +336,10 @@ class CensusAnalysis final : public Analysis {
     } else if (ctx.is_product()) {
       for (std::size_t i = 0; i < ctx.factors().size(); ++i) {
         const auto& f = ctx.factors()[i];
-        add("A" + std::to_string(i + 1), f.num_vertices(),
-            f.num_undirected_edges(), triangle::count_total(f));
+        std::string label = "A";
+        label += std::to_string(i + 1);
+        add(label, f.num_vertices(), f.num_undirected_edges(),
+            triangle::count_total(f));
       }
       const auto& chain = ctx.chain();
       product_total = chain.total_triangles();

@@ -98,6 +98,7 @@ class KronMatrixExpr {
 
   [[nodiscard]] vid rows() const noexcept { return ra_ * rb_; }
   [[nodiscard]] const std::vector<Term>& terms() const noexcept { return terms_; }
+  [[nodiscard]] std::int64_t divisor() const noexcept { return divisor_; }
 
  private:
   std::int64_t divisor_;

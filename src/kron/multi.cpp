@@ -153,6 +153,16 @@ count_t KronChain::edge_triangles(vid p, vid q) const {
   return prod;
 }
 
+const std::vector<count_t>& KronChain::diag_cube(std::size_t i) const {
+  require_triangle_stats();
+  return diag_cube_.at(i);
+}
+
+const CountCsr& KronChain::support(std::size_t i) const {
+  require_triangle_stats();
+  return support_.at(i);
+}
+
 count_t KronChain::total_triangles() const {
   require_triangle_stats();
   count_t prod = 1;

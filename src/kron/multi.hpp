@@ -74,6 +74,11 @@ class KronChain {
   /// τ(C).
   [[nodiscard]] count_t total_triangles() const;
 
+  /// Factor i's terms of the formulas above: diag(Aᵢ³) and Aᵢ ∘ Aᵢ² (the
+  /// latter on Aᵢ's own CSR pattern).
+  [[nodiscard]] const std::vector<count_t>& diag_cube(std::size_t i) const;
+  [[nodiscard]] const CountCsr& support(std::size_t i) const;
+
  private:
   void require_triangle_stats() const;
 

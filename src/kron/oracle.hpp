@@ -52,6 +52,8 @@ class TriangleOracle {
 
   [[nodiscard]] vid num_vertices() const noexcept { return n_; }
   [[nodiscard]] count_t num_undirected_edges() const noexcept { return edges_; }
+  [[nodiscard]] const Graph& factor_a() const noexcept { return *a_; }
+  [[nodiscard]] const Graph& factor_b() const noexcept { return *b_; }
 
   [[nodiscard]] const KronVectorExpr& vertex_expr() const noexcept { return tvec_; }
   [[nodiscard]] const KronMatrixExpr& edge_expr() const noexcept { return dmat_; }

@@ -21,14 +21,15 @@ Cli::Cli(int argc, char** argv) {
       continue;
     }
     std::string name = tok.substr(2);
+    std::string value = "1";  // boolean flag
     const auto eq = name.find('=');
     if (eq != std::string::npos) {
-      flags_[name.substr(0, eq)] = name.substr(eq + 1);
+      value = name.substr(eq + 1);
+      name.resize(eq);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags_[name] = argv[++i];
-    } else {
-      flags_[name] = "1";  // boolean flag
+      value = argv[++i];
     }
+    flags_[std::move(name)] = std::move(value);
   }
 }
 

@@ -36,7 +36,7 @@ void append_timestamp(std::ostringstream& os) {
   gettimeofday(&tv, nullptr);
   tm utc{};
   gmtime_r(&tv.tv_sec, &utc);
-  char buf[40];
+  char buf[96];  // room for every int the fields could hold
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03ldZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec,

@@ -1,78 +1,16 @@
 #include "validate/report.hpp"
 
-#include <functional>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
-#include "kron/multi.hpp"
+#include "kron/closed_forms.hpp"
 #include "kron/oracle.hpp"
 #include "util/table.hpp"
 
 namespace kronotri::validate {
 
 namespace {
-
-count_t abs_diff(count_t a, count_t b) { return a > b ? a - b : b - a; }
-
-/// Shared report builder: runs the engine once, folding every shard's
-/// measured counts against the supplied point predictors.
-ValidationReport build_report(
-    const StreamingCensus& census,
-    const std::function<count_t(vid)>& vertex_pred,
-    const std::function<std::optional<count_t>(vid, vid)>& edge_pred,
-    count_t predicted_total, const StreamingOptions& opt) {
-  ValidationReport r;
-  r.num_vertices = census.num_vertices();
-  r.num_factors = census.num_factors();
-  r.mem_budget_bytes = opt.mem_budget_bytes;
-  r.predicted_total = predicted_total;
-
-  // Work-unit restriction: the full shard plan is deterministic, so every
-  // process derives the same boundaries and takes its own disjoint index
-  // slice — the fragments merge() back into the single-process report.
-  std::size_t begin = 0, end = census.shards().size();
-  if (opt.units > 0) {
-    std::tie(begin, end) = unit_index_range(end, opt.unit, opt.units);
-    r.partial = true;
-  }
-
-  const auto fold = [&](const StreamingCensus::Shard& shard) {
-    const auto vc = shard.vertex_counts();
-    for (std::size_t i = 0; i < vc.size(); ++i) {
-      const count_t measured = vc[i];
-      const count_t predicted = vertex_pred(shard.lo() + static_cast<vid>(i));
-      ++r.vertices_checked;
-      ++r.vertex_histogram[measured];
-      if (measured != predicted) {
-        ++r.vertex_mismatches;
-        r.vertex_max_abs_err =
-            std::max(r.vertex_max_abs_err, abs_diff(measured, predicted));
-      }
-    }
-    shard.for_each_owned_edge([&](vid u, vid v, count_t measured) {
-      ++r.edges_checked;
-      ++r.edge_histogram[measured];
-      const std::optional<count_t> predicted = edge_pred(u, v);
-      if (!predicted) {
-        // The streamed pair is an edge of C by construction; a predictor
-        // refusing it is itself a mismatch.
-        ++r.edge_mismatches;
-        r.edge_max_abs_err = std::max(r.edge_max_abs_err, measured);
-      } else if (*predicted != measured) {
-        ++r.edge_mismatches;
-        r.edge_max_abs_err =
-            std::max(r.edge_max_abs_err, abs_diff(measured, *predicted));
-      }
-    });
-  };
-  r.stats = census.run_shards(begin, end, fold);
-  r.measured_total = r.stats.total_triangles;
-  r.num_edges = r.stats.num_edges;
-  return r;
-}
 
 std::map<count_t, count_t> histogram_from_json(const util::json::Value* v) {
   std::map<count_t, count_t> h;
@@ -97,16 +35,16 @@ void ValidationReport::print(std::ostream& os) const {
   t.row({"wedge checks", util::commas(stats.wedge_checks)});
   t.row({"measured triangles", util::commas(measured_total)});
   t.row({"predicted triangles", util::commas(predicted_total)});
-  t.row({"vertex mismatches", util::commas(vertex_mismatches) + " / " +
-                                  util::commas(vertices_checked)});
+  t.row({"vertex mismatches", util::commas(vertex.mismatches) + " / " +
+                                  util::commas(vertex.checked)});
   t.row({"edge mismatches",
-         util::commas(edge_mismatches) + " / " + util::commas(edges_checked)});
-  t.row({"max abs error (V/E)", util::commas(vertex_max_abs_err) + " / " +
-                                    util::commas(edge_max_abs_err)});
+         util::commas(edge.mismatches) + " / " + util::commas(edge.checked)});
+  t.row({"max abs error (V/E)", util::commas(vertex.max_abs_err) + " / " +
+                                    util::commas(edge.max_abs_err)});
   if (partial) t.row({"coverage", "PARTIAL (shard-subset fragment)"});
   if (histogram_checked && !partial) {
     t.row({"vertex histogram",
-           vertex_histogram == predicted_vertex_histogram
+           vertex.histogram == predicted_vertex_histogram
                ? "matches closed form"
                : "DIFFERS from closed form"});
   }
@@ -129,15 +67,15 @@ util::json::Value ValidationReport::to_json() const {
   out.set("measured_total", measured_total);
   out.set("predicted_total", predicted_total);
   out.set("partial", partial);
-  out.set("vertices_checked", vertices_checked);
-  out.set("vertex_mismatches", vertex_mismatches);
-  out.set("vertex_max_abs_err", vertex_max_abs_err);
-  out.set("edges_checked", edges_checked);
-  out.set("edge_mismatches", edge_mismatches);
-  out.set("edge_max_abs_err", edge_max_abs_err);
+  out.set("vertices_checked", vertex.checked);
+  out.set("vertex_mismatches", vertex.mismatches);
+  out.set("vertex_max_abs_err", vertex.max_abs_err);
+  out.set("edges_checked", edge.checked);
+  out.set("edge_mismatches", edge.mismatches);
+  out.set("edge_max_abs_err", edge.max_abs_err);
   out.set("histogram_checked", histogram_checked);
-  out.set("vertex_histogram", util::json::histogram(vertex_histogram));
-  out.set("edge_histogram", util::json::histogram(edge_histogram));
+  out.set("vertex_histogram", util::json::histogram(vertex.histogram));
+  out.set("edge_histogram", util::json::histogram(edge.histogram));
   out.set("predicted_vertex_histogram",
           util::json::histogram(predicted_vertex_histogram));
   out.set("pass", pass());
@@ -161,15 +99,15 @@ ValidationReport ValidationReport::from_json(const util::json::Value& v) {
   r.stats.total_triangles = r.measured_total;
   r.predicted_total = v.get_uint("predicted_total", 0);
   r.partial = v.get_bool("partial", false);
-  r.vertices_checked = v.get_uint("vertices_checked", 0);
-  r.vertex_mismatches = v.get_uint("vertex_mismatches", 0);
-  r.vertex_max_abs_err = v.get_uint("vertex_max_abs_err", 0);
-  r.edges_checked = v.get_uint("edges_checked", 0);
-  r.edge_mismatches = v.get_uint("edge_mismatches", 0);
-  r.edge_max_abs_err = v.get_uint("edge_max_abs_err", 0);
+  r.vertex.checked = v.get_uint("vertices_checked", 0);
+  r.vertex.mismatches = v.get_uint("vertex_mismatches", 0);
+  r.vertex.max_abs_err = v.get_uint("vertex_max_abs_err", 0);
+  r.edge.checked = v.get_uint("edges_checked", 0);
+  r.edge.mismatches = v.get_uint("edge_mismatches", 0);
+  r.edge.max_abs_err = v.get_uint("edge_max_abs_err", 0);
   r.histogram_checked = v.get_bool("histogram_checked", false);
-  r.vertex_histogram = histogram_from_json(v.find("vertex_histogram"));
-  r.edge_histogram = histogram_from_json(v.find("edge_histogram"));
+  r.vertex.histogram = histogram_from_json(v.find("vertex_histogram"));
+  r.edge.histogram = histogram_from_json(v.find("edge_histogram"));
   r.predicted_vertex_histogram =
       histogram_from_json(v.find("predicted_vertex_histogram"));
   return r;
@@ -184,18 +122,8 @@ void ValidationReport::merge(const ValidationReport& other) {
   stats.edge_count_sum += other.stats.edge_count_sum;
   stats.peak_accumulator_bytes =
       std::max(stats.peak_accumulator_bytes, other.stats.peak_accumulator_bytes);
-  vertices_checked += other.vertices_checked;
-  vertex_mismatches += other.vertex_mismatches;
-  vertex_max_abs_err = std::max(vertex_max_abs_err, other.vertex_max_abs_err);
-  edges_checked += other.edges_checked;
-  edge_mismatches += other.edge_mismatches;
-  edge_max_abs_err = std::max(edge_max_abs_err, other.edge_max_abs_err);
-  for (const auto& [count, freq] : other.vertex_histogram) {
-    vertex_histogram[count] += freq;
-  }
-  for (const auto& [count, freq] : other.edge_histogram) {
-    edge_histogram[count] += freq;
-  }
+  vertex.merge(other.vertex);
+  edge.merge(other.edge);
   histogram_checked = histogram_checked || other.histogram_checked;
   if (predicted_vertex_histogram.empty()) {
     predicted_vertex_histogram = other.predicted_vertex_histogram;
@@ -216,14 +144,42 @@ std::uint64_t ValidationReport::fingerprint() const {
   return util::json::hash64(to_json().dump_canonical_string());
 }
 
+ValidationReport validate_census(const StreamingCensus& census,
+                                 const kron::ClosedForms& forms) {
+  const StreamingOptions& opt = census.options();
+  ValidationReport r;
+  r.num_vertices = census.num_vertices();
+  r.num_factors = census.num_factors();
+  r.mem_budget_bytes = opt.mem_budget_bytes;
+  r.predicted_total = forms.total_triangles();
+
+  // Work-unit restriction: the full shard plan is deterministic, so every
+  // process derives the same boundaries and takes its own balanced,
+  // disjoint index slice (empty for tail units when shards < units) — the
+  // fragments merge() back into the single-process report.
+  const std::size_t shards = census.shards().size();
+  std::size_t begin = 0, end = shards;
+  if (opt.units > 0) {
+    begin = static_cast<std::size_t>(shards * opt.unit / opt.units);
+    end = static_cast<std::size_t>(shards * (opt.unit + 1) / opt.units);
+    r.partial = true;
+  }
+
+  ClosedFormCheck check;
+  check.forms = &forms;
+  r.stats = census.run_shards(begin, end, {}, &check);
+  r.measured_total = r.stats.total_triangles;
+  r.num_edges = r.stats.num_edges;
+  r.vertex = std::move(check.vertex);
+  r.edge = std::move(check.edge);
+  return r;
+}
+
 ValidationReport validate_product(const Graph& a, const Graph& b,
                                   const StreamingOptions& opt) {
   const kron::TriangleOracle oracle(a, b);
-  const StreamingCensus census(a, b, opt);
-  ValidationReport r = build_report(
-      census, [&](vid p) { return oracle.vertex_triangles(p); },
-      [&](vid p, vid q) { return oracle.edge_triangles(p, q); },
-      oracle.total_triangles(), opt);
+  ValidationReport r = validate_census(StreamingCensus(a, b, opt),
+                                       kron::ClosedForms(oracle));
   try {
     r.predicted_vertex_histogram = oracle.triangle_histogram();
     r.histogram_checked = true;
@@ -236,16 +192,9 @@ ValidationReport validate_product(const Graph& a, const Graph& b,
 
 ValidationReport validate_chain(const kron::KronChain& chain,
                                 const StreamingOptions& opt) {
-  // Surface the ≥-one-loop-free-factor precondition before streaming.
-  (void)chain.total_triangles();
-  const StreamingCensus census(chain, opt);
-  return build_report(
-      census, [&](vid p) { return chain.vertex_triangles(p); },
-      [&](vid p, vid q) -> std::optional<count_t> {
-        if (!chain.has_edge(p, q)) return std::nullopt;
-        return chain.edge_triangles(p, q);
-      },
-      chain.total_triangles(), opt);
+  // Surfaces the ≥-one-loop-free-factor precondition before streaming.
+  const kron::ClosedForms forms(chain);
+  return validate_census(StreamingCensus(chain, opt), forms);
 }
 
 }  // namespace kronotri::validate

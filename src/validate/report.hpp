@@ -4,7 +4,8 @@
 // over the implicit product, and compare every measured per-vertex and
 // per-edge triangle count against the factor-side closed forms (the
 // kron::TriangleOracle Thm 1/2 / Cor 1/2 expressions for two factors, the
-// KronChain generalization for longer chains). Per *Same Stats, Different
+// KronChain generalization for longer chains, both as kron::ClosedForms)
+// inside the census's own wedge pass. Per *Same Stats, Different
 // Graphs*, the report keeps the full measured count distributions
 // (histograms), not just totals, plus max-abs-error and a pass/fail
 // verdict — the artifact the CLI prints and CI gates on.
@@ -20,8 +21,9 @@
 #include "validate/streaming_census.hpp"
 
 namespace kronotri::kron {
+class ClosedForms;
 class KronChain;
-}
+}  // namespace kronotri::kron
 
 namespace kronotri::validate {
 
@@ -35,16 +37,10 @@ struct ValidationReport {
   count_t measured_total = 0;
   count_t predicted_total = 0;
 
-  count_t vertices_checked = 0;
-  count_t vertex_mismatches = 0;
-  count_t vertex_max_abs_err = 0;
-  count_t edges_checked = 0;
-  count_t edge_mismatches = 0;
-  count_t edge_max_abs_err = 0;
-
-  /// Measured count → frequency over all vertices / all undirected edges.
-  std::map<count_t, count_t> vertex_histogram;
-  std::map<count_t, count_t> edge_histogram;
+  /// Every vertex's t and every undirected edge's Δ checked against the
+  /// closed forms, with the measured count histograms.
+  CountCheck vertex;
+  CountCheck edge;
 
   /// Closed-form vertex histogram (factor-side, TriangleOracle) when the
   /// product's triangle formula is a single Kronecker term; empty (and
@@ -62,13 +58,13 @@ struct ValidationReport {
   bool partial = false;
 
   [[nodiscard]] bool pass() const noexcept {
-    if (partial) return vertex_mismatches == 0 && edge_mismatches == 0;
-    return vertex_mismatches == 0 && edge_mismatches == 0 &&
+    if (partial) return vertex.mismatches == 0 && edge.mismatches == 0;
+    return vertex.mismatches == 0 && edge.mismatches == 0 &&
            measured_total == predicted_total &&
            stats.vertex_count_sum == 3 * measured_total &&
            stats.edge_count_sum == 3 * measured_total &&
            (!histogram_checked ||
-            vertex_histogram == predicted_vertex_histogram);
+            vertex.histogram == predicted_vertex_histogram);
   }
 
   /// Folds a fragment covering a DISJOINT shard subset of the same census
@@ -100,6 +96,13 @@ struct ValidationReport {
   /// result, not merely a file that parses.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
+
+/// Streams `census` under its own options (including a unit/units
+/// restriction) and checks every measured count against `forms`, which
+/// need not be the census's own product: an edge the forms lack counts as
+/// a mismatch of its measured Δ.
+ValidationReport validate_census(const StreamingCensus& census,
+                                 const kron::ClosedForms& forms);
 
 /// Streams the census of C = A ⊗ B under `opt` and validates it against the
 /// two-factor closed forms (any self-loop configuration). Factors must be

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <optional>
 #include <stdexcept>
 
+#include "kron/closed_forms.hpp"
 #include "kron/multi.hpp"
-#include "kron/view.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
@@ -27,15 +29,10 @@ std::vector<const Graph*> chain_factor_ptrs(const kron::KronChain& chain) {
   return fs;
 }
 
-/// One center's wedge loop, enumerated by factor blocks. u's neighbors
-/// come out of the odometer in lexicographic coordinate order, so the ones
-/// sharing coordinates 0..f−1 form a contiguous level-f block, which
-/// coordinate f cuts into contiguous level-(f+1) blocks (dropping u itself
-/// leaves every block contiguous). A pair of blocks closes only if factor
-/// f has the edge between their coordinates, so one test decides all
-/// |I|·|J| product pairs across them: a failed test skips them, a passed
-/// one pairs their sub-blocks at factor f+1. At the last factor every
-/// block is one neighbor and every test is one product pair.
+/// One center's wedge loop, enumerated by factor blocks (file comment): the
+/// neighbors sharing coordinates 0..f−1 are a contiguous level-f block, and
+/// dropping u itself leaves every block contiguous. At the last factor
+/// every block is one neighbor and every test is one product pair.
 struct BlockWedges {
   const Graph* const* factors;
   std::size_t k;
@@ -82,7 +79,43 @@ struct BlockWedges {
   }
 };
 
+/// One thread's CountCheck. Measured counts below kDense are histogrammed
+/// in a flat array, the rare larger ones in the map.
+struct Tally {
+  static constexpr count_t kDense = 1 << 12;
+  CountCheck sums;
+  std::vector<count_t> dense;
+
+  explicit Tally(bool used) : dense(used ? kDense : 0, 0) {}
+
+  /// A missing prediction (the forms lack the edge, or cannot evaluate
+  /// there) is a mismatch of the whole measured count.
+  void add(count_t measured, std::optional<count_t> predicted) {
+    ++sums.checked;
+    ++(measured < kDense ? dense[measured] : sums.histogram[measured]);
+    if (predicted == measured) return;
+    const count_t p = predicted.value_or(0);
+    ++sums.mismatches;
+    sums.max_abs_err =
+        std::max(sums.max_abs_err, measured > p ? measured - p : p - measured);
+  }
+
+  void write(CountCheck& out) const {
+    out.merge(sums);
+    for (count_t c = 0; c < kDense; ++c) {
+      if (dense[c] != 0) out.histogram[c] += dense[c];
+    }
+  }
+};
+
 }  // namespace
+
+void CountCheck::merge(const CountCheck& other) {
+  checked += other.checked;
+  mismatches += other.mismatches;
+  max_abs_err = std::max(max_abs_err, other.max_abs_err);
+  for (const auto& [count, freq] : other.histogram) histogram[count] += freq;
+}
 
 StreamingCensus::StreamingCensus(std::vector<const Graph*> factors,
                                  StreamingOptions opt)
@@ -113,11 +146,6 @@ StreamingCensus::StreamingCensus(std::vector<const Graph*> factors,
 StreamingCensus::StreamingCensus(const Graph& a, const Graph& b,
                                  StreamingOptions opt)
     : StreamingCensus(std::vector<const Graph*>{&a, &b}, opt) {}
-
-StreamingCensus::StreamingCensus(const kron::KronGraphView& view,
-                                 StreamingOptions opt)
-    : StreamingCensus(
-          std::vector<const Graph*>{&view.factor_a(), &view.factor_b()}, opt) {}
 
 StreamingCensus::StreamingCensus(const kron::KronChain& chain,
                                  StreamingOptions opt)
@@ -157,14 +185,18 @@ esz StreamingCensus::upper_degree(vid p) const {
 
 void StreamingCensus::neighbors_with_coords(vid p, const vid* p_coords,
                                             std::vector<vid>& ids,
-                                            std::vector<vid>& coords) const {
+                                            std::vector<vid>& coords,
+                                            std::vector<esz>* slots) const {
   const std::size_t k = factors_.size();
   ids.clear();
   coords.clear();
+  if (slots != nullptr) slots->clear();
   std::span<const vid> rows[kMaxFactors];
+  esz row_start[kMaxFactors];
   esz deg = 1;
   for (std::size_t i = 0; i < k; ++i) {
     rows[i] = factors_[i]->neighbors(p_coords[i]);
+    row_start[i] = factors_[i]->matrix().row_ptr()[p_coords[i]];
     deg *= rows[i].size();
   }
   if (deg == 0) return;
@@ -185,6 +217,9 @@ void StreamingCensus::neighbors_with_coords(vid p, const vid* p_coords,
     if (id != p) {  // drop the self loop — the census runs on C − I∘C
       ids.push_back(id);
       for (std::size_t i = 0; i < k; ++i) coords.push_back(rows[i][idx[i]]);
+      for (std::size_t i = 0; slots != nullptr && i < k; ++i) {
+        slots->push_back(row_start[i] + idx[i]);
+      }
     }
     std::size_t i = k;
     while (i > 0 && idx[i - 1] + 1 == rows[i - 1].size()) --i;
@@ -242,11 +277,12 @@ void StreamingCensus::plan_shards() {
   shards_.push_back({lo, n_});
 }
 
-void StreamingCensus::process_shard(ShardRange range,
-                                    std::vector<count_t>& vertex,
-                                    std::vector<count_t>& edge,
-                                    std::vector<esz>& offsets,
-                                    count_t& wedge_checks) const {
+count_t StreamingCensus::process_shard(ShardRange range,
+                                       std::vector<count_t>& vertex,
+                                       std::vector<count_t>& edge,
+                                       std::vector<esz>& offsets,
+                                       ClosedFormCheck* check,
+                                       StreamingStats& st) const {
   const vid lo = range.lo;
   const std::int64_t len = static_cast<std::int64_t>(range.hi - range.lo);
   const std::size_t k = factors_.size();
@@ -264,48 +300,95 @@ void StreamingCensus::process_shard(ShardRange range,
   vertex.assign(static_cast<std::size_t>(len), 0);
   edge.assign(offsets[static_cast<std::size_t>(len)], 0);
 
-  count_t checks = 0;
-#pragma omp parallel reduction(+ : checks)
+  const kron::ClosedForms* const forms = check ? check->forms : nullptr;
+  const bool timed = forms != nullptr && obs::TraceRecorder::instance().enabled();
+  double fold_us = 0;
+
+  count_t checks = 0, vsum = 0, esum = 0;
+#pragma omp parallel reduction(+ : checks, vsum, esum)
   {
     std::vector<vid> ids, coords;
+    std::vector<esz> slots;
     std::vector<std::size_t> ends;
+    Tally vertex_tally(forms != nullptr), edge_tally(forms != nullptr);
+    double us = 0;
 #pragma omp for schedule(dynamic, 16) nowait
     for (std::int64_t uu = 0; uu < len; ++uu) {
       const vid u = lo + static_cast<vid>(uu);
       vid ucoords[kMaxFactors];
       decompose(u, ucoords);
-      neighbors_with_coords(u, ucoords, ids, coords);
+      neighbors_with_coords(u, ucoords, ids, coords, forms ? &slots : nullptr);
       const std::size_t deg = ids.size();
       const std::size_t split = static_cast<std::size_t>(
           std::upper_bound(ids.begin(), ids.end(), u) - ids.begin());
       assert(deg - split == offsets[static_cast<std::size_t>(uu) + 1] -
                                 offsets[static_cast<std::size_t>(uu)]);
-      if (deg < 2) continue;  // vertex[uu] stays 0
-      // Block ends for factors 0..k−2: neighbor i stays in i+1's
-      // level-(f+1) block when both share coordinates 0..f.
-      ends.resize((k - 1) * deg);
-      for (std::size_t f = 0; f + 1 < k; ++f) {
-        std::size_t* const e = ends.data() + f * deg;
-        e[deg - 1] = deg;
-        for (std::size_t i = deg - 1; i-- > 0;) {
-          const bool joined =
-              coords[i * k + f] == coords[(i + 1) * k + f] &&
-              (f == 0 || ends[(f - 1) * deg + i] > i + 1);
-          e[i] = joined ? e[i + 1] : i + 1;
-        }
-      }
       // Every counter below is owned by this u alone: vertex[uu] and the
-      // owned-edge slice [offsets[uu], offsets[uu+1]) — single-writer, so
-      // no atomics, no thread-local copies, no reduction.
-      BlockWedges w{factors_.data(), k, deg, coords.data(), ends.data(),
-                    split,
-                    edge.data() + offsets[static_cast<std::size_t>(uu)]};
-      w.close(0, 0, deg, 0, deg, true);
-      vertex[static_cast<std::size_t>(uu)] = w.t;
-      checks += w.checks;
+      // owned-edge slice eb = [offsets[uu], offsets[uu+1]) — single-writer,
+      // so no atomics, no thread-local copies, no reduction.
+      count_t* const eb = edge.data() + offsets[static_cast<std::size_t>(uu)];
+      if (deg >= 2) {
+        // Block ends for factors 0..k−2: neighbor i stays in i+1's
+        // level-(f+1) block when both share coordinates 0..f.
+        ends.resize((k - 1) * deg);
+        for (std::size_t f = 0; f + 1 < k; ++f) {
+          std::size_t* const e = ends.data() + f * deg;
+          e[deg - 1] = deg;
+          for (std::size_t i = deg - 1; i-- > 0;) {
+            const bool joined =
+                coords[i * k + f] == coords[(i + 1) * k + f] &&
+                (f == 0 || ends[(f - 1) * deg + i] > i + 1);
+            e[i] = joined ? e[i + 1] : i + 1;
+          }
+        }
+        BlockWedges w{factors_.data(), k, deg, coords.data(), ends.data(),
+                      split, eb};
+        w.close(0, 0, deg, 0, deg, true);
+        vertex[static_cast<std::size_t>(uu)] = w.t;
+        checks += w.checks;
+        vsum += w.t;
+        for (std::size_t i = 0; i < deg - split; ++i) esum += eb[i];
+      }
+      if (forms == nullptr) continue;
+      // u's counts are final and its coordinates still in hand: check t(u),
+      // then Δ of each edge u owns.
+      const double t0 = timed ? obs::now_us() : 0.0;
+      vertex_tally.add(vertex[static_cast<std::size_t>(uu)],
+                       forms->vertex_triangles(ucoords));
+      esz s[kMaxFactors];
+      for (std::size_t i = split; i < deg; ++i) {
+        std::size_t f = 0;
+        for (; f < k; ++f) {
+          // A factor of the forms that IS the engine's factor shares its
+          // CSR, so the odometer's slot is the forms' slot.
+          const std::optional<esz> found =
+              &forms->factor(f) == factors_[f]
+                  ? slots[i * k + f]
+                  : forms->slot(f, ucoords[f], coords[i * k + f]);
+          if (!found) break;
+          s[f] = *found;
+        }
+        edge_tally.add(eb[i - split],
+                       f == k ? forms->edge_triangles(s) : std::nullopt);
+      }
+      if (timed) us += obs::now_us() - t0;
+    }
+    if (forms != nullptr) {
+#pragma omp critical(kronotri_validate_fold)
+      {
+        vertex_tally.write(check->vertex);
+        edge_tally.write(check->edge);
+        fold_us += us;
+      }
     }
   }
-  wedge_checks = checks;
+  if (timed) {
+    obs::counter("validate.fold_ns")
+        .add(static_cast<std::uint64_t>(fold_us * 1e3));
+  }
+  st.vertex_count_sum += vsum;
+  st.edge_count_sum += esum;
+  return checks;
 }
 
 StreamingStats StreamingCensus::run(const ShardConsumer& consumer) const {
@@ -313,10 +396,16 @@ StreamingStats StreamingCensus::run(const ShardConsumer& consumer) const {
 }
 
 StreamingStats StreamingCensus::run_shards(std::size_t begin, std::size_t end,
-                                           const ShardConsumer& consumer)
-    const {
+                                           const ShardConsumer& consumer,
+                                           ClosedFormCheck* check) const {
   if (begin > end || end > shards_.size()) {
     throw std::out_of_range("StreamingCensus::run_shards: bad range");
+  }
+  for (std::size_t f = 0; check != nullptr && f < factors_.size(); ++f) {
+    if (check->forms->num_factors() != factors_.size() ||
+        check->forms->factor(f).num_vertices() != radix_[f]) {
+      throw std::invalid_argument("run_shards: forms of another product");
+    }
   }
   StreamingStats st;
   st.num_shards = end - begin;
@@ -325,9 +414,8 @@ StreamingStats StreamingCensus::run_shards(std::size_t begin, std::size_t end,
   for (std::size_t s = begin; s < end; ++s) {
     obs::Span span("validate:shard");
     span.arg("shard", s);
-    const ShardRange range = shards_[s];
-    count_t checks = 0;
-    process_shard(range, vertex, edge, offsets, checks);
+    const count_t checks =
+        process_shard(shards_[s], vertex, edge, offsets, check, st);
     st.wedge_checks += checks;
     span.arg("wedge_checks", checks);
     obs::counter("validate.shards_executed").add();
@@ -336,42 +424,14 @@ StreamingStats StreamingCensus::run_shards(std::size_t begin, std::size_t end,
         std::max(st.peak_accumulator_bytes,
                  vertex.size() * sizeof(count_t) +
                      edge.size() * sizeof(count_t) + offsets.size() * sizeof(esz));
-    count_t vsum = 0, esum = 0;
-#pragma omp parallel for schedule(static) reduction(+ : vsum)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(vertex.size());
-         ++i) {
-      vsum += vertex[static_cast<std::size_t>(i)];
-    }
-#pragma omp parallel for schedule(static) reduction(+ : esum)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(edge.size()); ++i) {
-      esum += edge[static_cast<std::size_t>(i)];
-    }
-    st.vertex_count_sum += vsum;
-    st.edge_count_sum += esum;
     st.num_edges += edge.size();
-    if (consumer) consumer(Shard(*this, range, vertex, edge, offsets));
+    if (consumer) consumer(Shard{shards_[s], vertex, edge});
   }
   if (begin == 0 && end == shards_.size()) {
     assert(st.vertex_count_sum % 3 == 0);
     st.total_triangles = st.vertex_count_sum / 3;
   }
   return st;
-}
-
-void StreamingCensus::Shard::for_each_owned_edge(
-    const std::function<void(vid, vid, count_t)>& fn) const {
-  std::vector<vid> ids, coords;
-  vid ucoords[kMaxFactors];
-  for (vid u = range_.lo; u < range_.hi; ++u) {
-    engine_->decompose(u, ucoords);
-    engine_->neighbors_with_coords(u, ucoords, ids, coords);
-    const std::size_t split = static_cast<std::size_t>(
-        std::upper_bound(ids.begin(), ids.end(), u) - ids.begin());
-    const esz off = offsets_[static_cast<std::size_t>(u - range_.lo)];
-    for (std::size_t i = split; i < ids.size(); ++i) {
-      fn(u, ids[i], edge_[off + (i - split)]);
-    }
-  }
 }
 
 }  // namespace kronotri::validate

@@ -1,10 +1,10 @@
-// Sharded streaming triangle census over implicit Kronecker products.
+// Sharded streaming triangle census over implicit Kronecker products,
+// checked against the closed forms in the same pass.
 //
 // The paper's headline claim is validating per-vertex and per-edge triangle
 // statistics at scales where C = A ⊗ B cannot be materialized. This engine
 // computes the FULL census of C — t_C[p] for every product vertex and
-// Δ_C(e) for every product edge — directly from the factor representation,
-// without ever forming C's edge list:
+// Δ_C(e) for every product edge — from the factors, never forming C:
 //
 //   * Product vertices are partitioned into contiguous shards sized by a
 //     memory budget (HavoqGT-style partitioned processing on one node; a
@@ -13,34 +13,32 @@
 //     whose MIN endpoint lies in the shard. Every triangle {u,v,w} is seen
 //     from each corner as a wedge: for center u, each adjacent pair
 //     {a, b} ⊆ N(u), a < b, contributes to t[u] and — exactly when u is the
-//     min endpoint — to Δ(u,a) / Δ(u,b). Edge (a,b) is counted by center
-//     min(a,b). Ownership makes every counter single-writer: shards never
-//     exchange contributions (the engine is communication-free, the same
-//     discipline that makes the PR-2 census atomic-free), so counts are
+//     min endpoint — to Δ(u,a) / Δ(u,b). Ownership makes every counter
+//     single-writer: shards never exchange contributions, so counts are
 //     bit-identical to triangle::CensusWorkspace on the materialized
 //     product at any thread count and any shard count.
-//   * Wedges are enumerated from the factors: N(u) is the odometer product
-//     of the factor adjacency rows (sorted, with per-factor coordinates
-//     kept alongside), and a wedge {a, b} closes iff every factor has the
-//     corresponding coordinate edge — sorted-row membership queries,
-//     O(log d) each, never touching C.
-//   * The queries are pruned by factor blocks. N(u) comes out in
-//     lexicographic coordinate order, so the neighbors sharing coordinates
-//     0..f−1 are one contiguous block, cut by coordinate f into sub-blocks.
-//     One factor-f test on a pair of blocks (I, J), I ≤ J, decides all
-//     |I|·|J| product pairs across them: a failed test skips them, a passed
-//     one pairs the sub-blocks at factor f+1 (I = J asks for a self loop).
-//     Every closed wedge is still enumerated and counted by its single
-//     writer — the same measurement with an earlier exit, not the closed
-//     form.
+//   * N(u) is the odometer product of the factor adjacency rows, with each
+//     neighbor's factor coordinates (and adjacency slots) kept alongside,
+//     and comes out in lexicographic coordinate order: neighbors sharing
+//     coordinates 0..f−1 form one contiguous block, cut by coordinate f
+//     into sub-blocks. One factor-f membership test on a pair of blocks
+//     (I, J), I ≤ J, decides all |I|·|J| product pairs across them: a
+//     failed test skips them, a passed one pairs the sub-blocks at factor
+//     f+1 (I = J asks for a self loop). Every closed wedge is still counted
+//     by its single writer — a measurement, not the closed form.
+//   * Once u's wedges are closed, t(u) and the Δ of every edge u owns are
+//     final and u's coordinates are still in hand, so the same worker
+//     compares them with kron::ClosedForms (read at the odometer's slots)
+//     into thread-local tallies, merged once per shard. Sums and maxima do
+//     not depend on the merge order: the check is identical at every team
+//     size. Under --trace its time is the counter validate.fold_ns.
 //
 // Work is one factor test per examined block pair: for A ⊗ B, C(d_A, 2) +
 // d_A tests on A per vertex, then d_B² tests on B per closed A-pair (and
 // C(d_B, 2) inside a self-looped A-block), against Σ_p C(d(p), 2) pair tests
-// unpruned. On sparse factors most A-pairs fail and skip their d_B² pairs
-// at once (Table VI's plan: 250.2 M → 32.2 M tests, about 10 per
-// triangle). Enumerating wedges at all is the price of exact per-vertex
-// counts with only shard-local memory (an oriented enumeration would need
+// unpruned (Table VI's plan: 250.2 M → 32.2 M tests, about 10 per
+// triangle). Enumerating wedges is the price of exact per-vertex counts
+// with only shard-local memory (an oriented enumeration would need
 // cross-shard writes for the two non-minimal corners). Accumulator memory
 // is O(shard vertices + shard-owned edges), tracked and reported so callers
 // can assert the product was censused under a budget its edge list exceeds.
@@ -49,16 +47,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/graph.hpp"
 #include "core/types.hpp"
 
 namespace kronotri::kron {
-class KronGraphView;
 class KronChain;
+class ClosedForms;
 }  // namespace kronotri::kron
 
 namespace kronotri::validate {
@@ -83,14 +81,6 @@ struct StreamingOptions {
   std::uint64_t units = 0;
 };
 
-/// Balanced contiguous index subrange [lo, hi) of `total` items for work
-/// unit `unit` of `units` (empty for the tail units when total < units).
-inline std::pair<std::size_t, std::size_t> unit_index_range(
-    std::size_t total, std::uint64_t unit, std::uint64_t units) {
-  return {static_cast<std::size_t>(total * unit / units),
-          static_cast<std::size_t>(total * (unit + 1) / units)};
-}
-
 /// Contiguous product-vertex range [lo, hi) processed as one unit.
 struct ShardRange {
   vid lo = 0;
@@ -109,6 +99,26 @@ struct StreamingStats {
   std::size_t peak_accumulator_bytes = 0;  ///< max over shards, blocks only
 };
 
+/// Measured counts of one kind (t at vertices or Δ at edges) checked
+/// against their closed forms.
+struct CountCheck {
+  count_t checked = 0;
+  count_t mismatches = 0;
+  count_t max_abs_err = 0;
+  std::map<count_t, count_t> histogram;  ///< measured count → frequency
+
+  /// Adds a check of other counts: sums, maxima and histogram sums, so
+  /// merging is exact in any order.
+  void merge(const CountCheck& other);
+};
+
+/// Closed forms to check the census against in its wedge pass, and the result.
+struct ClosedFormCheck {
+  const kron::ClosedForms* forms = nullptr;
+  CountCheck vertex;  ///< every vertex of the checked shards
+  CountCheck edge;    ///< every edge they own
+};
+
 class StreamingCensus {
  public:
   /// Census of C = A ⊗ B. Factors must be undirected (same Def. 5/6
@@ -117,16 +127,14 @@ class StreamingCensus {
   /// loops in the factors are fine — the census runs on C − I∘C.
   StreamingCensus(const Graph& a, const Graph& b, StreamingOptions opt = {});
 
-  /// Same product, spelled as the implicit view the rest of the library
-  /// passes around.
-  explicit StreamingCensus(const kron::KronGraphView& view,
-                           StreamingOptions opt = {});
-
   /// Census of a k-factor chain C = A₁ ⊗ … ⊗ A_k (k ≥ 1). The chain must
   /// outlive the engine.
   explicit StreamingCensus(const kron::KronChain& chain,
                            StreamingOptions opt = {});
 
+  [[nodiscard]] const StreamingOptions& options() const noexcept {
+    return opt_;
+  }
   [[nodiscard]] vid num_vertices() const noexcept { return n_; }
   [[nodiscard]] std::size_t num_factors() const noexcept {
     return factors_.size();
@@ -138,42 +146,14 @@ class StreamingCensus {
     return shards_;
   }
 
-  /// One processed shard, valid only inside the run() consumer callback.
-  class Shard {
-   public:
-    [[nodiscard]] vid lo() const noexcept { return range_.lo; }
-    [[nodiscard]] vid hi() const noexcept { return range_.hi; }
-
-    /// t_C[lo..hi) — exact triangle participation of the shard's vertices.
-    [[nodiscard]] std::span<const count_t> vertex_counts() const noexcept {
-      return {vertex_.data(), vertex_.size()};
-    }
-
-    [[nodiscard]] esz num_owned_edges() const noexcept {
-      return offsets_.back();
-    }
-
-    /// Invokes fn(u, v, Δ_C(u,v)) for every edge owned by the shard
-    /// (u ∈ [lo, hi), u < v), u ascending and v ascending within u.
-    void for_each_owned_edge(
-        const std::function<void(vid, vid, count_t)>& fn) const;
-
-   private:
-    friend class StreamingCensus;
-    Shard(const StreamingCensus& engine, ShardRange range,
-          const std::vector<count_t>& vertex, const std::vector<count_t>& edge,
-          const std::vector<esz>& offsets)
-        : engine_(&engine),
-          range_(range),
-          vertex_(vertex),
-          edge_(edge),
-          offsets_(offsets) {}
-
-    const StreamingCensus* engine_;
-    ShardRange range_;
-    const std::vector<count_t>& vertex_;
-    const std::vector<count_t>& edge_;
-    const std::vector<esz>& offsets_;
+  /// One processed shard's counters, valid only inside the run() consumer
+  /// callback.
+  struct Shard {
+    ShardRange range;
+    std::span<const count_t> vertex;  ///< t_C[lo..hi)
+    /// Δ_C of every owned edge (u, v), u ∈ [lo, hi) ascending, then v > u
+    /// ascending.
+    std::span<const count_t> edge;
   };
 
   using ShardConsumer = std::function<void(const Shard&)>;
@@ -184,14 +164,15 @@ class StreamingCensus {
   /// OMP thread count.
   StreamingStats run(const ShardConsumer& consumer = {}) const;
 
-  /// Runs only shards [begin, end) of shards() — the multi-process
-  /// runner's work unit. Per-shard counts are identical to the shards'
-  /// slice of a full run() (ownership makes shards independent), so
-  /// disjoint subranges merge additively. total_triangles is only
-  /// computed when the range covers every shard: a partial
-  /// vertex_count_sum need not be divisible by 3.
+  /// run() over shards [begin, end) only — the multi-process runner's work
+  /// unit. Per-shard counts equal the shards' slice of a full run, so
+  /// disjoint ranges merge additively; total_triangles is only set when
+  /// the range covers every shard. Given a `check`, also compares every
+  /// count with check->forms (of this engine's factor sizes, else
+  /// std::invalid_argument) and adds the result to it.
   StreamingStats run_shards(std::size_t begin, std::size_t end,
-                            const ShardConsumer& consumer = {}) const;
+                            const ShardConsumer& consumer = {},
+                            ClosedFormCheck* check = nullptr) const;
 
   // -- exposed for tests / the report layer --------------------------------
 
@@ -205,9 +186,12 @@ class StreamingCensus {
                            StreamingOptions opt);
 
   void plan_shards();
-  void process_shard(ShardRange range, std::vector<count_t>& vertex,
-                     std::vector<count_t>& edge, std::vector<esz>& offsets,
-                     count_t& wedge_checks) const;
+  /// Census of one shard into the accumulators, checked into `check` when
+  /// non-null; adds the shard's count sums to `st` and returns its wedge
+  /// checks.
+  count_t process_shard(ShardRange range, std::vector<count_t>& vertex,
+                        std::vector<count_t>& edge, std::vector<esz>& offsets,
+                        ClosedFormCheck* check, StreamingStats& st) const;
 
   /// Decomposes p into per-factor coordinates (mixed radix, left factor
   /// most significant), writing into coords[0..k).
@@ -215,9 +199,12 @@ class StreamingCensus {
 
   /// Materializes the sorted neighbor list of p (self excluded) with the
   /// per-factor coordinates of each neighbor kept alongside: ids[i] is the
-  /// product id, coords[i*k .. i*k+k) its factor coordinates.
+  /// product id, coords[i*k .. i*k+k) its factor coordinates and, when
+  /// `slots` is non-null, (*slots)[i*k + f] the factor-f adjacency slot of
+  /// (p_coords[f], coords[i*k + f]).
   void neighbors_with_coords(vid p, const vid* p_coords, std::vector<vid>& ids,
-                             std::vector<vid>& coords) const;
+                             std::vector<vid>& coords,
+                             std::vector<esz>* slots) const;
 
   std::vector<const Graph*> factors_;
   std::vector<vid> radix_;   ///< per-factor vertex counts

@@ -111,7 +111,7 @@ TEST(Stopwatch, WallAdvancesAndCpuNonNegative) {
   obs::Stopwatch sw;
   const double t0 = obs::now_us();
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 100000; ++i) sink = sink + i * 0.5;
   EXPECT_GT(obs::now_us(), t0);
   EXPECT_GE(sw.wall_s(), 0.0);
   EXPECT_GE(sw.cpu_s(), 0.0);
@@ -444,6 +444,16 @@ TEST(TraceApi, RunEmitsStageSpansAndCounters) {
   ASSERT_TRUE(report.counters.is_object());
   EXPECT_GT(report.counters.get_uint("api.edges_streamed", 0), 0u);
   EXPECT_GT(report.counters.get_uint("validate.shards_executed", 0), 0u);
+  // The closed-form fold runs inside the census's wedge pass; its time is
+  // a counter of its own, sampled only while tracing.
+  EXPECT_GT(report.counters.get_uint("validate.fold_ns", 0), 0u);
+}
+
+TEST(TraceApi, FoldTimeIsOnlyMeasuredWhileTracing) {
+  const api::RunReport report = api::run(api::RunPlan::parse(kPlanText));
+  ASSERT_TRUE(report.pass);
+  EXPECT_GT(report.counters.get_uint("validate.shards_executed", 0), 0u);
+  EXPECT_EQ(report.counters.find("validate.fold_ns"), nullptr);
 }
 
 TEST(TraceApi, TracingDoesNotPerturbResults) {

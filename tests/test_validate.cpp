@@ -9,6 +9,8 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
 #include "helpers.hpp"
+#include "kron/closed_forms.hpp"
 #include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
@@ -32,25 +35,31 @@ using validate::StreamingCensus;
 using validate::StreamingOptions;
 
 /// Full census assembled from the streaming shards: per-vertex counts in
-/// vertex order plus an (u,v) → Δ map over all undirected non-loop edges.
+/// vertex order plus an (u,v) → Δ map over all undirected non-loop edges,
+/// each shard's owned-edge counters paired in order with the rows of the
+/// materialized product `c`.
 struct FullCensus {
   std::vector<count_t> vertex;
   std::map<std::pair<vid, vid>, count_t> edge;
   validate::StreamingStats stats;
 };
 
-FullCensus collect(const StreamingCensus& census) {
+FullCensus collect(const StreamingCensus& census, const Graph& c) {
   FullCensus full;
   full.vertex.reserve(census.num_vertices());
   full.stats = census.run([&](const StreamingCensus::Shard& shard) {
-    EXPECT_EQ(shard.lo(), full.vertex.size());
-    const auto vc = shard.vertex_counts();
-    full.vertex.insert(full.vertex.end(), vc.begin(), vc.end());
-    shard.for_each_owned_edge([&](vid u, vid v, count_t d) {
-      EXPECT_LT(u, v);
-      EXPECT_TRUE(full.edge.emplace(std::make_pair(u, v), d).second)
-          << "edge (" << u << "," << v << ") owned twice";
-    });
+    EXPECT_EQ(shard.range.lo, full.vertex.size());
+    full.vertex.insert(full.vertex.end(), shard.vertex.begin(),
+                       shard.vertex.end());
+    std::size_t e = 0;
+    for (vid u = shard.range.lo; u < shard.range.hi; ++u) {
+      for (const vid v : c.neighbors(u)) {
+        if (v <= u) continue;
+        ASSERT_LT(e, shard.edge.size()) << "shard owns too few edges";
+        full.edge.emplace(std::make_pair(u, v), shard.edge[e++]);
+      }
+    }
+    EXPECT_EQ(e, shard.edge.size()) << "shard owns too many edges";
   });
   EXPECT_EQ(full.vertex.size(), census.num_vertices());
   return full;
@@ -110,7 +119,7 @@ TEST_P(StreamingParity, BitIdenticalToWorkspaceAcrossThreadsAndShards) {
     StreamingOptions opt;
     opt.force_shards = shards;
     const auto runs = with_thread_counts(
-        [&] { return collect(StreamingCensus(a, b, opt)); });
+        [&] { return collect(StreamingCensus(a, b, opt), c); });
     for (const auto& run : runs) {
       EXPECT_EQ(run.vertex, ref.vertex) << "shards=" << shards;
       EXPECT_EQ(run.edge, ref.edge) << "shards=" << shards;
@@ -126,7 +135,8 @@ TEST_P(StreamingParity, BitIdenticalToWorkspaceAcrossThreadsAndShards) {
 /// when they apply (some factor loop-free). The factor-membership test
 /// count depends on neither teams nor shards.
 void expect_chain_parity(const kron::KronChain& chain) {
-  const FullCensus ref = materialized_reference(chain.materialize());
+  const Graph c = chain.materialize();
+  const FullCensus ref = materialized_reference(c);
   bool closed_forms = false;
   for (std::size_t i = 0; i < chain.num_factors(); ++i) {
     closed_forms |= chain.factor(i).num_self_loops() == 0;
@@ -136,7 +146,7 @@ void expect_chain_parity(const kron::KronChain& chain) {
     StreamingOptions opt;
     opt.force_shards = shards;
     const auto runs = with_thread_counts(
-        [&] { return collect(StreamingCensus(chain, opt)); });
+        [&] { return collect(StreamingCensus(chain, opt), c); });
     for (const auto& run : runs) {
       EXPECT_EQ(run.vertex, ref.vertex) << "shards=" << shards;
       EXPECT_EQ(run.edge, ref.edge) << "shards=" << shards;
@@ -325,14 +335,14 @@ TEST(ValidationReport, PassesOnCleanProductsEveryLoopRegime) {
       const auto report = validate::validate_product(fa, fb, opt);
       EXPECT_TRUE(report.pass()) << "loops_a=" << loops_a
                                  << " loops_b=" << loops_b;
-      EXPECT_EQ(report.vertex_mismatches, 0u);
-      EXPECT_EQ(report.edge_mismatches, 0u);
+      EXPECT_EQ(report.vertex.mismatches, 0u);
+      EXPECT_EQ(report.edge.mismatches, 0u);
       EXPECT_EQ(report.measured_total, report.predicted_total);
       EXPECT_GT(report.stats.num_shards, 1u);
       // Histogram totals cover every vertex / edge exactly once.
       count_t vhist = 0, ehist = 0;
-      for (const auto& [k, v] : report.vertex_histogram) vhist += v;
-      for (const auto& [k, v] : report.edge_histogram) ehist += v;
+      for (const auto& [k, v] : report.vertex.histogram) vhist += v;
+      for (const auto& [k, v] : report.edge.histogram) ehist += v;
       EXPECT_EQ(vhist, report.num_vertices);
       EXPECT_EQ(ehist, report.num_edges);
     }
@@ -349,6 +359,186 @@ TEST(ValidationReport, ChainReportPassesAndCountsEdges) {
   EXPECT_EQ(report.num_edges,
             chain.num_undirected_edges() -
                 static_cast<count_t>(chain.materialize().num_self_loops()));
+}
+
+/// g with the undirected edge {x, y} toggled: removed when present, added
+/// when absent.
+Graph toggle_edge(const Graph& g, vid x, vid y) {
+  std::vector<std::pair<vid, vid>> edges;
+  const std::pair<vid, vid> xy{std::min(x, y), std::max(x, y)};
+  bool found = false;
+  for (vid u = 0; u < g.num_vertices(); ++u) {
+    for (const vid v : g.neighbors(u)) {
+      if (v < u) continue;
+      if (std::make_pair(u, v) == xy) {
+        found = true;
+      } else {
+        edges.emplace_back(u, v);
+      }
+    }
+  }
+  if (!found) edges.push_back(xy);
+  return Graph::from_edges(g.num_vertices(), edges, true);
+}
+
+/// A report's pointwise fields, computed the slow way: each measured count
+/// of `ref` against the product-id point predictors of some closed forms.
+struct PointwiseFold {
+  count_t vertex_mismatches = 0;
+  count_t vertex_max_abs_err = 0;
+  count_t edge_mismatches = 0;
+  count_t edge_max_abs_err = 0;
+  count_t refused = 0;  ///< edges of C the forms' product lacks
+};
+
+PointwiseFold fold_by_brute_force(
+    const FullCensus& ref, const std::function<count_t(vid)>& vertex,
+    const std::function<std::optional<count_t>(vid, vid)>& edge) {
+  const auto diff = [](count_t x, count_t y) { return x > y ? x - y : y - x; };
+  PointwiseFold out;
+  for (vid p = 0; p < ref.vertex.size(); ++p) {
+    const count_t err = diff(ref.vertex[p], vertex(p));
+    if (err == 0) continue;
+    ++out.vertex_mismatches;
+    out.vertex_max_abs_err = std::max(out.vertex_max_abs_err, err);
+  }
+  for (const auto& [uv, measured] : ref.edge) {
+    const std::optional<count_t> predicted = edge(uv.first, uv.second);
+    if (predicted == measured) continue;
+    ++out.edge_mismatches;
+    if (!predicted) ++out.refused;
+    out.edge_max_abs_err = std::max(
+        out.edge_max_abs_err, predicted ? diff(measured, *predicted) : measured);
+  }
+  return out;
+}
+
+/// Folds `census` against `forms` at OMP 1/2/8 and checks every run's
+/// pointwise fields against the brute-force fold.
+void expect_fold(const StreamingCensus& census, const kron::ClosedForms& forms,
+                 const FullCensus& ref, const PointwiseFold& want) {
+  const auto runs =
+      with_thread_counts([&] { return validate::validate_census(census, forms); });
+  for (const auto& r : runs) {
+    EXPECT_FALSE(r.pass());
+    EXPECT_EQ(r.vertex.checked, ref.vertex.size());
+    EXPECT_EQ(r.vertex.mismatches, want.vertex_mismatches);
+    EXPECT_EQ(r.vertex.max_abs_err, want.vertex_max_abs_err);
+    EXPECT_EQ(r.edge.checked, ref.edge.size());
+    EXPECT_EQ(r.edge.mismatches, want.edge_mismatches);
+    EXPECT_EQ(r.edge.max_abs_err, want.edge_max_abs_err);
+    EXPECT_EQ(r.fingerprint(), runs.front().fingerprint());
+  }
+}
+
+TEST(ValidationReport, CountsMismatchesAgainstWrongClosedForms) {
+  // Census of A ⊗ B checked against the forms of A' ⊗ B, A' = A with one
+  // edge removed or added. Removing a triangle edge makes the forms refuse
+  // the product edges over it and mispredict the counts around it; adding
+  // an edge only mispredicts.
+  const Graph a = gen::holme_kim(24, 3, 0.6, 51);
+  const Graph b = gen::clique(3).with_all_self_loops();
+  const FullCensus ref = materialized_reference(kron::kron_graph(a, b));
+  StreamingOptions opt;
+  opt.force_shards = 4;
+  const StreamingCensus census(a, b, opt);
+  vid far = 1;
+  while (a.has_edge(0, far)) ++far;
+  for (const auto& [x, y] : {std::pair<vid, vid>{0, a.neighbors(0)[0]},
+                             std::pair<vid, vid>{0, far}}) {
+    const Graph wrong = toggle_edge(a, x, y);
+    const kron::TriangleOracle oracle(wrong, b);
+    const PointwiseFold want = fold_by_brute_force(
+        ref, [&](vid p) { return oracle.vertex_triangles(p); },
+        [&](vid p, vid q) { return oracle.edge_triangles(p, q); });
+    EXPECT_GT(want.vertex_mismatches, 0u);
+    EXPECT_GT(want.edge_mismatches, want.refused) << "no wrong value";
+    EXPECT_EQ(want.refused > 0, a.has_edge(x, y)) << "refusals";
+    expect_fold(census, kron::ClosedForms(oracle), ref, want);
+  }
+}
+
+TEST(ValidationReport, ChainCountsMismatchesAgainstWrongClosedForms) {
+  const Graph f = gen::holme_kim(12, 2, 0.5, 53);
+  const Graph looped = gen::path(3).with_all_self_loops();
+  const kron::KronChain chain({f, gen::clique(3), looped});
+  const kron::KronChain wrong(
+      {toggle_edge(f, 0, f.neighbors(0)[0]), gen::clique(3), looped});
+  const FullCensus ref = materialized_reference(chain.materialize());
+  const PointwiseFold want = fold_by_brute_force(
+      ref, [&](vid p) { return wrong.vertex_triangles(p); },
+      [&](vid p, vid q) -> std::optional<count_t> {
+        if (!wrong.has_edge(p, q)) return std::nullopt;
+        return wrong.edge_triangles(p, q);
+      });
+  EXPECT_GT(want.vertex_mismatches, 0u);
+  EXPECT_GT(want.refused, 0u);
+  EXPECT_GT(want.edge_mismatches, want.refused);
+  StreamingOptions opt;
+  opt.force_shards = 4;
+  expect_fold(StreamingCensus(chain, opt), kron::ClosedForms(wrong), ref, want);
+}
+
+TEST(ValidationReport, FingerprintIsTheSameAtEveryTeamSize) {
+  const Graph a = gen::holme_kim(40, 3, 0.6, 5);
+  const Graph b = gen::holme_kim(12, 2, 0.5, 6);
+  const kron::KronChain chain({gen::holme_kim(10, 2, 0.5, 7),
+                               gen::clique(3).with_all_self_loops(),
+                               gen::cycle(4)});
+  for (const std::uint64_t shards : {1u, 4u, 16u}) {
+    StreamingOptions opt;
+    opt.force_shards = shards;
+    std::vector<std::function<validate::ValidationReport()>> plans;
+    for (const bool loops_a : {false, true}) {
+      for (const bool loops_b : {false, true}) {
+        plans.emplace_back([&, loops_a, loops_b] {
+          return validate::validate_product(
+              loops_a ? a.with_all_self_loops() : a,
+              loops_b ? b.with_all_self_loops() : b, opt);
+        });
+      }
+    }
+    plans.emplace_back([&] { return validate::validate_chain(chain, opt); });
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      const auto runs = with_thread_counts([&] { return plans[i](); });
+      for (const auto& r : runs) {
+        EXPECT_TRUE(r.pass()) << "plan " << i << " shards=" << shards;
+        EXPECT_EQ(r.fingerprint(), runs.front().fingerprint())
+            << "plan " << i << " shards=" << shards;
+      }
+    }
+  }
+  // Pinned digest: the report must not move when the fold's implementation
+  // does.
+  StreamingOptions four;
+  four.force_shards = 4;
+  EXPECT_EQ(validate::validate_product(a, b.with_all_self_loops(), four)
+                .fingerprint(),
+            0xf26a45034e6bc03aULL);
+}
+
+TEST(ValidationReport, FormsOfFactorCopiesGiveTheSameReport) {
+  // Copies share no CSR with the census, so every factor slot is searched
+  // instead of read off the neighbor odometer.
+  const Graph a = gen::holme_kim(30, 3, 0.6, 61);
+  const Graph b = kt_test::random_undirected(6, 0.5, 62, 0.5);
+  for (const bool loops_a : {false, true}) {
+    const Graph fa = loops_a ? a.with_all_self_loops() : a;
+    const StreamingCensus census(fa, b);
+    const Graph copy_a = fa, copy_b = b;
+    const auto own =
+        validate::validate_census(census, kron::ClosedForms(
+                                              kron::TriangleOracle(fa, b)));
+    const auto copied = validate::validate_census(
+        census, kron::ClosedForms(kron::TriangleOracle(copy_a, copy_b)));
+    EXPECT_TRUE(own.pass());
+    EXPECT_EQ(own.fingerprint(), copied.fingerprint());
+  }
+  // Forms of another product shape are refused up front.
+  EXPECT_THROW((void)validate::validate_census(
+                   StreamingCensus(a, b),
+                   kron::ClosedForms(kron::TriangleOracle(b, a))),
+               std::invalid_argument);
 }
 
 }  // namespace
