@@ -1,6 +1,7 @@
 #include "validate/streaming_census.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <map>
 #include <optional>
@@ -20,6 +21,15 @@ namespace {
 /// loops keep per-vertex coordinate state on the stack.
 constexpr std::size_t kMaxFactors = 64;
 
+/// Under --trace the fold is timed on one vertex in 2^kFoldSampleBits,
+/// those whose Fibonacci hash has its top bits clear, and scaled up: two
+/// clock reads on every vertex would cost several percent of the census.
+constexpr unsigned kFoldSampleBits = 6;
+
+bool fold_sampled(vid u) {
+  return (u * 0x9E3779B97F4A7C15ull) >> (64 - kFoldSampleBits) == 0;
+}
+
 std::vector<const Graph*> chain_factor_ptrs(const kron::KronChain& chain) {
   std::vector<const Graph*> fs;
   fs.reserve(chain.num_factors());
@@ -31,37 +41,36 @@ std::vector<const Graph*> chain_factor_ptrs(const kron::KronChain& chain) {
 
 /// One center's wedge loop, enumerated by factor blocks (file comment): the
 /// neighbors sharing coordinates 0..f−1 are a contiguous level-f block, and
-/// dropping u itself leaves every block contiguous. At the last factor
-/// every block is one neighbor and every test is one product pair.
+/// dropping u itself leaves every block contiguous. A last-factor block is
+/// the whole of u's last-factor row R_x in position order, except the one
+/// block at u's own prefix, which lacks u's position `gap` when B has a loop
+/// at x.
 struct BlockWedges {
   const Graph* const* factors;
   std::size_t k;
   std::size_t deg;
-  const vid* coords;         ///< coords[i*k + f]: factor-f coordinate of i
-  const std::size_t* ends;   ///< ends[f*deg + i]: end of i's level-(f+1) block
-  std::size_t split;         ///< first neighbor with id > u
-  count_t* eb;               ///< u's owned-edge counters
-  count_t t = 0;             ///< closed wedges at u
-  count_t checks = 0;        ///< factor-membership tests
+  const vid* coords;           ///< coords[i*k + f]: factor-f coordinate of i
+  const esz* slots;            ///< slots[i*k + f]: factor-f slot of i
+  const std::size_t* ends;     ///< ends[f*deg + i]: end of i's level-f+1 block
+  std::size_t split;           ///< first neighbor with id > u
+  count_t* eb;                 ///< u's owned-edge counters
+  const std::uint64_t* masks;  ///< R_x's row masks, `words` per position
+  esz row;                     ///< first slot of R_x
+  std::size_t d;               ///< |R_x|
+  std::size_t words;           ///< ⌈d/64⌉
+  std::size_t gap;             ///< position of x in R_x, if B loops at x
+  count_t t = 0;               ///< closed wedges at u
+  count_t checks = 0;          ///< product pairs decided
 
   /// Closes every wedge {i, j}, i < j, with i ∈ [i0, i1) and j ∈ [j0, j1),
   /// two level-f blocks (the same block when `same`).
   void close(std::size_t f, std::size_t i0, std::size_t i1, std::size_t j0,
              std::size_t j1, bool same) {
-    const Graph& g = *factors[f];
     if (f + 1 == k) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const vid x = coords[i * k + f];
-        for (std::size_t j = same ? i + 1 : j0; j < j1; ++j) {
-          ++checks;
-          if (!g.has_edge(x, coords[j * k + f])) continue;
-          ++t;
-          if (i >= split) ++eb[i - split];
-          if (j >= split) ++eb[j - split];
-        }
-      }
+      close_last(i0, i1, j0, j1, same);
       return;
     }
+    const Graph& g = *factors[f];
     const std::size_t* const end = ends + f * deg;
     for (std::size_t i = i0; i < i1; i = end[i]) {
       const vid x = coords[i * k + f];
@@ -75,6 +84,35 @@ struct BlockWedges {
           close(f + 1, i, end[i], j, end[j], same && i == j);
         }
       }
+    }
+  }
+
+  /// The last factor: i's mask row, cut to J's positions, lists i's closed
+  /// wedges into J. Position q of R_x is neighbor j0 + q, one less past the
+  /// gap when J is the block that lacks it.
+  void close_last(std::size_t i0, std::size_t i1, std::size_t j0,
+                  std::size_t j1, bool same) {
+    const bool gapped = j1 - j0 < d;
+    checks += same ? (i1 - i0) * (i1 - i0 - 1) / 2 : (i1 - i0) * (j1 - j0);
+    for (std::size_t i = i0; i < i1; ++i) {
+      const std::size_t p = slots[i * k + k - 1] - row;
+      const std::size_t q0 = same ? p + 1 : 0;
+      const std::uint64_t* const mask = masks + p * words;
+      count_t closed = 0;
+      for (std::size_t w = q0 >> 6; w < words; ++w) {
+        std::uint64_t bits = mask[w];
+        if (w == q0 >> 6) bits &= ~std::uint64_t{0} << (q0 & 63);
+        if (gapped && w == gap >> 6) bits &= ~(std::uint64_t{1} << (gap & 63));
+        for (; bits != 0; bits &= bits - 1) {
+          const std::size_t q =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          const std::size_t j = j0 + q - (gapped && q > gap ? 1 : 0);
+          ++closed;
+          if (j >= split) ++eb[j - split];
+        }
+      }
+      t += closed;
+      if (i >= split) eb[i - split] += closed;
     }
   }
 };
@@ -141,6 +179,7 @@ StreamingCensus::StreamingCensus(std::vector<const Graph*> factors,
     weight_[i] = weight_[i + 1] * radix_[i + 1];
   }
   plan_shards();
+  build_masks();
 }
 
 StreamingCensus::StreamingCensus(const Graph& a, const Graph& b,
@@ -150,6 +189,42 @@ StreamingCensus::StreamingCensus(const Graph& a, const Graph& b,
 StreamingCensus::StreamingCensus(const kron::KronChain& chain,
                                  StreamingOptions opt)
     : StreamingCensus(chain_factor_ptrs(chain), opt) {}
+
+void StreamingCensus::build_masks() {
+  const Graph& b = *factors_.back();
+  const vid nb = b.num_vertices();
+  mask_off_.assign(nb + 1, 0);
+  for (vid x = 0; x < nb; ++x) {
+    const esz d = b.out_degree(x);
+    mask_off_[x + 1] = mask_off_[x] + d * ((d + 63) / 64);
+  }
+  masks_.assign(mask_off_[nb], 0);
+  // Bit q of slot (x, R_x[p]) marks R_x[q] ∈ R_{R_x[p]}: one merge of the
+  // two sorted rows per slot.
+#pragma omp parallel for schedule(dynamic, 64)
+  for (std::int64_t xx = 0; xx < static_cast<std::int64_t>(nb); ++xx) {
+    const vid x = static_cast<vid>(xx);
+    const auto rx = b.neighbors(x);
+    const std::size_t words = (rx.size() + 63) / 64;
+    std::uint64_t* mask = masks_.data() + mask_off_[x];
+    for (std::size_t p = 0; p < rx.size(); ++p, mask += words) {
+      const auto ry = b.neighbors(rx[p]);
+      for (std::size_t q = 0, r = 0; q < rx.size() && r < ry.size();) {
+        if (rx[q] < ry[r]) {
+          ++q;
+        } else if (ry[r] < rx[q]) {
+          ++r;
+        } else {
+          mask[q / 64] |= std::uint64_t{1} << (q % 64);
+          ++q;
+          ++r;
+        }
+      }
+    }
+  }
+  obs::counter("validate.mask_bytes")
+      .add(masks_.size() * sizeof(std::uint64_t));
+}
 
 void StreamingCensus::decompose(vid p, vid* coords) const noexcept {
   for (std::size_t i = factors_.size(); i-- > 0;) {
@@ -186,11 +261,11 @@ esz StreamingCensus::upper_degree(vid p) const {
 void StreamingCensus::neighbors_with_coords(vid p, const vid* p_coords,
                                             std::vector<vid>& ids,
                                             std::vector<vid>& coords,
-                                            std::vector<esz>* slots) const {
+                                            std::vector<esz>& slots) const {
   const std::size_t k = factors_.size();
   ids.clear();
   coords.clear();
-  if (slots != nullptr) slots->clear();
+  slots.clear();
   std::span<const vid> rows[kMaxFactors];
   esz row_start[kMaxFactors];
   esz deg = 1;
@@ -202,6 +277,7 @@ void StreamingCensus::neighbors_with_coords(vid p, const vid* p_coords,
   if (deg == 0) return;
   ids.reserve(deg);
   coords.reserve(deg * k);
+  slots.reserve(deg * k);
 
   // Odometer over the factor rows, left digit most significant; rows are
   // sorted, so composed ids come out ascending. value[i] is the partial sum
@@ -217,8 +293,8 @@ void StreamingCensus::neighbors_with_coords(vid p, const vid* p_coords,
     if (id != p) {  // drop the self loop — the census runs on C − I∘C
       ids.push_back(id);
       for (std::size_t i = 0; i < k; ++i) coords.push_back(rows[i][idx[i]]);
-      for (std::size_t i = 0; slots != nullptr && i < k; ++i) {
-        slots->push_back(row_start[i] + idx[i]);
+      for (std::size_t i = 0; i < k; ++i) {
+        slots.push_back(row_start[i] + idx[i]);
       }
     }
     std::size_t i = k;
@@ -317,7 +393,7 @@ count_t StreamingCensus::process_shard(ShardRange range,
       const vid u = lo + static_cast<vid>(uu);
       vid ucoords[kMaxFactors];
       decompose(u, ucoords);
-      neighbors_with_coords(u, ucoords, ids, coords, forms ? &slots : nullptr);
+      neighbors_with_coords(u, ucoords, ids, coords, slots);
       const std::size_t deg = ids.size();
       const std::size_t split = static_cast<std::size_t>(
           std::upper_bound(ids.begin(), ids.end(), u) - ids.begin());
@@ -341,8 +417,14 @@ count_t StreamingCensus::process_shard(ShardRange range,
             e[i] = joined ? e[i + 1] : i + 1;
           }
         }
-        BlockWedges w{factors_.data(), k, deg, coords.data(), ends.data(),
-                      split, eb};
+        const vid x = ucoords[k - 1];
+        const auto rx = factors_.back()->neighbors(x);
+        const std::size_t gap = static_cast<std::size_t>(
+            std::lower_bound(rx.begin(), rx.end(), x) - rx.begin());
+        BlockWedges w{factors_.data(), k, deg, coords.data(), slots.data(),
+                      ends.data(), split, eb, masks_.data() + mask_off_[x],
+                      factors_.back()->matrix().row_ptr()[x], rx.size(),
+                      (rx.size() + 63) / 64, gap};
         w.close(0, 0, deg, 0, deg, true);
         vertex[static_cast<std::size_t>(uu)] = w.t;
         checks += w.checks;
@@ -352,7 +434,8 @@ count_t StreamingCensus::process_shard(ShardRange range,
       if (forms == nullptr) continue;
       // u's counts are final and its coordinates still in hand: check t(u),
       // then Δ of each edge u owns.
-      const double t0 = timed ? obs::now_us() : 0.0;
+      const bool sampled = timed && fold_sampled(u);
+      const double t0 = sampled ? obs::now_us() : 0.0;
       vertex_tally.add(vertex[static_cast<std::size_t>(uu)],
                        forms->vertex_triangles(ucoords));
       esz s[kMaxFactors];
@@ -371,7 +454,7 @@ count_t StreamingCensus::process_shard(ShardRange range,
         edge_tally.add(eb[i - split],
                        f == k ? forms->edge_triangles(s) : std::nullopt);
       }
-      if (timed) us += obs::now_us() - t0;
+      if (sampled) us += obs::now_us() - t0;
     }
     if (forms != nullptr) {
 #pragma omp critical(kronotri_validate_fold)
@@ -384,7 +467,8 @@ count_t StreamingCensus::process_shard(ShardRange range,
   }
   if (timed) {
     obs::counter("validate.fold_ns")
-        .add(static_cast<std::uint64_t>(fold_us * 1e3));
+        .add(static_cast<std::uint64_t>(fold_us * 1e3 *
+                                        (1u << kFoldSampleBits)));
   }
   st.vertex_count_sum += vsum;
   st.edge_count_sum += esum;

@@ -31,17 +31,26 @@
 //     compares them with kron::ClosedForms (read at the odometer's slots)
 //     into thread-local tallies, merged once per shard. Sums and maxima do
 //     not depend on the merge order: the check is identical at every team
-//     size. Under --trace its time is the counter validate.fold_ns.
+//     size. Under --trace its time, sampled on one vertex in 64, is the
+//     counter validate.fold_ns.
 //
-// Work is one factor test per examined block pair: for A ⊗ B, C(d_A, 2) +
-// d_A tests on A per vertex, then d_B² tests on B per closed A-pair (and
-// C(d_B, 2) inside a self-looped A-block), against Σ_p C(d(p), 2) pair tests
-// unpruned (Table VI's plan: 250.2 M → 32.2 M tests, about 10 per
-// triangle). Enumerating wedges is the price of exact per-vertex counts
-// with only shard-local memory (an oriented enumeration would need
-// cross-shard writes for the two non-minimal corners). Accumulator memory
-// is O(shard vertices + shard-owned edges), tracked and reported so callers
-// can assert the product was censused under a budget its edge list exceeds.
+// Work is one factor test per examined block pair on every factor but the
+// last: for A ⊗ B, C(d_A, 2) + d_A tests on A per vertex. The last factor B
+// is never searched. Each of its CSR slots (x, R_x[p]) keeps a bitmask over
+// the positions q of row R_x, bit q set when B(R_x[p], R_x[q]) = 1, so a
+// closed A-pair costs ⌈d_B/64⌉ word ANDs per neighbor plus one step per
+// closed wedge. The table is Σ_x d_x·⌈d_x/64⌉ words, O(Σ_x d_x²/64), built
+// once per engine and shared read-only by every thread; its bytes are the
+// counter validate.mask_bytes (outside mem_budget, which bounds
+// accumulators). StreamingStats::wedge_checks still counts product pairs
+// decided, one per examined block pair: d_B² per closed A-pair (C(d_B, 2)
+// inside a self-looped A-block), against Σ_p C(d(p), 2) unpruned (Table
+// VI's plan: 250.2 M → 32.2 M, about 10 per triangle). Enumerating wedges
+// is the price of exact per-vertex counts with only shard-local memory (an
+// oriented enumeration would need cross-shard writes for the two
+// non-minimal corners). Accumulator memory is O(shard vertices +
+// shard-owned edges), tracked and reported so callers can assert the
+// product was censused under a budget its edge list exceeds.
 #pragma once
 
 #include <cstddef>
@@ -92,7 +101,7 @@ struct StreamingStats {
   count_t total_triangles = 0;   ///< τ(C) on the loop-free simple part
   count_t vertex_count_sum = 0;  ///< Σ_p t_C[p] = 3·τ
   count_t edge_count_sum = 0;    ///< Σ_e Δ_C(e) = 3·τ
-  count_t wedge_checks = 0;      ///< factor-membership tests, one per
+  count_t wedge_checks = 0;      ///< product pairs decided, one per
                                  ///< examined block pair (see file comment)
   esz num_edges = 0;             ///< undirected non-loop edges of C streamed
   std::size_t num_shards = 0;
@@ -186,6 +195,8 @@ class StreamingCensus {
                            StreamingOptions opt);
 
   void plan_shards();
+  /// Fills masks_ and mask_off_ from the last factor (file comment).
+  void build_masks();
   /// Census of one shard into the accumulators, checked into `check` when
   /// non-null; adds the shard's count sums to `st` and returns its wedge
   /// checks.
@@ -199,12 +210,12 @@ class StreamingCensus {
 
   /// Materializes the sorted neighbor list of p (self excluded) with the
   /// per-factor coordinates of each neighbor kept alongside: ids[i] is the
-  /// product id, coords[i*k .. i*k+k) its factor coordinates and, when
-  /// `slots` is non-null, (*slots)[i*k + f] the factor-f adjacency slot of
-  /// (p_coords[f], coords[i*k + f]).
+  /// product id, coords[i*k .. i*k+k) its factor coordinates and
+  /// slots[i*k + f] the factor-f adjacency slot of (p_coords[f],
+  /// coords[i*k + f]).
   void neighbors_with_coords(vid p, const vid* p_coords, std::vector<vid>& ids,
                              std::vector<vid>& coords,
-                             std::vector<esz>* slots) const;
+                             std::vector<esz>& slots) const;
 
   std::vector<const Graph*> factors_;
   std::vector<vid> radix_;   ///< per-factor vertex counts
@@ -212,6 +223,10 @@ class StreamingCensus {
   vid n_ = 1;
   StreamingOptions opt_;
   std::vector<ShardRange> shards_;
+  /// Last-factor row bitmasks: slot (x, R_x[p])'s ⌈d_x/64⌉ words start at
+  /// masks_[mask_off_[x] + p·⌈d_x/64⌉].
+  std::vector<std::uint64_t> masks_;
+  std::vector<esz> mask_off_;  ///< num_vertices(B) + 1 entries
 };
 
 }  // namespace kronotri::validate

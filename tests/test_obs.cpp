@@ -22,6 +22,7 @@
 #include <unistd.h>
 
 #include "api/plan.hpp"
+#include "api/registry.hpp"
 #include "obs/counters.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
@@ -447,6 +448,15 @@ TEST(TraceApi, RunEmitsStageSpansAndCounters) {
   // The closed-form fold runs inside the census's wedge pass; its time is
   // a counter of its own, sampled only while tracing.
   EXPECT_GT(report.counters.get_uint("validate.fold_ns", 0), 0u);
+  // The engine's last-factor row masks: ⌈d_x/64⌉ words per slot of B.
+  const Graph b = api::GeneratorRegistry::builtin().build(
+      "hk:n=40,m=2,p=0.5,seed=7,loops=1");
+  std::uint64_t mask_words = 0;
+  for (vid x = 0; x < b.num_vertices(); ++x) {
+    mask_words += b.out_degree(x) * ((b.out_degree(x) + 63) / 64);
+  }
+  EXPECT_EQ(report.counters.get_uint("validate.mask_bytes", 0),
+            mask_words * sizeof(std::uint64_t));
 }
 
 TEST(TraceApi, FoldTimeIsOnlyMeasuredWhileTracing) {

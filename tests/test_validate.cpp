@@ -260,6 +260,76 @@ TEST(StreamingBlocks, WedgeChecksFollowTheBlockClosedForm) {
   }
 }
 
+/// Random graph on n vertices (a third of the pairs, half the loops) whose
+/// hubs 0, 63 and 64 (those below n) are looped and adjacent to every
+/// vertex: each hub row has degree exactly n, and hub h sits at position h
+/// of its own row.
+Graph hubbed(vid n, std::uint64_t seed) {
+  const Graph g = kt_test::random_undirected(n, 0.33, seed, 0.5);
+  std::vector<std::pair<vid, vid>> edges;
+  for (vid u = 0; u < n; ++u) {
+    for (const vid v : g.neighbors(u)) edges.emplace_back(u, v);
+  }
+  for (const vid h : {vid{0}, vid{63}, vid{64}}) {
+    for (vid v = 0; h < n && v < n; ++v) edges.emplace_back(h, v);
+  }
+  return Graph::from_edges(n, edges, /*symmetrize=*/true);
+}
+
+// The last factor is closed by word-wide row masks; these put its rows on
+// both sides of each word boundary.
+TEST(StreamingMasks, LastFactorRowsAcrossWordBoundaries) {
+  const Graph looped_k2 = gen::clique(2).with_all_self_loops();
+  for (const vid n : {63u, 64u, 65u, 128u, 129u}) {
+    SCOPED_TRACE(n);
+    // Hub rows of degree n; u's own position reaches bits 63 and 64 once
+    // n > 64. Behind a looped K2 every innermost block but u's own is a
+    // whole row.
+    expect_chain_parity(kron::KronChain({looped_k2, hubbed(n, n)}));
+    // A loop-free clique row: d = n − 1, no gap, every mask bit set but
+    // the diagonal's.
+    expect_chain_parity(kron::KronChain({gen::clique(3), gen::clique(n)}));
+  }
+  // A looped K66: rows of 66, u at every position, masks all ones.
+  expect_chain_parity(kron::KronChain(
+      {gen::clique(3), gen::clique(66).with_all_self_loops()}));
+  // A star's center row spans 2 words while its leaves' masks hold only
+  // the center (plus a leaf's own loop): sparse rows read bit by bit.
+  expect_chain_parity(
+      kron::KronChain({looped_k2, gen::star(100).with_all_self_loops()}));
+  expect_chain_parity(kron::KronChain({gen::clique(3), gen::star(70)}));
+}
+
+TEST(StreamingMasks, EmptyAndSingletonLastFactorRows) {
+  // Vertex 0: empty row; 1: only its loop (the whole row is u's gap);
+  // 2–3: one neighbor each; 4–6: a looped triangle.
+  const Graph b = Graph::from_edges(
+      7, {{{1, 1}, {2, 3}, {4, 5}, {5, 6}, {4, 6}, {4, 4}, {5, 5}, {6, 6}}},
+      true);
+  expect_chain_parity(kron::KronChain({gen::clique(3), b}));
+  expect_chain_parity(
+      kron::KronChain({gen::clique(3).with_all_self_loops(), b}));
+  expect_chain_parity(kron::KronChain({b, b}));
+}
+
+TEST(StreamingMasks, SingleFactorEngine) {
+  // k = 1: the level-0 block is the whole neighbor list, closed by the
+  // masks alone, and a looped vertex's block is its row less itself.
+  expect_chain_parity(kron::KronChain({hubbed(129, 7)}));
+  expect_chain_parity(kron::KronChain({gen::clique(65)}));
+  expect_chain_parity(
+      kron::KronChain({kt_test::random_undirected(30, 0.4, 45, 0.5)}));
+}
+
+TEST(StreamingMasks, ThreeFactorChainWithAWideLoopedLastFactor) {
+  expect_chain_parity(kron::KronChain(
+      {kt_test::random_undirected(3, 0.7, 46, 0.5),
+       kt_test::random_undirected(3, 0.7, 47, 0.5), hubbed(70, 48)}));
+  expect_chain_parity(kron::KronChain(
+      {gen::clique(3), kt_test::random_undirected(3, 0.7, 49),
+       hubbed(66, 50)}));
+}
+
 
 TEST(StreamingCensus, BudgetDrivesShardCountAndBoundsAccumulators) {
   const Graph a = gen::holme_kim(60, 3, 0.6, 11);
