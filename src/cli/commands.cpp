@@ -15,6 +15,7 @@
 #include <vector>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include "api/plan.hpp"
 #include "api/registry.hpp"
@@ -22,6 +23,7 @@
 #include "net/socket.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
+#include "runner/proc.hpp"
 #include "runner/runner.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -829,7 +831,9 @@ int cmd_agent(const util::Cli& flags, std::ostream& out, std::ostream& err) {
   // an ephemeral-port agent can scrape the port.
   out << "agent listening on " << agent.endpoint()
       << " (slots=" << agent.slots()
-      << " omp-threads=" << agent.omp_threads() << ")" << std::endl;
+      << " omp-threads=" << agent.omp_threads()
+      << " omp-wait=" << runner::proc::worker_omp_wait(environ) << ")"
+      << std::endl;
 
   g_serve_stop = 0;
   std::signal(SIGINT, serve_signal_handler);

@@ -109,7 +109,8 @@ bool Agent::start(std::string* error) {
   util::log::info("agent", "listening",
                   {{"endpoint", endpoint()},
                    {"slots", opt_.slots},
-                   {"omp_threads", omp_threads_}});
+                   {"omp_threads", omp_threads_},
+                   {"omp_wait", proc::worker_omp_wait(environ)}});
   return true;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <string_view>
 
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -13,6 +14,34 @@
 namespace kronotri::runner::proc {
 
 namespace journal = util::journal;
+
+namespace {
+
+/// The value of `name` in a null-terminated envp; nullopt when unset.
+std::optional<std::string_view> env_value(char* const* env,
+                                          std::string_view name) {
+  for (; env != nullptr && *env != nullptr; ++env) {
+    const std::string_view entry(*env);
+    if (entry.size() > name.size() && entry[name.size()] == '=' &&
+        entry.substr(0, name.size()) == name) {
+      return entry.substr(name.size() + 1);
+    }
+  }
+  return std::nullopt;
+}
+
+/// The null-terminated char* view execve takes; `strings` must outlive it.
+std::vector<char*> c_array(const std::vector<std::string>& strings) {
+  std::vector<char*> out;
+  out.reserve(strings.size() + 1);
+  for (const std::string& s : strings) {
+    out.push_back(const_cast<char*>(s.c_str()));
+  }
+  out.push_back(nullptr);
+  return out;
+}
+
+}  // namespace
 
 std::string tmp_dir() {
   const char* dir = std::getenv("TMPDIR");
@@ -50,20 +79,39 @@ std::vector<std::string> worker_argv(const std::string& exe,
   return args;
 }
 
-Spawned spawn(const std::vector<std::string>& argv) {
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const std::string& a : argv) {
-    cargv.push_back(const_cast<char*>(a.c_str()));
+std::vector<std::string> worker_env(char* const* base) {
+  std::vector<std::string> env;
+  for (char* const* e = base; e != nullptr && *e != nullptr; ++e) {
+    env.emplace_back(*e);
   }
-  cargv.push_back(nullptr);
+  if (!env_value(base, "OMP_WAIT_POLICY") &&
+      !env_value(base, "GOMP_SPINCOUNT")) {
+    env.emplace_back("OMP_WAIT_POLICY=passive");
+  }
+  return env;
+}
+
+std::string worker_omp_wait(char* const* base) {
+  if (const auto policy = env_value(base, "OMP_WAIT_POLICY")) {
+    return std::string(*policy);
+  }
+  if (const auto spin = env_value(base, "GOMP_SPINCOUNT")) {
+    return "GOMP_SPINCOUNT=" + std::string(*spin);
+  }
+  return "passive";
+}
+
+Spawned spawn(const std::vector<std::string>& argv) {
+  const std::vector<char*> cargv = c_array(argv);
+  const std::vector<std::string> env = worker_env(environ);
+  const std::vector<char*> cenv = c_array(env);
   Spawned s;
   s.pid = ::fork();
   if (s.pid == 0) {
-    // Child: exec immediately — no OpenMP, no allocation-heavy work
-    // between fork and exec (the parent may hold libgomp/locale state a
-    // forked child must not touch).
-    ::execv(cargv[0], cargv.data());
+    // Child: exec immediately — no OpenMP, no allocation between fork and
+    // exec (the parent may hold libgomp/locale/malloc state a forked child
+    // must not touch), which is why argv and envp are built above.
+    ::execve(cargv[0], cargv.data(), cenv.data());
     ::_exit(127);
   }
   if (s.pid < 0) s.error = errno;

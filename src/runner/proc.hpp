@@ -14,6 +14,15 @@
 //   exit       nonzero exit; detail = exit code
 //   truncated  clean exit but no verifiable frame (torn, dirty or missing)
 // Spawning adds `spawn_failed` (detail = errno of the failed fork).
+//
+// Workers wait passively. Every child starts with the caller's environment
+// plus OMP_WAIT_POLICY=passive (worker_env), unless the caller already sets
+// OMP_WAIT_POLICY or GOMP_SPINCOUNT: then that choice reaches the child
+// unchanged. A host runs several workers side by side, and an agent sharing
+// it with the coordinator's slots does not budget for them, so teams can
+// outnumber cores; libgomp's default wait spins at every barrier and idle
+// dock and holds the core a descheduled sibling needs. The caller's own
+// process (in-process api::run, serve's job threads) keeps the default.
 #pragma once
 
 #include <sys/types.h>
@@ -50,7 +59,18 @@ struct Spawned {
   int error = 0;   ///< errno of the failed fork, read before anything else
 };
 
-/// fork + execv(argv[0], argv). An exec failure surfaces later as exit 127.
+/// The environment a worker starts with: the null-terminated `base` (such
+/// as `environ`) plus OMP_WAIT_POLICY=passive, unless `base` already sets
+/// OMP_WAIT_POLICY or GOMP_SPINCOUNT.
+[[nodiscard]] std::vector<std::string> worker_env(char* const* base);
+
+/// How a worker started with worker_env(base) waits, for logs and spans:
+/// its OMP_WAIT_POLICY ("passive" unless `base` sets one), or
+/// "GOMP_SPINCOUNT=N" when `base` sets only that.
+[[nodiscard]] std::string worker_omp_wait(char* const* base);
+
+/// fork + execve(argv[0], argv, worker_env(environ)). An exec failure
+/// surfaces later as exit 127.
 [[nodiscard]] Spawned spawn(const std::vector<std::string>& argv);
 
 /// wait4 rusage of a reaped child.

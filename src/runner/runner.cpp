@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -518,15 +519,18 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
   // same budget on this thread when it is first attached; remote agents
   // budget their own slots.
   const unsigned omp_threads = util::omp_budget(opt.workers);
+  const std::string omp_wait = proc::worker_omp_wait(environ);
 
   const obs::Stopwatch elapsed;
   const Value counters_start = obs::CounterRegistry::instance().snapshot();
   obs::Span coord_span("runner::execute");
   coord_span.arg("workers", opt.workers);
   coord_span.arg("omp_threads", omp_threads);
+  coord_span.arg("omp_wait", omp_wait);
   util::log::info("runner", "coordinator start",
                   {{"workers", opt.workers},
                    {"omp_threads", omp_threads},
+                   {"omp_wait", omp_wait},
                    {"journaled", journaled ? "yes" : "no"},
                    {"resume", opt.resume ? "yes" : "no"}});
   const auto fail_report = [&](const std::string& why) {
@@ -1179,18 +1183,23 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     if (!error.empty()) break;
 
     // Speculative re-execution: queue drained, slots free, and a running
-    // attempt has outlived the straggler threshold — re-issue its unit
-    // once; whichever attempt finishes first wins.
+    // attempt has outlived the straggler threshold of its unit kind —
+    // re-issue its unit once; whichever attempt finishes first wins. The
+    // threshold compares like with like: a base unit measured against
+    // short validate units would always look late, and its duplicate on
+    // the same box cannot finish sooner. A kind with no completed attempt
+    // is never speculated (shard_timeout_s still catches a hung unit).
     if (const int ai = next_free();
         ai >= 0 && pending.empty() && !running.empty()) {
-      std::vector<double> walls;
+      std::map<std::string, std::vector<double>> walls;
       for (const api::WorkerEvent& ev : events) {
-        if (ev.outcome == "ok") walls.push_back(ev.wall_s);
+        if (ev.outcome == "ok") walls[ev.kind].push_back(ev.wall_s);
       }
-      double threshold = opt.straggler_min_s;
-      if (!walls.empty()) {
-        std::sort(walls.begin(), walls.end());
-        threshold = std::max(threshold, 2 * walls[walls.size() / 2]);
+      std::map<std::string, double> threshold;
+      for (auto& [kind, w] : walls) {
+        const auto mid = w.begin() + static_cast<std::ptrdiff_t>(w.size() / 2);
+        std::nth_element(w.begin(), mid, w.end());
+        threshold[kind] = std::max(opt.straggler_min_s, 2 * *mid);
       }
       RunningAttempt* straggler = nullptr;
       for (RunningAttempt& ra : running) {
@@ -1198,7 +1207,8 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
         if (st.done || st.speculated || ra.timed_out || ra.superseded) {
           continue;
         }
-        if (now - ra.start_s < threshold) continue;
+        const auto t = threshold.find(units[ra.unit].kind);
+        if (t == threshold.end() || now - ra.start_s < t->second) continue;
         if (straggler == nullptr || ra.start_s < straggler->start_s) {
           straggler = &ra;
         }

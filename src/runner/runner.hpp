@@ -22,8 +22,9 @@
 //   * per-attempt wall-clock timeouts: an attempt past its deadline is
 //     cancelled (its agent SIGKILLs the worker) and its unit re-dispatched;
 //   * speculative re-execution of stragglers — when the queue is drained
-//     and a slot is free, the slowest running unit is re-issued and the
-//     first result wins (safe: units are deterministic);
+//     and a slot is free, the longest-running unit that is slow for its
+//     kind (base vs validate) is re-issued and the first result wins
+//     (safe: units are deterministic);
 //   * crash-safe accounting: the agent classifies how each worker ended
 //     (runner/proc.hpp: signal vs nonzero-exit vs truncated frame vs oom,
 //     the RLIMIT_AS guard) and a lost or garbled connection classifies its
@@ -65,7 +66,8 @@ struct Options {
   double shard_timeout_s = 0; ///< per-attempt wall clock (0 = none)
   unsigned max_retries = 2;   ///< re-dispatches per unit beyond attempt 0
   /// Once the queue drains, a running attempt is re-issued as a straggler
-  /// only after max(straggler_min_s, 2 x median completed attempt wall).
+  /// only after max(straggler_min_s, 2 x median wall of the completed
+  /// attempts of its unit kind); a kind with none is never re-issued.
   double straggler_min_s = 1.0;
   /// Fault-injection spec forwarded to workers; empty falls back to the
   /// KRONOTRI_FAULT environment variable (the CI smoke's entry point).

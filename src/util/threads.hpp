@@ -14,6 +14,14 @@
 // the ceiling. The team size never reaches a report's content: results are
 // bit-identical at every team size, and plan.options.threads (the stream
 // partition count) is a separate knob.
+//
+// The budget sizes teams; it does not stop teams of different hosts' budgets
+// (a loopback agent beside the coordinator's slots) from sharing cores. So
+// spawned workers also wait passively: runner::proc::spawn starts every
+// child with OMP_WAIT_POLICY=passive unless the caller set OMP_WAIT_POLICY
+// or GOMP_SPINCOUNT (runner/proc.hpp). In-process api::run and serve's job
+// threads keep libgomp's spinning default, which is faster when their team
+// has the cores to itself.
 #pragma once
 
 namespace kronotri::util {

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -147,6 +148,21 @@ TEST(Runner, SpeculativeRedispatchBeatsStraggler) {
   EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
   EXPECT_EQ(count_events(multi, 1, "speculative_loss"), 1);
   EXPECT_EQ(count_events(multi, 1, "ok"), 1);
+}
+
+TEST(Runner, BaseUnitIsNotSpeculatedAgainstValidateUnits) {
+  const api::RunPlan plan = test_plan();
+  runner::Options opt = test_opts();
+  // The base unit outlives every validate unit by far; stragglers are
+  // judged within their own kind, and no other base attempt completes, so
+  // it is never re-issued however low the floor.
+  opt.fault_spec = "stall:shard=0:attempt=0:secs=2";
+  opt.straggler_min_s = 0.2;
+  const api::RunReport multi = runner::execute(plan, opt);
+  EXPECT_TRUE(multi.pass) << multi.error;
+  EXPECT_EQ(comparable_dump(api::run(plan)), comparable_dump(multi));
+  EXPECT_EQ(count_events(multi, 0, "speculative_loss"), 0);
+  EXPECT_EQ(count_events(multi, 0, "ok"), 1);
 }
 
 TEST(Runner, DegradesWithoutWorkerBinary) {
@@ -453,6 +469,61 @@ TEST(RunnerProc, ClassifiesHowAWorkerEnded) {
   }
   o = run_and_classify("exit 0", out);
   EXPECT_EQ(o.kind, "truncated");
+  ::unlink(out.c_str());
+}
+
+TEST(RunnerProc, WorkerEnvAddsPassiveWaitPolicy) {
+  char path[] = "PATH=/usr/bin";
+  char home[] = "HOME=/home/x";
+  char* base[] = {path, home, nullptr};
+  EXPECT_EQ(proc::worker_env(base),
+            (std::vector<std::string>{"PATH=/usr/bin", "HOME=/home/x",
+                                      "OMP_WAIT_POLICY=passive"}));
+  char* empty[] = {nullptr};
+  EXPECT_EQ(proc::worker_env(empty),
+            std::vector<std::string>{"OMP_WAIT_POLICY=passive"});
+  // A name that merely starts like the policy's is not the policy.
+  char lookalike[] = "OMP_WAIT_POLICY_X=active";
+  char* near[] = {lookalike, nullptr};
+  EXPECT_EQ(proc::worker_env(near),
+            (std::vector<std::string>{"OMP_WAIT_POLICY_X=active",
+                                      "OMP_WAIT_POLICY=passive"}));
+}
+
+TEST(RunnerProc, WorkerEnvKeepsTheCallersWaitChoice) {
+  char path[] = "PATH=/usr/bin";
+  char active[] = "OMP_WAIT_POLICY=active";
+  char spin[] = "GOMP_SPINCOUNT=10000";
+  char* with_policy[] = {path, active, nullptr};
+  EXPECT_EQ(proc::worker_env(with_policy),
+            (std::vector<std::string>{"PATH=/usr/bin",
+                                      "OMP_WAIT_POLICY=active"}));
+  char* with_spin[] = {spin, path, nullptr};
+  EXPECT_EQ(proc::worker_env(with_spin),
+            (std::vector<std::string>{"GOMP_SPINCOUNT=10000",
+                                      "PATH=/usr/bin"}));
+  // What logs and spans name as the workers' wait.
+  EXPECT_EQ(proc::worker_omp_wait(with_policy), "active");
+  EXPECT_EQ(proc::worker_omp_wait(with_spin), "GOMP_SPINCOUNT=10000");
+  char* plain[] = {path, nullptr};
+  EXPECT_EQ(proc::worker_omp_wait(plain), "passive");
+}
+
+TEST(RunnerProc, SpawnedChildStartsWithTheWorkerEnv) {
+  const std::string out =
+      "/tmp/kronotri_env" + std::to_string(::getpid()) + ".txt";
+  ::unlink(out.c_str());
+  const proc::Spawned s = proc::spawn(
+      {"/bin/sh", "-c", "printf %s \"$OMP_WAIT_POLICY\" > " + out});
+  ASSERT_GT(s.pid, 0) << s.error;
+  const std::optional<proc::Reaped> r = proc::reap(s.pid, /*block=*/true);
+  ASSERT_TRUE(r.has_value());
+  // Passive unless this test itself runs under an explicit choice, which
+  // the child must then see unchanged.
+  std::string want = "passive";
+  if (std::getenv("GOMP_SPINCOUNT") != nullptr) want.clear();
+  if (const char* policy = std::getenv("OMP_WAIT_POLICY")) want = policy;
+  EXPECT_EQ(util::journal::read_file(out).value_or("<missing>"), want);
   ::unlink(out.c_str());
 }
 
