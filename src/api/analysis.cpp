@@ -775,8 +775,7 @@ class ValidateAnalysis final : public Analysis {
     opt.units = units_;
     validate::ValidationReport vr;
     if (ctx.two_factor()) {
-      vr = validate::validate_product(ctx.factors()[0], ctx.factors()[1],
-                                      opt);
+      vr = validate::validate_product(ctx.oracle(), opt);
     } else if (ctx.is_product()) {
       vr = validate::validate_chain(ctx.chain(), opt);
     } else {

@@ -3,9 +3,7 @@
 namespace kronotri::kron {
 
 DirectedTriangleOracle::DirectedTriangleOracle(const Graph& a, const Graph& b)
-    : a_(&a),
-      b_(&b),
-      index_(b.num_vertices()),
+    : index_(b.num_vertices()),
       parts_(triangle::split_directed(a)),
       vertex_(directed_vertex_triangles(a, b)),
       edge_(directed_edge_triangles(a, b)),
@@ -18,13 +16,12 @@ count_t DirectedTriangleOracle::vertex_triangles(
 
 std::optional<count_t> DirectedTriangleOracle::edge_triangles(
     triangle::EdgeTriType flavor, vid p, vid q) const {
-  const vid i = index_.a_of(p), j = index_.a_of(q);
-  const vid k = index_.b_of(p), l = index_.b_of(q);
   const bool directed_central =
       static_cast<int>(flavor) < static_cast<int>(triangle::EdgeTriType::kRpp);
   const BoolCsr& structure = directed_central ? parts_.ad : parts_.ar;
-  if (!structure.contains(i, j) || !b_->has_edge(k, l)) return std::nullopt;
-  return edge_[static_cast<std::size_t>(flavor)].at(p, q);
+  // The expression's pattern is A ⊗ B; the flavor's is narrower in A.
+  if (!structure.contains(index_.a_of(p), index_.a_of(q))) return std::nullopt;
+  return edge_[static_cast<std::size_t>(flavor)].stored(p, q);
 }
 
 count_t DirectedTriangleOracle::total(triangle::VertexTriType flavor) const {
@@ -70,18 +67,16 @@ count_t LabeledTriangleOracle::vertex_triangles(std::uint32_t q1,
 
 std::optional<count_t> LabeledTriangleOracle::edge_triangles(
     std::uint32_t q1, std::uint32_t q2, std::uint32_t q3, vid p, vid q) const {
-  const vid i = index_.a_of(p), j = index_.a_of(q);
-  const vid k = index_.b_of(p), l = index_.b_of(q);
   // Def. 14 structure: entry (p,q) lives in the (q2,q1) label block.
-  if (labels_.label[i] != q2 || labels_.label[j] != q1 ||
-      !a_->has_edge(i, j) || !b_->has_edge(k, l)) {
+  if (labels_.label[index_.a_of(p)] != q2 ||
+      labels_.label[index_.a_of(q)] != q1) {
     return std::nullopt;
   }
   auto& slot = edge_cache_[key(q1, q2, q3)];
   if (!slot) {
     slot = labeled_edge_triangles(*a_, labels_, *b_, q1, q2, q3);
   }
-  return slot->at(p, q);
+  return slot->stored(p, q);
 }
 
 }  // namespace kronotri::kron

@@ -23,6 +23,7 @@ namespace kronotri::kron {
 /// undirected; Thm 4/5 preconditions checked at construction).
 class DirectedTriangleOracle {
  public:
+  /// Factors must outlive the oracle.
   DirectedTriangleOracle(const Graph& a, const Graph& b);
 
   /// t^{(τ)}_C[p] for any of the 15 vertex flavors.
@@ -41,8 +42,6 @@ class DirectedTriangleOracle {
   [[nodiscard]] vid num_vertices() const noexcept { return n_; }
 
  private:
-  const Graph* a_;
-  const Graph* b_;
   KronIndex index_;
   triangle::DirectedParts parts_;
   std::array<KronVectorExpr, triangle::kNumVertexTriTypes> vertex_;

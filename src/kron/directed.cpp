@@ -36,7 +36,8 @@ directed_vertex_triangles(const Graph& a, const Graph& b) {
   exprs.reserve(triangle::kNumVertexTriTypes);
   for (int f = 0; f < triangle::kNumVertexTriTypes; ++f) {
     std::vector<KronVectorExpr::Term> terms;
-    terms.push_back({1, std::move(census[static_cast<std::size_t>(f)]), b3});
+    terms.push_back({1, {std::move(census[static_cast<std::size_t>(f)]),
+                         b3}});
     exprs.emplace_back(1, std::move(terms));
   }
   return {exprs[0],  exprs[1],  exprs[2],  exprs[3],  exprs[4],
@@ -53,8 +54,10 @@ std::array<KronMatrixExpr, triangle::kNumEdgeTriTypes> directed_edge_triangles(
   exprs.reserve(triangle::kNumEdgeTriTypes);
   for (int f = 0; f < triangle::kNumEdgeTriTypes; ++f) {
     std::vector<KronMatrixExpr::Term> terms;
-    terms.push_back({1, std::move(census[static_cast<std::size_t>(f)]), bb2});
-    exprs.emplace_back(1, std::move(terms));
+    terms.push_back({1, {std::move(census[static_cast<std::size_t>(f)]),
+                         bb2}});
+    exprs.emplace_back(std::vector<const Graph*>{&a, &b}, 1,
+                       std::move(terms));
   }
   return {exprs[0],  exprs[1],  exprs[2],  exprs[3],  exprs[4],
           exprs[5],  exprs[6],  exprs[7],  exprs[8],  exprs[9],
@@ -68,7 +71,7 @@ DirectedDegrees directed_degrees(const Graph& a, const Graph& b) {
 
   auto make = [&](std::vector<count_t> da) {
     std::vector<KronVectorExpr::Term> terms;
-    terms.push_back({1, std::move(da), db});
+    terms.push_back({1, {std::move(da), db}});
     return KronVectorExpr(1, std::move(terms));
   };
   return DirectedDegrees{

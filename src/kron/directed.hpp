@@ -21,7 +21,8 @@ std::array<KronVectorExpr, triangle::kNumVertexTriTypes>
 directed_vertex_triangles(const Graph& a, const Graph& b);
 
 /// All 15 edge-flavor expressions for C = A ⊗ B. Matrices for central-'+'
-/// flavors have structure A_d ⊗ B; central-'o' flavors A_r ⊗ B.
+/// flavors have structure A_d ⊗ B; central-'o' flavors A_r ⊗ B (held on
+/// A ⊗ B's slots, 0 off the flavor's structure). a and b must outlive them.
 std::array<KronMatrixExpr, triangle::kNumEdgeTriTypes>
 directed_edge_triangles(const Graph& a, const Graph& b);
 

@@ -1,5 +1,6 @@
 #include "kron/formulas.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/ops.hpp"
@@ -11,47 +12,58 @@ namespace kronotri::kron {
 
 namespace {
 
-using i128 = __int128;
-
-[[noreturn]] void formula_misuse() {
-  throw std::logic_error(
-      "Kronecker formula evaluated to a negative or non-divisible value — "
-      "factor statistics do not match the formula's preconditions");
+/// v, or std::logic_error when the formula did not evaluate (misuse).
+count_t checked(std::optional<count_t> v) {
+  if (!v) {
+    throw std::logic_error(
+        "Kronecker formula evaluated to a negative or non-divisible value — "
+        "factor statistics do not match the formula's preconditions");
+  }
+  return *v;
 }
 
-count_t checked_result(i128 acc, std::int64_t divisor) {
-  if (acc < 0 || acc % divisor != 0) formula_misuse();
-  return static_cast<count_t>(acc / divisor);
+count_t loop(const Graph& g, vid u) { return g.has_edge(u, u) ? 1 : 0; }
+
+/// The vector with fn(u) at every vertex u of g.
+template <typename F>
+std::vector<count_t> per_vertex(const Graph& g, F fn) {
+  std::vector<count_t> v(g.num_vertices());
+  for (vid u = 0; u < g.num_vertices(); ++u) v[u] = fn(u);
+  return v;
+}
+
+/// The matrix on g's adjacency pattern with fn(x, y) at every slot (x, y).
+template <typename F>
+CountCsr on_pattern(const Graph& g, F fn) {
+  const BoolCsr& m = g.matrix();
+  std::vector<count_t> vals(m.nnz());
+  for (vid x = 0; x < m.rows(); ++x) {
+    for (esz s = m.row_ptr()[x]; s < m.row_ptr()[x + 1]; ++s) {
+      vals[s] = fn(x, m.col_idx()[s]);
+    }
+  }
+  return CountCsr::from_parts(m.rows(), m.cols(), m.row_ptr(), m.col_idx(),
+                              std::move(vals));
 }
 
 /// 0/1 self-loop indicator vector diag(D_A).
 std::vector<count_t> loop_vector(const Graph& g) {
-  std::vector<count_t> v(g.num_vertices(), 0);
-  for (vid u = 0; u < g.num_vertices(); ++u) {
-    v[u] = g.has_edge(u, u) ? 1u : 0u;
-  }
-  return v;
+  return per_vertex(g, [&](vid u) { return loop(g, u); });
 }
 
 /// diag(A²·D_A): (A²)_ii·loop_i; for symmetric 0/1 A, (A²)_ii is the row
 /// degree (each stored neighbor j contributes A_ij·A_ji = 1).
 std::vector<count_t> diag_a2_d(const Graph& g) {
-  std::vector<count_t> v(g.num_vertices(), 0);
-  for (vid u = 0; u < g.num_vertices(); ++u) {
-    if (g.has_edge(u, u)) v[u] = g.out_degree(u);
-  }
-  return v;
+  return per_vertex(g, [&](vid u) { return loop(g, u) * g.out_degree(u); });
 }
 
 /// diag(A·D_A·A): Σ_{j ∈ row(i)} loop_j for symmetric 0/1 A.
 std::vector<count_t> diag_ada(const Graph& g) {
-  std::vector<count_t> v(g.num_vertices(), 0);
-  for (vid u = 0; u < g.num_vertices(); ++u) {
+  return per_vertex(g, [&](vid u) {
     count_t acc = 0;
-    for (const vid j : g.neighbors(u)) acc += g.has_edge(j, j) ? 1u : 0u;
-    v[u] = acc;
-  }
-  return v;
+    for (const vid j : g.neighbors(u)) acc += loop(g, j);
+    return acc;
+  });
 }
 
 /// A ∘ A² including self-loop structure (the un-stripped variant the general
@@ -63,58 +75,23 @@ CountCsr a_hadamard_a2(const Graph& g) {
 
 /// D_A·A — rows of A kept only where a self loop exists.
 CountCsr rows_where_loop(const Graph& g) {
-  const BoolCsr& m = g.matrix();
-  std::vector<esz> rp(m.rows() + 1, 0);
-  std::vector<vid> ci;
-  std::vector<count_t> vals;
-  for (vid r = 0; r < m.rows(); ++r) {
-    if (g.has_edge(r, r)) {
-      for (const vid c : m.row_cols(r)) {
-        ci.push_back(c);
-        vals.push_back(1);
-      }
-    }
-    rp[r + 1] = ci.size();
-  }
-  return CountCsr::from_parts(m.rows(), m.cols(), std::move(rp), std::move(ci),
-                              std::move(vals));
+  return on_pattern(g, [&](vid x, vid) { return loop(g, x); });
 }
 
 /// A·D_A — columns of A kept only where a self loop exists.
 CountCsr cols_where_loop(const Graph& g) {
-  const BoolCsr& m = g.matrix();
-  std::vector<esz> rp(m.rows() + 1, 0);
-  std::vector<vid> ci;
-  std::vector<count_t> vals;
-  for (vid r = 0; r < m.rows(); ++r) {
-    for (const vid c : m.row_cols(r)) {
-      if (g.has_edge(c, c)) {
-        ci.push_back(c);
-        vals.push_back(1);
-      }
-    }
-    rp[r + 1] = ci.size();
-  }
-  return CountCsr::from_parts(m.rows(), m.cols(), std::move(rp), std::move(ci),
-                              std::move(vals));
+  return on_pattern(g, [&](vid, vid y) { return loop(g, y); });
 }
 
 /// D_A as a count matrix.
 CountCsr loop_matrix(const Graph& g) {
-  Coo<count_t> coo(g.num_vertices(), g.num_vertices());
-  for (vid u = 0; u < g.num_vertices(); ++u) {
-    if (g.has_edge(u, u)) coo.add(u, u, 1);
-  }
-  return CountCsr::from_coo(coo);
+  return on_pattern(g, [](vid x, vid y) -> count_t { return x == y ? 1 : 0; });
 }
 
 /// D_A ∘ A² — diagonal matrix with (A²)_ii at looped vertices.
 CountCsr diag_hadamard_a2(const Graph& g) {
-  Coo<count_t> coo(g.num_vertices(), g.num_vertices());
-  for (vid u = 0; u < g.num_vertices(); ++u) {
-    if (g.has_edge(u, u)) coo.add(u, u, g.out_degree(u));
-  }
-  return CountCsr::from_coo(coo);
+  return on_pattern(
+      g, [&](vid x, vid y) -> count_t { return x == y ? g.out_degree(x) : 0; });
 }
 
 void require_undirected(const Graph& a, const Graph& b, const char* what) {
@@ -127,80 +104,165 @@ void require_undirected(const Graph& a, const Graph& b, const char* what) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// KronTerms
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+KronTerms::KronTerms(std::int64_t d, std::size_t num_terms,
+                     std::vector<vid> factor_sizes)
+    : divisor(d), radix(std::move(factor_sizes)) {
+  if (divisor <= 0) throw std::invalid_argument("divisor must be positive");
+  if (num_terms == 0) throw std::invalid_argument("expression needs >= 1 term");
+  if (radix.empty() || radix.size() > kMaxFactors) {
+    throw std::invalid_argument("expression needs 1 to 64 factors");
+  }
+  coeff.reserve(num_terms);
+  offset.reserve(num_terms * radix.size() + 1);
+  offset.push_back(0);
+}
+
+std::optional<count_t> KronTerms::total() const noexcept {
+  const std::size_t k = radix.size();
+  __int128 acc = 0;
+  for (std::size_t t = 0; t < coeff.size(); ++t) {
+    __int128 term = coeff[t];
+    for (std::size_t f = 0; f < k; ++f) {
+      __int128 s = 0;
+      for (std::size_t i = offset[t * k + f]; i < offset[t * k + f + 1]; ++i) {
+        s += values[i];
+      }
+      term *= s;
+    }
+    acc += term;
+  }
+  return divide(acc);
+}
+
+void KronTerms::decompose(vid p, vid* x) const noexcept {
+  for (std::size_t f = radix.size(); f-- > 1;) {
+    x[f] = p % radix[f];
+    p /= radix[f];
+  }
+  x[0] = p;
+}
+
+}  // namespace detail
+
+namespace {
+
+std::vector<vid> vector_sizes(const std::vector<KronVectorExpr::Term>& terms) {
+  std::vector<vid> sizes;
+  if (terms.empty()) return sizes;
+  for (const auto& v : terms.front().factors) sizes.push_back(v.size());
+  return sizes;
+}
+
+/// Appends every term to `kt`, factor f of each as `len[f]` values that
+/// write(f, term factor, values) fills from zero.
+template <typename Term, typename Write>
+void add_terms(detail::KronTerms& kt, const std::vector<Term>& terms,
+               const std::vector<std::size_t>& len, Write write) {
+  for (const Term& t : terms) {
+    if (t.factors.size() != kt.radix.size()) {
+      throw std::invalid_argument("terms must have equal factor counts");
+    }
+    kt.coeff.push_back(t.coeff);
+    for (std::size_t f = 0; f < t.factors.size(); ++f) {
+      const std::size_t start = kt.values.size();
+      kt.values.resize(start + len[f], 0);
+      kt.offset.push_back(kt.values.size());
+      write(f, t.factors[f], kt.values.data() + start);
+    }
+  }
+}
+
+std::vector<vid> graph_sizes(const std::vector<const Graph*>& graphs) {
+  std::vector<vid> sizes;
+  for (const Graph* g : graphs) sizes.push_back(g->num_vertices());
+  return sizes;
+}
+
+/// Writes m's values at their slots of adj's pattern into out[0..nnz).
+void align_on_slots(const BoolCsr& adj, const CountCsr& m, count_t* out) {
+  if (m.rows() != adj.rows() || m.cols() != adj.cols()) {
+    throw std::invalid_argument("terms must have their factors' sizes");
+  }
+  if (m.row_ptr() == adj.row_ptr() && m.col_idx() == adj.col_idx()) {
+    std::copy(m.values().begin(), m.values().end(), out);
+    return;
+  }
+  for (vid x = 0; x < m.rows(); ++x) {
+    const auto cols = m.row_cols(x);
+    const auto vals = m.row_vals(x);
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      if (vals[i] == 0) continue;
+      const esz s = adj.find(x, cols[i]);
+      if (s == adj.nnz()) {
+        throw std::invalid_argument(
+            "KronMatrixExpr: term entry outside its factor's adjacency "
+            "pattern");
+      }
+      out[s] = vals[i];
+    }
+  }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // KronVectorExpr
 // ---------------------------------------------------------------------------
 
 KronVectorExpr::KronVectorExpr(std::int64_t divisor, std::vector<Term> terms)
-    : divisor_(divisor), terms_(std::move(terms)) {
-  if (divisor_ <= 0) throw std::invalid_argument("divisor must be positive");
-  if (terms_.empty()) throw std::invalid_argument("expression needs >= 1 term");
-  na_ = terms_.front().a.size();
-  nb_ = terms_.front().b.size();
-  for (const Term& t : terms_) {
-    if (t.a.size() != na_ || t.b.size() != nb_) {
-      throw std::invalid_argument("terms must have equal factor sizes");
-    }
-  }
+    : terms_(divisor, terms.size(), vector_sizes(terms)) {
+  for (const vid nf : terms_.radix) n_ *= nf;
+  const std::vector<std::size_t> len(terms_.radix.begin(), terms_.radix.end());
+  add_terms(terms_, terms, len,
+            [&](std::size_t f, const std::vector<count_t>& v, count_t* out) {
+              if (v.size() != len[f]) {
+                throw std::invalid_argument(
+                    "terms must have equal factor sizes");
+              }
+              std::copy(v.begin(), v.end(), out);
+            });
 }
 
 count_t KronVectorExpr::at(vid p) const {
-  const KronIndex idx(nb_);
-  const vid i = idx.a_of(p), k = idx.b_of(p);
-  i128 acc = 0;
-  for (const Term& t : terms_) {
-    acc += static_cast<i128>(t.coeff) * static_cast<i128>(t.a[i]) *
-           static_cast<i128>(t.b[k]);
-  }
-  return checked_result(acc, divisor_);
+  vid x[kMaxFactors];
+  terms_.decompose(p, x);
+  return checked(terms_.eval(x));
 }
 
 std::vector<count_t> KronVectorExpr::expand() const {
-  std::vector<count_t> out;
-  out.reserve(size());
-  for (vid i = 0; i < na_; ++i) {
-    for (vid k = 0; k < nb_; ++k) {
-      i128 acc = 0;
-      for (const Term& t : terms_) {
-        acc += static_cast<i128>(t.coeff) * static_cast<i128>(t.a[i]) *
-               static_cast<i128>(t.b[k]);
-      }
-      out.push_back(checked_result(acc, divisor_));
-    }
-  }
+  std::vector<count_t> out(n_);
+  for (vid p = 0; p < n_; ++p) out[p] = at(p);
   return out;
 }
 
-count_t KronVectorExpr::sum() const {
-  i128 acc = 0;
-  for (const Term& t : terms_) {
-    i128 sa = 0, sb = 0;
-    for (const count_t v : t.a) sa += v;
-    for (const count_t v : t.b) sb += v;
-    acc += static_cast<i128>(t.coeff) * sa * sb;
-  }
-  return checked_result(acc, divisor_);
-}
+count_t KronVectorExpr::sum() const { return checked(terms_.total()); }
 
 std::map<count_t, count_t> KronVectorExpr::histogram() const {
-  if (terms_.size() != 1 || terms_.front().coeff < 0) {
+  if (terms_.coeff.size() != 1 || terms_.coeff.front() < 0) {
     throw std::logic_error(
         "KronVectorExpr::histogram needs a single nonnegative term "
         "(multi-term self-loop formulas do not convolve)");
   }
-  const Term& t = terms_.front();
-  std::map<count_t, count_t> ha, hb;
-  for (const count_t v : t.a) ++ha[v];
-  for (const count_t v : t.b) ++hb[v];
-  std::map<count_t, count_t> out;
-  const auto coeff = static_cast<count_t>(t.coeff);
-  const auto div = static_cast<count_t>(divisor_);
-  for (const auto& [va, ca] : ha) {
-    for (const auto& [vb, cb] : hb) {
-      const count_t raw = coeff * va * vb;
-      if (raw % div != 0) formula_misuse();
-      out[raw / div] += ca * cb;
+  // Convolve factor by factor: raw value → number of product vertices.
+  std::map<count_t, count_t> raw{{static_cast<count_t>(terms_.coeff[0]), 1}};
+  for (std::size_t f = 0; f < terms_.radix.size(); ++f) {
+    std::map<count_t, count_t> hf;
+    for (std::size_t i = terms_.offset[f]; i < terms_.offset[f + 1]; ++i) {
+      ++hf[terms_.values[i]];
     }
+    std::map<count_t, count_t> next;
+    for (const auto& [v, c] : raw) {
+      for (const auto& [vf, cf] : hf) next[v * vf] += c * cf;
+    }
+    raw = std::move(next);
   }
+  std::map<count_t, count_t> out;
+  for (const auto& [v, c] : raw) out[checked(terms_.divide(v))] += c;
   return out;
 }
 
@@ -208,73 +270,56 @@ std::map<count_t, count_t> KronVectorExpr::histogram() const {
 // KronMatrixExpr
 // ---------------------------------------------------------------------------
 
-KronMatrixExpr::KronMatrixExpr(std::int64_t divisor, std::vector<Term> terms)
-    : divisor_(divisor), terms_(std::move(terms)) {
-  if (divisor_ <= 0) throw std::invalid_argument("divisor must be positive");
-  if (terms_.empty()) throw std::invalid_argument("expression needs >= 1 term");
-  ra_ = terms_.front().a.rows();
-  rb_ = terms_.front().b.rows();
-  for (const Term& t : terms_) {
-    if (t.a.rows() != ra_ || t.b.rows() != rb_) {
-      throw std::invalid_argument("terms must have equal factor sizes");
-    }
+KronMatrixExpr::KronMatrixExpr(std::vector<const Graph*> factors,
+                               std::int64_t divisor, std::vector<Term> terms)
+    : terms_(divisor, terms.size(), graph_sizes(factors)),
+      factors_(std::move(factors)) {
+  std::vector<std::size_t> len;
+  for (const Graph* g : factors_) {
+    len.push_back(g->nnz());
+    n_ *= g->num_vertices();
   }
+  add_terms(terms_, terms, len,
+            [&](std::size_t f, const CountCsr& m, count_t* out) {
+              align_on_slots(factors_[f]->matrix(), m, out);
+            });
 }
 
-count_t KronMatrixExpr::at(vid p, vid q) const {
-  const KronIndex idx(rb_);
-  const vid i = idx.a_of(p), j = idx.a_of(q);
-  const vid k = idx.b_of(p), l = idx.b_of(q);
-  i128 acc = 0;
-  for (const Term& t : terms_) {
-    acc += static_cast<i128>(t.coeff) * static_cast<i128>(t.a.at(i, j)) *
-           static_cast<i128>(t.b.at(k, l));
+std::optional<esz> KronMatrixExpr::slot(std::size_t f, vid x, vid y) const {
+  const BoolCsr& adj = factors_[f]->matrix();
+  const esz s = adj.find(x, y);
+  if (s == adj.nnz()) return std::nullopt;
+  return s;
+}
+
+std::optional<count_t> KronMatrixExpr::stored(vid p, vid q) const {
+  vid x[kMaxFactors], y[kMaxFactors];
+  esz s[kMaxFactors];
+  terms_.decompose(p, x);
+  terms_.decompose(q, y);
+  for (std::size_t f = 0; f < factors_.size(); ++f) {
+    const std::optional<esz> found = slot(f, x[f], y[f]);
+    if (!found) return std::nullopt;
+    s[f] = *found;
   }
-  return checked_result(acc, divisor_);
+  return checked(terms_.eval(s));
 }
 
 CountCsr KronMatrixExpr::expand() const {
-  // Expand each term over signed values, sum, check, and compact.
-  using SignedCsr = CsrMatrix<long long>;
-  auto to_signed = [](const CountCsr& m, std::int64_t coeff) {
-    std::vector<long long> vals(m.values().size());
-    for (std::size_t k = 0; k < vals.size(); ++k) {
-      vals[k] = coeff * static_cast<long long>(m.values()[k]);
-    }
-    return SignedCsr::from_parts(m.rows(), m.cols(), m.row_ptr(), m.col_idx(),
-                                 std::move(vals));
-  };
-  SignedCsr acc;
-  bool first = true;
-  for (const Term& t : terms_) {
-    SignedCsr term = kron_matrix<long long>(to_signed(t.a, t.coeff),
-                                            to_signed(t.b, 1));
-    acc = first ? std::move(term) : ops::add(acc, term);
-    first = false;
+  BoolCsr pattern = factors_.front()->matrix();
+  for (std::size_t f = 1; f < factors_.size(); ++f) {
+    pattern = kron_matrix<std::uint8_t>(pattern, factors_[f]->matrix());
   }
-  Coo<count_t> out(acc.rows(), acc.cols());
-  for (vid r = 0; r < acc.rows(); ++r) {
-    const auto rc = acc.row_cols(r);
-    const auto rv = acc.row_vals(r);
-    for (std::size_t k = 0; k < rc.size(); ++k) {
-      if (rv[k] == 0) continue;
-      if (rv[k] < 0 || rv[k] % divisor_ != 0) formula_misuse();
-      out.add(r, rc[k], static_cast<count_t>(rv[k] / divisor_));
+  Coo<count_t> out(n_, n_);
+  for (vid p = 0; p < n_; ++p) {
+    for (const vid q : pattern.row_cols(p)) {
+      if (const count_t v = at(p, q); v != 0) out.add(p, q, v);
     }
   }
   return CountCsr::from_coo(out);
 }
 
-count_t KronMatrixExpr::sum() const {
-  i128 acc = 0;
-  for (const Term& t : terms_) {
-    i128 sa = 0, sb = 0;
-    for (const count_t v : t.a.values()) sa += v;
-    for (const count_t v : t.b.values()) sb += v;
-    acc += static_cast<i128>(t.coeff) * sa * sb;
-  }
-  return checked_result(acc, divisor_);
-}
+count_t KronMatrixExpr::sum() const { return checked(terms_.total()); }
 
 // ---------------------------------------------------------------------------
 // §III.A — degrees
@@ -282,20 +327,20 @@ count_t KronMatrixExpr::sum() const {
 
 KronVectorExpr degrees(const Graph& a, const Graph& b) {
   std::vector<KronVectorExpr::Term> terms;
-  terms.push_back({1, ops::row_sums<count_t>(a.matrix()),
-                   ops::row_sums<count_t>(b.matrix())});
+  terms.push_back({1, {ops::row_sums<count_t>(a.matrix()),
+                      ops::row_sums<count_t>(b.matrix())}});
   if (a.has_self_loops() && b.has_self_loops()) {
-    terms.push_back({-1, loop_vector(a), loop_vector(b)});
+    terms.push_back({-1, {loop_vector(a), loop_vector(b)}});
   }
   return KronVectorExpr(1, std::move(terms));
 }
 
 KronVectorExpr in_degrees(const Graph& a, const Graph& b) {
   std::vector<KronVectorExpr::Term> terms;
-  terms.push_back({1, ops::row_sums<count_t>(ops::transpose(a.matrix())),
-                   ops::row_sums<count_t>(ops::transpose(b.matrix()))});
+  terms.push_back({1, {ops::row_sums<count_t>(ops::transpose(a.matrix())),
+                      ops::row_sums<count_t>(ops::transpose(b.matrix()))}});
   if (a.has_self_loops() && b.has_self_loops()) {
-    terms.push_back({-1, loop_vector(a), loop_vector(b)});
+    terms.push_back({-1, {loop_vector(a), loop_vector(b)}});
   }
   return KronVectorExpr(1, std::move(terms));
 }
@@ -310,29 +355,29 @@ KronVectorExpr vertex_triangles(const Graph& a, const Graph& b) {
   std::vector<KronVectorExpr::Term> terms;
   if (!la && !lb) {
     // Thm 1: t_C = 2·t_A ⊗ t_B.
-    terms.push_back({2, triangle::participation_vertices(a),
-                     triangle::participation_vertices(b)});
+    terms.push_back({2, {triangle::participation_vertices(a),
+                        triangle::participation_vertices(b)}});
     return KronVectorExpr(1, std::move(terms));
   }
   if (!la) {
     // Cor 1: t_C = t_A ⊗ diag(B³).
-    terms.push_back(
-        {1, triangle::participation_vertices(a), triangle::diag_cube(b)});
+    terms.push_back({1, {triangle::participation_vertices(a),
+                        triangle::diag_cube(b)}});
     return KronVectorExpr(1, std::move(terms));
   }
   if (!lb) {
     // Cor 1 mirrored: t_C = diag(A³) ⊗ t_B.
-    terms.push_back(
-        {1, triangle::diag_cube(a), triangle::participation_vertices(b)});
+    terms.push_back({1, {triangle::diag_cube(a),
+                        triangle::participation_vertices(b)}});
     return KronVectorExpr(1, std::move(terms));
   }
   // General case (§III.B): ½[diag(A³)⊗diag(B³) − 2·diag(A²D_A)⊗diag(B²D_B)
   //                          − diag(A D_A A)⊗diag(B D_B B)
   //                          + 2·diag(D_A)⊗diag(D_B)].
-  terms.push_back({1, triangle::diag_cube(a), triangle::diag_cube(b)});
-  terms.push_back({-2, diag_a2_d(a), diag_a2_d(b)});
-  terms.push_back({-1, diag_ada(a), diag_ada(b)});
-  terms.push_back({2, loop_vector(a), loop_vector(b)});
+  terms.push_back({1, {triangle::diag_cube(a), triangle::diag_cube(b)}});
+  terms.push_back({-2, {diag_a2_d(a), diag_a2_d(b)}});
+  terms.push_back({-1, {diag_ada(a), diag_ada(b)}});
+  terms.push_back({2, {loop_vector(a), loop_vector(b)}});
   return KronVectorExpr(2, std::move(terms));
 }
 
@@ -346,28 +391,28 @@ KronMatrixExpr edge_triangles(const Graph& a, const Graph& b) {
   std::vector<KronMatrixExpr::Term> terms;
   if (!la && !lb) {
     // Thm 2: Δ_C = Δ_A ⊗ Δ_B.
-    terms.push_back({1, triangle::edge_support_masked(a),
-                     triangle::edge_support_masked(b)});
-    return KronMatrixExpr(1, std::move(terms));
+    terms.push_back({1, {triangle::edge_support_masked(a),
+                        triangle::edge_support_masked(b)}});
+    return KronMatrixExpr({&a, &b}, 1, std::move(terms));
   }
   if (!la) {
     // Cor 2: Δ_C = Δ_A ⊗ (B ∘ B²).
-    terms.push_back({1, triangle::edge_support_masked(a), a_hadamard_a2(b)});
-    return KronMatrixExpr(1, std::move(terms));
+    terms.push_back({1, {triangle::edge_support_masked(a), a_hadamard_a2(b)}});
+    return KronMatrixExpr({&a, &b}, 1, std::move(terms));
   }
   if (!lb) {
     // Cor 2 mirrored.
-    terms.push_back({1, a_hadamard_a2(a), triangle::edge_support_masked(b)});
-    return KronMatrixExpr(1, std::move(terms));
+    terms.push_back({1, {a_hadamard_a2(a), triangle::edge_support_masked(b)}});
+    return KronMatrixExpr({&a, &b}, 1, std::move(terms));
   }
   // General case (§III.C): (A∘A²)⊗(B∘B²) − (D_A A)⊗(D_B B) − (A D_A)⊗(B D_B)
   //                        + 2·D_A⊗D_B − (D_A∘A²)⊗(D_B∘B²).
-  terms.push_back({1, a_hadamard_a2(a), a_hadamard_a2(b)});
-  terms.push_back({-1, rows_where_loop(a), rows_where_loop(b)});
-  terms.push_back({-1, cols_where_loop(a), cols_where_loop(b)});
-  terms.push_back({2, loop_matrix(a), loop_matrix(b)});
-  terms.push_back({-1, diag_hadamard_a2(a), diag_hadamard_a2(b)});
-  return KronMatrixExpr(1, std::move(terms));
+  terms.push_back({1, {a_hadamard_a2(a), a_hadamard_a2(b)}});
+  terms.push_back({-1, {rows_where_loop(a), rows_where_loop(b)}});
+  terms.push_back({-1, {cols_where_loop(a), cols_where_loop(b)}});
+  terms.push_back({2, {loop_matrix(a), loop_matrix(b)}});
+  terms.push_back({-1, {diag_hadamard_a2(a), diag_hadamard_a2(b)}});
+  return KronMatrixExpr({&a, &b}, 1, std::move(terms));
 }
 
 count_t total_triangles(const Graph& a, const Graph& b) {

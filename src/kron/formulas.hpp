@@ -16,78 +16,179 @@
 //                                         − (D_A∘A²)⊗(D_B∘B²)
 //   §III.A (degrees):               d_C = (A·1)⊗(B·1) − loops_A⊗loops_B
 //
-// Rather than dispatching per case at every call site, the formulas are
-// returned as KronVectorExpr / KronMatrixExpr — signed sums of Kronecker
-// product terms over precomputed factor statistics. An expression supports
-// O(1)-ish point evaluation at a product vertex/edge (the generation-time
-// ground-truth oracle), factor-side summation (exact global totals without
-// expanding), and full expansion (for tests and small graphs).
+// These, the directed (Thm 4/5), labeled (Thm 6/7) and k-factor
+// (KronChain) formulas are all stored as one KronVectorExpr or
+// KronMatrixExpr: a signed sum over terms t of Kronecker products of k ≥ 1
+// factor statistics, over a common divisor d,
+//
+//   v[p] = (Σ_t c_t · Π_f v_{t,f}[x_f]) / d,
+//   M[p, q] = (Σ_t c_t · Π_f M_{t,f}(x_f, y_f)) / d,
+//
+// with x, y the mixed-radix factor coordinates of p, q (left factor most
+// significant). An expression answers exact point queries at a product
+// vertex or edge (the ground-truth oracle), at factor coordinates or
+// adjacency slots (the streaming validator, which already stands on them),
+// factor-side sums, and full expansion (tests, small graphs). Every edge
+// term M_{t,f} is supported on factor f's adjacency pattern, so it is held
+// as one value per adjacency slot of factor f (0 where a narrower term has
+// no entry). A KronMatrixExpr keeps pointers to its factor graphs, which
+// must outlive it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "core/csr.hpp"
 #include "core/graph.hpp"
-#include "kron/index.hpp"
 
 namespace kronotri::kron {
 
+/// A chain of k factors with ≥ 2 vertices each has ≥ 2^k product vertices,
+/// so 64 factors already saturate the vid space; the cap lets point queries
+/// keep factor coordinates on the stack.
+inline constexpr std::size_t kMaxFactors = 64;
+
+namespace detail {
+
+/// The terms of one expression, every factor's values in one flat array:
+/// expressions stay copyable and an evaluation is a few reads.
+struct KronTerms {
+  std::int64_t divisor = 1;
+  std::vector<vid> radix;  ///< per-factor vertex counts
+  std::vector<std::int64_t> coeff;
+  std::vector<count_t> values;
+  /// offset[t·k + f]: first value of term t, factor f; the last entry is
+  /// values.size().
+  std::vector<std::size_t> offset;
+
+  /// Throws std::invalid_argument unless divisor > 0, num_terms ≥ 1 and
+  /// 1 ≤ k ≤ kMaxFactors; the expression then adds the terms.
+  KronTerms(std::int64_t divisor, std::size_t num_terms,
+            std::vector<vid> radix);
+
+  /// (Σ_t coeff[t] · Π_f values[offset[t·k + f] + at[f]]) / divisor; nullopt
+  /// when the sum is negative or not divisible (statistics that do not fit
+  /// the formula).
+  template <typename Index>
+  [[nodiscard]] std::optional<count_t> eval(const Index* at) const noexcept {
+    const std::size_t k = radix.size();
+    __int128 acc = 0;
+    for (std::size_t t = 0; t < coeff.size(); ++t) {
+      const std::size_t* const off = offset.data() + t * k;
+      __int128 term = coeff[t];
+      for (std::size_t f = 0; f < k; ++f) term *= values[off[f] + at[f]];
+      acc += term;
+    }
+    return divide(acc);
+  }
+
+  /// The same sum over every product entry, factor-side.
+  [[nodiscard]] std::optional<count_t> total() const noexcept;
+
+  /// acc / divisor; nullopt when acc is negative or not divisible.
+  [[nodiscard]] std::optional<count_t> divide(__int128 acc) const noexcept {
+    if (acc < 0) return std::nullopt;
+    if (divisor == 1) return static_cast<count_t>(acc);  // no 128-bit division
+    if (acc % divisor != 0) return std::nullopt;
+    return static_cast<count_t>(acc / divisor);
+  }
+
+  /// Mixed-radix coordinates of product vertex p into x[0..k).
+  void decompose(vid p, vid* x) const noexcept;
+};
+
+}  // namespace detail
+
 /// Signed sum of Kronecker products of factor vectors, divided by a common
-/// positive divisor: v[p] = (Σ_t coeff_t · a_t[i(p)] · b_t[k(p)]) / divisor.
+/// positive divisor: v[p] = (Σ_t coeff_t · Π_f v_{t,f}[x_f(p)]) / divisor.
 class KronVectorExpr {
  public:
+  /// coeff · v_0 ⊗ … ⊗ v_{k−1}, left factor first.
   struct Term {
     std::int64_t coeff;
-    std::vector<count_t> a;
-    std::vector<count_t> b;
+    std::vector<std::vector<count_t>> factors;
   };
 
+  /// Every term needs the same k ≥ 1 factor sizes (std::invalid_argument
+  /// otherwise).
   KronVectorExpr(std::int64_t divisor, std::vector<Term> terms);
 
   /// Exact value at product vertex p. Throws std::logic_error if the
   /// expression evaluates negative or non-divisible (formula misuse).
   [[nodiscard]] count_t at(vid p) const;
 
-  /// Materializes the full n_A·n_B vector.
+  /// Value at the vertex with factor coordinates x[0..k); nullopt where
+  /// at() throws.
+  [[nodiscard]] std::optional<count_t> at_coords(const vid* x) const noexcept {
+    return terms_.eval(x);
+  }
+
+  /// Materializes the full Π_f n_f vector.
   [[nodiscard]] std::vector<count_t> expand() const;
 
-  /// Σ_p value — computed factor-side: Σ_t coeff·(Σa_t)(Σb_t)/divisor.
+  /// Σ_p value — computed factor-side: Σ_t coeff·Π_f(Σv_{t,f})/divisor.
   [[nodiscard]] count_t sum() const;
 
-  /// Exact value histogram of the full n_A·n_B vector, computed as the
-  /// product-convolution of the factor histograms — O(|distinct_a|·
-  /// |distinct_b|) instead of O(n_A·n_B). Only defined for single-term
-  /// expressions (Thm 1 / Cor 1 shapes — the paper's contribution (d) on
-  /// triangle distributions); throws std::logic_error otherwise.
+  /// Exact value histogram of the full vector, computed as the
+  /// product-convolution of the factor histograms — O(Π_f |distinct v_f|)
+  /// instead of O(Π_f n_f). Only defined for single-term expressions (Thm 1
+  /// / Cor 1 shapes — the paper's contribution (d) on triangle
+  /// distributions); throws std::logic_error otherwise.
   [[nodiscard]] std::map<count_t, count_t> histogram() const;
 
-  [[nodiscard]] vid size() const noexcept { return na_ * nb_; }
-  [[nodiscard]] const std::vector<Term>& terms() const noexcept { return terms_; }
-  [[nodiscard]] std::int64_t divisor() const noexcept { return divisor_; }
+  [[nodiscard]] vid size() const noexcept { return n_; }
+  [[nodiscard]] std::size_t num_factors() const noexcept {
+    return terms_.radix.size();
+  }
+  [[nodiscard]] vid factor_size(std::size_t f) const {
+    return terms_.radix[f];
+  }
 
  private:
-  std::int64_t divisor_;
-  std::vector<Term> terms_;
-  vid na_ = 0;
-  vid nb_ = 0;
+  detail::KronTerms terms_;
+  vid n_ = 1;
 };
 
 /// Signed sum of Kronecker products of factor count matrices:
-/// M[p,q] = (Σ_t coeff_t · A_t(i,j) · B_t(k,l)) / divisor.
+/// M[p,q] = (Σ_t coeff_t · Π_f M_{t,f}(x_f(p), x_f(q))) / divisor, each
+/// M_{t,f} held on factor f's adjacency slots.
 class KronMatrixExpr {
  public:
+  /// coeff · M_0 ⊗ … ⊗ M_{k−1}, left factor first.
   struct Term {
     std::int64_t coeff;
-    CountCsr a;
-    CountCsr b;
+    std::vector<CountCsr> factors;
   };
 
-  KronMatrixExpr(std::int64_t divisor, std::vector<Term> terms);
+  /// Term factor f is aligned onto the adjacency slots of factors[f] (0 at
+  /// slots where it has no entry). Throws std::invalid_argument on a size
+  /// mismatch or a nonzero entry outside its factor's pattern. The factor
+  /// graphs must outlive the expression.
+  KronMatrixExpr(std::vector<const Graph*> factors, std::int64_t divisor,
+                 std::vector<Term> terms);
 
-  /// Exact value at product entry (p,q) — two binary searches per term.
-  [[nodiscard]] count_t at(vid p, vid q) const;
+  /// Exact value at product entry (p,q) — one slot search per factor; 0
+  /// off the product pattern. Throws like KronVectorExpr::at.
+  [[nodiscard]] count_t at(vid p, vid q) const {
+    return stored(p, q).value_or(0);
+  }
+
+  /// at(p, q) on the product pattern ⊗_f factor(f), nullopt off it.
+  [[nodiscard]] std::optional<count_t> stored(vid p, vid q) const;
+
+  /// Value at the entry whose factor-f coordinate pair sits at adjacency
+  /// slot slot[f] of factor f (an index into factor(f).matrix().col_idx());
+  /// nullopt where at() throws.
+  [[nodiscard]] std::optional<count_t> at_slots(
+      const esz* slot) const noexcept {
+    return terms_.eval(slot);
+  }
+
+  /// Adjacency slot of (x, y) in factor f; nullopt when it is not an edge.
+  [[nodiscard]] std::optional<esz> slot(std::size_t f, vid x, vid y) const;
 
   /// Materializes the full product matrix (small factors only). Entries
   /// that evaluate to zero are dropped.
@@ -96,14 +197,18 @@ class KronMatrixExpr {
   /// Σ over all entries, computed factor-side.
   [[nodiscard]] count_t sum() const;
 
-  [[nodiscard]] vid rows() const noexcept { return ra_ * rb_; }
-  [[nodiscard]] const std::vector<Term>& terms() const noexcept { return terms_; }
-  [[nodiscard]] std::int64_t divisor() const noexcept { return divisor_; }
+  [[nodiscard]] vid rows() const noexcept { return n_; }
+  [[nodiscard]] std::size_t num_factors() const noexcept {
+    return factors_.size();
+  }
+  [[nodiscard]] const Graph& factor(std::size_t f) const {
+    return *factors_[f];
+  }
 
  private:
-  std::int64_t divisor_;
-  std::vector<Term> terms_;
-  vid ra_ = 0, rb_ = 0;  // factor row counts
+  detail::KronTerms terms_;
+  std::vector<const Graph*> factors_;
+  vid n_ = 1;
 };
 
 /// Non-loop degree vector d_C of C = A ⊗ B (§III.A; works for directed
@@ -119,7 +224,7 @@ KronVectorExpr in_degrees(const Graph& a, const Graph& b);
 KronVectorExpr vertex_triangles(const Graph& a, const Graph& b);
 
 /// Triangle participation at edges Δ_C (Thm 2 / Cor 2 / general case).
-/// Requires undirected factors.
+/// Requires undirected factors; a and b must outlive the expression.
 KronMatrixExpr edge_triangles(const Graph& a, const Graph& b);
 
 /// τ(C) = ⅓·1ᵗt_C, computed factor-side. For loop-free factors this equals

@@ -36,9 +36,9 @@ KronVectorExpr labeled_vertex_triangles(const Graph& a,
                                         std::uint32_t q2, std::uint32_t q3) {
   require_thm67(a, b);
   std::vector<KronVectorExpr::Term> terms;
-  terms.push_back({1,
-                   triangle::labeled_vertex_participation(a, lab, q1, q2, q3),
-                   triangle::diag_cube(b)});
+  terms.push_back(
+      {1, {triangle::labeled_vertex_participation(a, lab, q1, q2, q3),
+           triangle::diag_cube(b)}});
   return KronVectorExpr(1, std::move(terms));
 }
 
@@ -49,9 +49,10 @@ KronMatrixExpr labeled_edge_triangles(const Graph& a,
   require_thm67(a, b);
   const BoolCsr& m = b.matrix();
   std::vector<KronMatrixExpr::Term> terms;
-  terms.push_back({1, triangle::labeled_edge_participation(a, lab, q1, q2, q3),
-                   ops::masked_product(m, m, m)});
-  return KronMatrixExpr(1, std::move(terms));
+  terms.push_back(
+      {1, {triangle::labeled_edge_participation(a, lab, q1, q2, q3),
+           ops::masked_product(m, m, m)}});
+  return KronMatrixExpr({&a, &b}, 1, std::move(terms));
 }
 
 }  // namespace kronotri::kron

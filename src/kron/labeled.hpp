@@ -24,7 +24,8 @@ KronVectorExpr labeled_vertex_triangles(const Graph& a,
                                         const Graph& b, std::uint32_t q1,
                                         std::uint32_t q2, std::uint32_t q3);
 
-/// Thm 7: Δ^{(q1,q2,q3)}_C as an expression over factor statistics.
+/// Thm 7: Δ^{(q1,q2,q3)}_C as an expression over factor statistics; a and b
+/// must outlive it.
 KronMatrixExpr labeled_edge_triangles(const Graph& a,
                                       const triangle::Labeling& lab,
                                       const Graph& b, std::uint32_t q1,

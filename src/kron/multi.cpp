@@ -4,7 +4,6 @@
 
 #include "core/ops.hpp"
 #include "kron/product.hpp"
-#include "triangle/count.hpp"
 
 namespace kronotri::kron {
 
@@ -120,58 +119,54 @@ void KronChain::require_triangle_stats() const {
         "(otherwise the §III.B general expansion applies at every level); "
         "strip loops from one factor or use the two-factor kron::formulas");
   }
-  if (stats_ready_) return;
-  diag_cube_.reserve(factors_.size());
-  support_.reserve(factors_.size());
-  for (const Graph& f : factors_) {
-    diag_cube_.push_back(ops::diag_cube_symmetric(f.matrix()));
-    support_.push_back(ops::masked_product(f.matrix(), f.matrix(), f.matrix()));
+}
+
+const KronVectorExpr& KronChain::vertex_expr() const {
+  require_triangle_stats();
+  if (!vertex_expr_) {
+    // ½·diag(C³): a loop-free factor's diag(A³) = 2·t_A is even.
+    KronVectorExpr::Term term{1, {}};
+    for (const Graph& f : factors_) {
+      term.factors.push_back(ops::diag_cube_symmetric(f.matrix()));
+    }
+    std::vector<KronVectorExpr::Term> terms;
+    terms.push_back(std::move(term));
+    vertex_expr_.emplace(2, std::move(terms));
   }
-  stats_ready_ = true;
+  return *vertex_expr_;
+}
+
+const KronMatrixExpr& KronChain::edge_expr() const {
+  require_triangle_stats();
+  if (!edge_expr_) {
+    KronMatrixExpr::Term term{1, {}};
+    std::vector<const Graph*> graphs;
+    for (const Graph& f : factors_) {
+      term.factors.push_back(
+          ops::masked_product(f.matrix(), f.matrix(), f.matrix()));
+      graphs.push_back(&f);
+    }
+    std::vector<KronMatrixExpr::Term> terms;
+    terms.push_back(std::move(term));
+    edge_expr_.emplace(std::move(graphs), 1, std::move(terms));
+  }
+  return *edge_expr_;
 }
 
 count_t KronChain::vertex_triangles(vid p) const {
-  require_triangle_stats();
-  const std::vector<vid> xs = decompose(p);
-  count_t prod = 1;
-  for (std::size_t i = 0; i < factors_.size(); ++i) {
-    prod *= diag_cube_[i][xs[i]];
-  }
-  return prod / 2;  // ½·diag(C³); the product of even/odd walks is even
+  return vertex_expr().at(p);
 }
 
 count_t KronChain::edge_triangles(vid p, vid q) const {
-  require_triangle_stats();
-  const std::vector<vid> xs = decompose(p), ys = decompose(q);
-  count_t prod = 1;
-  for (std::size_t i = 0; i < factors_.size(); ++i) {
-    if (!factors_[i].has_edge(xs[i], ys[i])) {
-      throw std::invalid_argument("edge_triangles: (p,q) is not an edge of C");
-    }
-    prod *= support_[i].at(xs[i], ys[i]);
+  const std::optional<count_t> d = edge_expr().stored(p, q);
+  if (!d) {
+    throw std::invalid_argument("edge_triangles: (p,q) is not an edge of C");
   }
-  return prod;
-}
-
-const std::vector<count_t>& KronChain::diag_cube(std::size_t i) const {
-  require_triangle_stats();
-  return diag_cube_.at(i);
-}
-
-const CountCsr& KronChain::support(std::size_t i) const {
-  require_triangle_stats();
-  return support_.at(i);
+  return *d;
 }
 
 count_t KronChain::total_triangles() const {
-  require_triangle_stats();
-  count_t prod = 1;
-  for (const auto& dc : diag_cube_) {
-    count_t sum = 0;
-    for (const count_t v : dc) sum += v;
-    prod *= sum;
-  }
-  return prod / 6;  // (1/3)·Σt = (1/6)·Σ diag(C³)
+  return vertex_expr().sum() / 3;
 }
 
 }  // namespace kronotri::kron

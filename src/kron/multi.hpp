@@ -8,9 +8,9 @@
 //   * mixed-radix index maps p ↔ (x₁, …, x_k), left factor most
 //     significant (the k-fold γ/α/β of §II),
 //   * implicit edge/degree queries from the factors,
-//   * closed triangle formulas whenever the product is loop-free (i.e. at
-//     least one factor has no self loops — loops in C need a loop in EVERY
-//     factor):
+//   * closed triangle formulas, held as k-factor KronVectorExpr /
+//     KronMatrixExpr, whenever the product is loop-free (i.e. at least one
+//     factor has no self loops — loops in C need a loop in EVERY factor):
 //       diag(C³)  = ⊗ᵢ diag(Aᵢ³)            so  t_C = ½·⊗ᵢ diag(Aᵢ³)
 //       Δ_C       = ⊗ᵢ (Aᵢ ∘ Aᵢ²)
 //       τ(C)      = (1/6)·Πᵢ Σ diag(Aᵢ³)    (= 6^{k-1}·Πᵢ τ(Aᵢ) when all
@@ -21,10 +21,11 @@
 //     expansion at every level) is rejected with an exception.
 #pragma once
 
+#include <optional>
 #include <vector>
 
-#include "core/csr.hpp"
 #include "core/graph.hpp"
+#include "kron/formulas.hpp"
 
 namespace kronotri::kron {
 
@@ -34,6 +35,15 @@ class KronChain {
   /// design). Requires k ≥ 1 undirected factors; triangle statistics
   /// additionally require at least one loop-free factor.
   explicit KronChain(std::vector<Graph> factors);
+
+  // The expressions point at factors_: a copy rebuilds its own on first
+  // use; a move keeps the factors' buffer, so they move along.
+  KronChain(const KronChain& other) : KronChain(other.factors_) {}
+  KronChain& operator=(const KronChain& other) {
+    return *this = KronChain(other);
+  }
+  KronChain(KronChain&&) = default;
+  KronChain& operator=(KronChain&&) = default;
 
   [[nodiscard]] std::size_t num_factors() const noexcept {
     return factors_.size();
@@ -74,10 +84,10 @@ class KronChain {
   /// τ(C).
   [[nodiscard]] count_t total_triangles() const;
 
-  /// Factor i's terms of the formulas above: diag(Aᵢ³) and Aᵢ ∘ Aᵢ² (the
-  /// latter on Aᵢ's own CSR pattern).
-  [[nodiscard]] const std::vector<count_t>& diag_cube(std::size_t i) const;
-  [[nodiscard]] const CountCsr& support(std::size_t i) const;
+  /// The formulas above: t_C = ½·⊗ᵢ diag(Aᵢ³) and Δ_C = ⊗ᵢ (Aᵢ ∘ Aᵢ²),
+  /// each built on first use.
+  [[nodiscard]] const KronVectorExpr& vertex_expr() const;
+  [[nodiscard]] const KronMatrixExpr& edge_expr() const;
 
  private:
   void require_triangle_stats() const;
@@ -86,10 +96,8 @@ class KronChain {
   vid n_ = 1;
   esz nnz_ = 1;
   bool product_loop_free_ = false;
-  // Per-factor precomputed statistics (lazily built on first use).
-  mutable std::vector<std::vector<count_t>> diag_cube_;  // diag(Aᵢ³)
-  mutable std::vector<CountCsr> support_;                // Aᵢ ∘ Aᵢ²
-  mutable bool stats_ready_ = false;
+  mutable std::optional<KronVectorExpr> vertex_expr_;
+  mutable std::optional<KronMatrixExpr> edge_expr_;
 };
 
 }  // namespace kronotri::kron

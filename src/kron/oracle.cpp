@@ -7,7 +7,6 @@ namespace kronotri::kron {
 TriangleOracle::TriangleOracle(const Graph& a, const Graph& b)
     : a_(&a),
       b_(&b),
-      index_(b.num_vertices()),
       tvec_(kronotri::kron::vertex_triangles(a, b)),
       dmat_(kronotri::kron::edge_triangles(a, b)),
       deg_(kronotri::kron::degrees(a, b)) {
@@ -22,13 +21,6 @@ double TriangleOracle::local_clustering(vid p) const {
   const double wedges = 0.5 * static_cast<double>(d) *
                         static_cast<double>(d - 1);
   return static_cast<double>(tvec_.at(p)) / wedges;
-}
-
-std::optional<count_t> TriangleOracle::edge_triangles(vid p, vid q) const {
-  const vid i = index_.a_of(p), j = index_.a_of(q);
-  const vid k = index_.b_of(p), l = index_.b_of(q);
-  if (!a_->has_edge(i, j) || !b_->has_edge(k, l)) return std::nullopt;
-  return dmat_.at(p, q);
 }
 
 }  // namespace kronotri::kron

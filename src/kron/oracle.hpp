@@ -13,7 +13,6 @@
 
 #include "core/graph.hpp"
 #include "kron/formulas.hpp"
-#include "kron/index.hpp"
 
 namespace kronotri::kron {
 
@@ -30,7 +29,9 @@ class TriangleOracle {
   /// Δ_C[p,q] — exact triangle count at product edge (p,q). Returns nullopt
   /// when (p,q) is not an edge of C (a stored count of 0 is a real edge in
   /// zero triangles).
-  [[nodiscard]] std::optional<count_t> edge_triangles(vid p, vid q) const;
+  [[nodiscard]] std::optional<count_t> edge_triangles(vid p, vid q) const {
+    return dmat_.stored(p, q);
+  }
 
   /// τ(C) — 6·τ(A)·τ(B) when the factors are loop-free.
   [[nodiscard]] count_t total_triangles() const { return total_; }
@@ -61,7 +62,6 @@ class TriangleOracle {
  private:
   const Graph* a_;
   const Graph* b_;
-  KronIndex index_;
   KronVectorExpr tvec_;
   KronMatrixExpr dmat_;
   KronVectorExpr deg_;

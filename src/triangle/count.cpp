@@ -4,7 +4,6 @@
 
 #include "core/ops.hpp"
 #include "triangle/census.hpp"
-#include "triangle/support.hpp"
 
 namespace kronotri::triangle {
 
@@ -60,8 +59,6 @@ std::vector<count_t> participation_vertices(const Graph& a) {
   return CensusWorkspace(a, CensusWorkspace::Detail::kVertexOnly)
       .vertex_census();
 }
-
-CountCsr participation_edges(const Graph& a) { return edge_support_masked(a); }
 
 count_t count_total(const Graph& a) {
   const CensusWorkspace ws(a, CensusWorkspace::Detail::kVertexOnly);

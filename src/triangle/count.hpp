@@ -37,9 +37,6 @@ UndirectedStats analyze(const Graph& a);
 /// t_A only (cheaper: no per-edge scatter).
 std::vector<count_t> participation_vertices(const Graph& a);
 
-/// Δ_A only.
-CountCsr participation_edges(const Graph& a);
-
 /// τ(A) only.
 count_t count_total(const Graph& a);
 

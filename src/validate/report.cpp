@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "kron/closed_forms.hpp"
+#include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "util/table.hpp"
 
@@ -145,13 +145,14 @@ std::uint64_t ValidationReport::fingerprint() const {
 }
 
 ValidationReport validate_census(const StreamingCensus& census,
-                                 const kron::ClosedForms& forms) {
+                                 const kron::KronVectorExpr& vertex,
+                                 const kron::KronMatrixExpr& edge) {
   const StreamingOptions& opt = census.options();
   ValidationReport r;
   r.num_vertices = census.num_vertices();
   r.num_factors = census.num_factors();
   r.mem_budget_bytes = opt.mem_budget_bytes;
-  r.predicted_total = forms.total_triangles();
+  r.predicted_total = vertex.sum() / 3;
 
   // Work-unit restriction: the full shard plan is deterministic, so every
   // process derives the same boundaries and takes its own balanced,
@@ -166,7 +167,8 @@ ValidationReport validate_census(const StreamingCensus& census,
   }
 
   ClosedFormCheck check;
-  check.forms = &forms;
+  check.vertex_expr = &vertex;
+  check.edge_expr = &edge;
   r.stats = census.run_shards(begin, end, {}, &check);
   r.measured_total = r.stats.total_triangles;
   r.num_edges = r.stats.num_edges;
@@ -175,11 +177,11 @@ ValidationReport validate_census(const StreamingCensus& census,
   return r;
 }
 
-ValidationReport validate_product(const Graph& a, const Graph& b,
+ValidationReport validate_product(const kron::TriangleOracle& oracle,
                                   const StreamingOptions& opt) {
-  const kron::TriangleOracle oracle(a, b);
-  ValidationReport r = validate_census(StreamingCensus(a, b, opt),
-                                       kron::ClosedForms(oracle));
+  ValidationReport r = validate_census(
+      StreamingCensus(oracle.factor_a(), oracle.factor_b(), opt),
+      oracle.vertex_expr(), oracle.edge_expr());
   try {
     r.predicted_vertex_histogram = oracle.triangle_histogram();
     r.histogram_checked = true;
@@ -190,11 +192,17 @@ ValidationReport validate_product(const Graph& a, const Graph& b,
   return r;
 }
 
+ValidationReport validate_product(const Graph& a, const Graph& b,
+                                  const StreamingOptions& opt) {
+  return validate_product(kron::TriangleOracle(a, b), opt);
+}
+
 ValidationReport validate_chain(const kron::KronChain& chain,
                                 const StreamingOptions& opt) {
   // Surfaces the ≥-one-loop-free-factor precondition before streaming.
-  const kron::ClosedForms forms(chain);
-  return validate_census(StreamingCensus(chain, opt), forms);
+  const kron::KronVectorExpr& vertex = chain.vertex_expr();
+  const kron::KronMatrixExpr& edge = chain.edge_expr();
+  return validate_census(StreamingCensus(chain, opt), vertex, edge);
 }
 
 }  // namespace kronotri::validate

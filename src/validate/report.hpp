@@ -4,11 +4,11 @@
 // over the implicit product, and compare every measured per-vertex and
 // per-edge triangle count against the factor-side closed forms (the
 // kron::TriangleOracle Thm 1/2 / Cor 1/2 expressions for two factors, the
-// KronChain generalization for longer chains, both as kron::ClosedForms)
-// inside the census's own wedge pass. Per *Same Stats, Different
-// Graphs*, the report keeps the full measured count distributions
-// (histograms), not just totals, plus max-abs-error and a pass/fail
-// verdict — the artifact the CLI prints and CI gates on.
+// KronChain generalization for longer chains) inside the census's own
+// wedge pass. Per *Same Stats, Different Graphs*, the report keeps the
+// full measured count distributions (histograms), not just totals, plus
+// max-abs-error and a pass/fail verdict — the artifact the CLI prints and
+// CI gates on.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +21,10 @@
 #include "validate/streaming_census.hpp"
 
 namespace kronotri::kron {
-class ClosedForms;
 class KronChain;
+class KronMatrixExpr;
+class KronVectorExpr;
+class TriangleOracle;
 }  // namespace kronotri::kron
 
 namespace kronotri::validate {
@@ -98,15 +100,21 @@ struct ValidationReport {
 };
 
 /// Streams `census` under its own options (including a unit/units
-/// restriction) and checks every measured count against `forms`, which
-/// need not be the census's own product: an edge the forms lack counts as
-/// a mismatch of its measured Δ.
+/// restriction) and checks every measured count against t_C = `vertex` and
+/// Δ_C = `edge`, which need not be the census's own product: an edge
+/// `edge` lacks counts as a mismatch of its measured Δ. The predicted total
+/// is vertex.sum() / 3.
 ValidationReport validate_census(const StreamingCensus& census,
-                                 const kron::ClosedForms& forms);
+                                 const kron::KronVectorExpr& vertex,
+                                 const kron::KronMatrixExpr& edge);
 
 /// Streams the census of C = A ⊗ B under `opt` and validates it against the
-/// two-factor closed forms (any self-loop configuration). Factors must be
-/// undirected.
+/// oracle's two-factor closed forms (any self-loop configuration), plus
+/// the closed-form vertex histogram when the formula is a single term.
+ValidationReport validate_product(const kron::TriangleOracle& oracle,
+                                  const StreamingOptions& opt = {});
+
+/// Same, building the oracle of A ⊗ B. Factors must be undirected.
 ValidationReport validate_product(const Graph& a, const Graph& b,
                                   const StreamingOptions& opt = {});
 

@@ -7,7 +7,7 @@
 #include <optional>
 #include <stdexcept>
 
-#include "kron/closed_forms.hpp"
+#include "kron/formulas.hpp"
 #include "kron/multi.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -16,10 +16,7 @@ namespace kronotri::validate {
 
 namespace {
 
-/// A chain of k factors with ≥ 2 vertices each has ≥ 2^k product vertices,
-/// so 64 factors already saturates the vid space — a fixed cap lets the hot
-/// loops keep per-vertex coordinate state on the stack.
-constexpr std::size_t kMaxFactors = 64;
+using kron::kMaxFactors;
 
 /// Under --trace the fold is timed on one vertex in 2^kFoldSampleBits,
 /// those whose Fibonacci hash has its top bits clear, and scaled up: two
@@ -376,8 +373,12 @@ count_t StreamingCensus::process_shard(ShardRange range,
   vertex.assign(static_cast<std::size_t>(len), 0);
   edge.assign(offsets[static_cast<std::size_t>(len)], 0);
 
-  const kron::ClosedForms* const forms = check ? check->forms : nullptr;
-  const bool timed = forms != nullptr && obs::TraceRecorder::instance().enabled();
+  const kron::KronVectorExpr* const vertex_expr =
+      check ? check->vertex_expr : nullptr;
+  const kron::KronMatrixExpr* const edge_expr =
+      check ? check->edge_expr : nullptr;
+  const bool timed =
+      check != nullptr && obs::TraceRecorder::instance().enabled();
   double fold_us = 0;
 
   count_t checks = 0, vsum = 0, esum = 0;
@@ -386,7 +387,7 @@ count_t StreamingCensus::process_shard(ShardRange range,
     std::vector<vid> ids, coords;
     std::vector<esz> slots;
     std::vector<std::size_t> ends;
-    Tally vertex_tally(forms != nullptr), edge_tally(forms != nullptr);
+    Tally vertex_tally(check != nullptr), edge_tally(check != nullptr);
     double us = 0;
 #pragma omp for schedule(dynamic, 16) nowait
     for (std::int64_t uu = 0; uu < len; ++uu) {
@@ -431,32 +432,32 @@ count_t StreamingCensus::process_shard(ShardRange range,
         vsum += w.t;
         for (std::size_t i = 0; i < deg - split; ++i) esum += eb[i];
       }
-      if (forms == nullptr) continue;
+      if (check == nullptr) continue;
       // u's counts are final and its coordinates still in hand: check t(u),
       // then Δ of each edge u owns.
       const bool sampled = timed && fold_sampled(u);
       const double t0 = sampled ? obs::now_us() : 0.0;
       vertex_tally.add(vertex[static_cast<std::size_t>(uu)],
-                       forms->vertex_triangles(ucoords));
+                       vertex_expr->at_coords(ucoords));
       esz s[kMaxFactors];
       for (std::size_t i = split; i < deg; ++i) {
         std::size_t f = 0;
         for (; f < k; ++f) {
-          // A factor of the forms that IS the engine's factor shares its
-          // CSR, so the odometer's slot is the forms' slot.
+          // A factor of the expression that IS the engine's factor shares
+          // its CSR, so the odometer's slot is the expression's slot.
           const std::optional<esz> found =
-              &forms->factor(f) == factors_[f]
+              &edge_expr->factor(f) == factors_[f]
                   ? slots[i * k + f]
-                  : forms->slot(f, ucoords[f], coords[i * k + f]);
+                  : edge_expr->slot(f, ucoords[f], coords[i * k + f]);
           if (!found) break;
           s[f] = *found;
         }
         edge_tally.add(eb[i - split],
-                       f == k ? forms->edge_triangles(s) : std::nullopt);
+                       f == k ? edge_expr->at_slots(s) : std::nullopt);
       }
       if (sampled) us += obs::now_us() - t0;
     }
-    if (forms != nullptr) {
+    if (check != nullptr) {
 #pragma omp critical(kronotri_validate_fold)
       {
         vertex_tally.write(check->vertex);
@@ -486,8 +487,10 @@ StreamingStats StreamingCensus::run_shards(std::size_t begin, std::size_t end,
     throw std::out_of_range("StreamingCensus::run_shards: bad range");
   }
   for (std::size_t f = 0; check != nullptr && f < factors_.size(); ++f) {
-    if (check->forms->num_factors() != factors_.size() ||
-        check->forms->factor(f).num_vertices() != radix_[f]) {
+    if (check->vertex_expr->num_factors() != factors_.size() ||
+        check->edge_expr->num_factors() != factors_.size() ||
+        check->vertex_expr->factor_size(f) != radix_[f] ||
+        check->edge_expr->factor(f).num_vertices() != radix_[f]) {
       throw std::invalid_argument("run_shards: forms of another product");
     }
   }

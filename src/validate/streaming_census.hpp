@@ -28,8 +28,9 @@
 //     by its single writer — a measurement, not the closed form.
 //   * Once u's wedges are closed, t(u) and the Δ of every edge u owns are
 //     final and u's coordinates are still in hand, so the same worker
-//     compares them with kron::ClosedForms (read at the odometer's slots)
-//     into thread-local tallies, merged once per shard. Sums and maxima do
+//     compares them with the closed forms, a kron::KronVectorExpr at u's
+//     coordinates and a kron::KronMatrixExpr at the odometer's slots, into
+//     thread-local tallies, merged once per shard. Sums and maxima do
 //     not depend on the merge order: the check is identical at every team
 //     size. Under --trace its time, sampled on one vertex in 64, is the
 //     counter validate.fold_ns.
@@ -65,7 +66,8 @@
 
 namespace kronotri::kron {
 class KronChain;
-class ClosedForms;
+class KronMatrixExpr;
+class KronVectorExpr;
 }  // namespace kronotri::kron
 
 namespace kronotri::validate {
@@ -121,9 +123,11 @@ struct CountCheck {
   void merge(const CountCheck& other);
 };
 
-/// Closed forms to check the census against in its wedge pass, and the result.
+/// Closed forms to check the census against in its wedge pass (t_C and Δ_C
+/// of a product of the census's factor sizes), and the result.
 struct ClosedFormCheck {
-  const kron::ClosedForms* forms = nullptr;
+  const kron::KronVectorExpr* vertex_expr = nullptr;
+  const kron::KronMatrixExpr* edge_expr = nullptr;
   CountCheck vertex;  ///< every vertex of the checked shards
   CountCheck edge;    ///< every edge they own
 };
@@ -177,7 +181,7 @@ class StreamingCensus {
   /// unit. Per-shard counts equal the shards' slice of a full run, so
   /// disjoint ranges merge additively; total_triangles is only set when
   /// the range covers every shard. Given a `check`, also compares every
-  /// count with check->forms (of this engine's factor sizes, else
+  /// count with its expressions (of this engine's factor sizes, else
   /// std::invalid_argument) and adds the result to it.
   StreamingStats run_shards(std::size_t begin, std::size_t end,
                             const ShardConsumer& consumer = {},

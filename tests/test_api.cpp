@@ -582,6 +582,7 @@ count_t census_passes(const api::RunReport& report) {
 TEST(PlanCensus, CombinedPlansMatchOneAnalysisPlansAndShareTheCensus) {
   const char* const graphs[] = {
       "kron:(hk:n=30,m=2,p=0.6,seed=5,loops=1)x(clique:n=3,loops=1)",
+      "kron:(hk:n=30,m=2,p=0.6,seed=5)x(clique:n=3,loops=1)",
       "kron:(hk:n=12,m=2,p=0.6,seed=6)x(clique:n=3)x(clique:n=3,loops=1)",
       "hk:n=60,m=3,p=0.6,seed=7",
       "clique:n=1",
@@ -590,6 +591,7 @@ TEST(PlanCensus, CombinedPlansMatchOneAnalysisPlansAndShareTheCensus) {
       {"truss", "clustering"},
       {"clustering", "truss"},
       {"census:vertices=0;1", "truss"},
+      {"census", "validate"},
   };
   const auto run = [](const std::string& graph,
                       const std::vector<std::string>& analyses) {
@@ -624,6 +626,10 @@ TEST(PlanCensus, CombinedPlansMatchOneAnalysisPlansAndShareTheCensus) {
       EXPECT_EQ(census_passes(run(graph, {"truss", "clustering"})), 1u);
       EXPECT_EQ(census_passes(run(graph, {"clustering"})), 1u);
       EXPECT_EQ(census_passes(run(graph, {"clustering", "truss"})), 1u);
+      // Validate checks against the plan's own oracle (or chain) instead
+      // of building a second one, which would census the factors again.
+      EXPECT_EQ(census_passes(run(graph, {"census", "validate"})),
+                census_passes(run(graph, {"census"})));
     }
   }
 #ifdef _OPENMP

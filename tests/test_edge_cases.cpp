@@ -8,6 +8,7 @@
 #include "gen/classic.hpp"
 #include "helpers.hpp"
 #include "kron/formulas.hpp"
+#include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
 #include "kron/stream.hpp"
@@ -82,19 +83,51 @@ TEST(EdgeCases, OracleOnTinyFactors) {
   EXPECT_EQ(*oracle.edge_triangles(0, 3), 0u);
 }
 
-TEST(EdgeCases, KronMatrixExprPointVsExpand) {
-  const Graph a = kt_test::random_undirected(5, 0.5, 1, 0.5);
-  const Graph b = kt_test::random_undirected(4, 0.5, 2, 0.5);
-  const auto expr = kron::edge_triangles(a, b);
+/// Point values vs expand() vs sum() over every (p, q); returns how many
+/// of the pairs are off the expression's product pattern (at() must be 0
+/// there).
+std::size_t expect_point_vs_expand(const kron::KronMatrixExpr& expr) {
   const CountCsr expanded = expr.expand();
+  std::size_t off_pattern = 0;
   for (vid p = 0; p < expr.rows(); ++p) {
     for (vid q = 0; q < expr.rows(); ++q) {
       EXPECT_EQ(expr.at(p, q), expanded.at(p, q));
+      if (!expr.stored(p, q)) {
+        ++off_pattern;
+        EXPECT_EQ(expr.at(p, q), 0u);
+      }
     }
   }
   count_t total = 0;
   for (const count_t v : expanded.values()) total += v;
   EXPECT_EQ(expr.sum(), total);
+  return off_pattern;
+}
+
+TEST(EdgeCases, KronMatrixExprPointVsExpand) {
+  const Graph a = kt_test::random_undirected(5, 0.5, 1, 0.5);
+  const Graph b = kt_test::random_undirected(4, 0.5, 2, 0.5);
+  expect_point_vs_expand(kron::edge_triangles(a, b));
+  // A 3-factor chain with a looped factor: its k-factor expressions.
+  const kron::KronChain chain({kt_test::random_undirected(4, 0.6, 3),
+                               kt_test::random_undirected(3, 0.6, 4, 1.0),
+                               kt_test::random_undirected(3, 0.7, 5, 0.5)});
+  ASSERT_EQ(chain.edge_expr().num_factors(), 3u);
+  EXPECT_GT(expect_point_vs_expand(chain.edge_expr()), 0u);
+  const Graph c = chain.materialize();
+  for (vid p = 0; p < c.num_vertices(); ++p) {
+    for (vid q = 0; q < c.num_vertices(); ++q) {
+      EXPECT_EQ(chain.edge_expr().stored(p, q).has_value(), c.has_edge(p, q));
+    }
+  }
+  const kron::KronVectorExpr& vertex = chain.vertex_expr();
+  const std::vector<count_t> values = vertex.expand();
+  count_t total = 0;
+  for (vid p = 0; p < vertex.size(); ++p) {
+    EXPECT_EQ(vertex.at(p), values[p]);
+    total += values[p];
+  }
+  EXPECT_EQ(vertex.sum(), total);
 }
 
 TEST(EdgeCases, DirectedCensusOnEmptyGraph) {

@@ -4,8 +4,10 @@
 // general case; Thm 2, Cor 2, general case; §III.A degrees; Ex. 1(a)–(c)).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <tuple>
 
+#include "core/coo.hpp"
 #include "gen/classic.hpp"
 #include "helpers.hpp"
 #include "kron/formulas.hpp"
@@ -222,8 +224,8 @@ TEST(KronFormulas, ExprValidation) {
   EXPECT_THROW(kron::KronVectorExpr(0, {}), std::invalid_argument);
   EXPECT_THROW(kron::KronVectorExpr(1, {}), std::invalid_argument);
   std::vector<kron::KronVectorExpr::Term> bad;
-  bad.push_back({1, {1, 2}, {3}});
-  bad.push_back({1, {1}, {3}});
+  bad.push_back({1, {{1, 2}, {3}}});
+  bad.push_back({1, {{1}, {3}}});
   EXPECT_THROW(kron::KronVectorExpr(1, std::move(bad)), std::invalid_argument);
 }
 
@@ -231,10 +233,35 @@ TEST(KronFormulas, NegativeEvaluationDetected) {
   // A malformed expression (−1 · ones ⊗ ones) must throw on evaluation
   // rather than wrap around.
   std::vector<kron::KronVectorExpr::Term> terms;
-  terms.push_back({-1, {1, 1}, {1, 1}});
+  terms.push_back({-1, {{1, 1}, {1, 1}}});
   const kron::KronVectorExpr expr(1, std::move(terms));
   EXPECT_THROW((void)expr.at(0), std::logic_error);
   EXPECT_THROW((void)expr.sum(), std::logic_error);
+}
+
+TEST(KronFormulas, MatrixTermOutsideItsFactorsPatternRejected) {
+  // Path 0-1-2 with a loop at 1: (0, 2) is off the pattern, (1, 1) on it.
+  const Graph g = Graph::from_edges(3, {{{0, 1}, {1, 2}, {1, 1}}}, true);
+  const auto single = [](vid x, vid y) {
+    Coo<count_t> coo(3, 3);
+    coo.add(x, y, 5);
+    std::vector<kron::KronMatrixExpr::Term> terms;
+    terms.push_back({1, {CountCsr::from_coo(coo)}});
+    return terms;
+  };
+  EXPECT_THROW(kron::KronMatrixExpr({&g}, 1, single(0, 2)),
+               std::invalid_argument);
+  // A term on a narrower pattern is aligned onto the factor's slots.
+  const kron::KronMatrixExpr loop({&g}, 1, single(1, 1));
+  EXPECT_EQ(loop.at(1, 1), 5u);
+  EXPECT_EQ(loop.at(0, 1), 0u);
+  EXPECT_EQ(loop.stored(0, 1), std::optional<count_t>(0));
+  EXPECT_EQ(loop.stored(0, 2), std::nullopt);
+  EXPECT_EQ(loop.sum(), 5u);
+  // Two factors: the second term's factor count must be the graphs'.
+  std::vector<kron::KronMatrixExpr::Term> short_term = single(1, 1);
+  EXPECT_THROW(kron::KronMatrixExpr({&g, &g}, 1, std::move(short_term)),
+               std::invalid_argument);
 }
 
 TEST(KronFormulas, SelfLoopBoostObservedOnNotreDameShape) {

@@ -18,7 +18,6 @@
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
 #include "helpers.hpp"
-#include "kron/closed_forms.hpp"
 #include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
@@ -483,12 +482,15 @@ PointwiseFold fold_by_brute_force(
   return out;
 }
 
-/// Folds `census` against `forms` at OMP 1/2/8 and checks every run's
-/// pointwise fields against the brute-force fold.
-void expect_fold(const StreamingCensus& census, const kron::ClosedForms& forms,
-                 const FullCensus& ref, const PointwiseFold& want) {
-  const auto runs =
-      with_thread_counts([&] { return validate::validate_census(census, forms); });
+/// Folds `census` against the closed forms t_C = `vertex`, Δ_C = `edge`
+/// at OMP 1/2/8 and checks every run's pointwise fields against the
+/// brute-force fold.
+void expect_fold(const StreamingCensus& census,
+                 const kron::KronVectorExpr& vertex,
+                 const kron::KronMatrixExpr& edge, const FullCensus& ref,
+                 const PointwiseFold& want) {
+  const auto runs = with_thread_counts(
+      [&] { return validate::validate_census(census, vertex, edge); });
   for (const auto& r : runs) {
     EXPECT_FALSE(r.pass());
     EXPECT_EQ(r.vertex.checked, ref.vertex.size());
@@ -524,7 +526,7 @@ TEST(ValidationReport, CountsMismatchesAgainstWrongClosedForms) {
     EXPECT_GT(want.vertex_mismatches, 0u);
     EXPECT_GT(want.edge_mismatches, want.refused) << "no wrong value";
     EXPECT_EQ(want.refused > 0, a.has_edge(x, y)) << "refusals";
-    expect_fold(census, kron::ClosedForms(oracle), ref, want);
+    expect_fold(census, oracle.vertex_expr(), oracle.edge_expr(), ref, want);
   }
 }
 
@@ -546,7 +548,8 @@ TEST(ValidationReport, ChainCountsMismatchesAgainstWrongClosedForms) {
   EXPECT_GT(want.edge_mismatches, want.refused);
   StreamingOptions opt;
   opt.force_shards = 4;
-  expect_fold(StreamingCensus(chain, opt), kron::ClosedForms(wrong), ref, want);
+  expect_fold(StreamingCensus(chain, opt), wrong.vertex_expr(),
+              wrong.edge_expr(), ref, want);
 }
 
 TEST(ValidationReport, FingerprintIsTheSameAtEveryTeamSize) {
@@ -596,18 +599,20 @@ TEST(ValidationReport, FormsOfFactorCopiesGiveTheSameReport) {
     const Graph fa = loops_a ? a.with_all_self_loops() : a;
     const StreamingCensus census(fa, b);
     const Graph copy_a = fa, copy_b = b;
-    const auto own =
-        validate::validate_census(census, kron::ClosedForms(
-                                              kron::TriangleOracle(fa, b)));
-    const auto copied = validate::validate_census(
-        census, kron::ClosedForms(kron::TriangleOracle(copy_a, copy_b)));
+    const auto against = [&](const kron::TriangleOracle& oracle) {
+      return validate::validate_census(census, oracle.vertex_expr(),
+                                       oracle.edge_expr());
+    };
+    const auto own = against(kron::TriangleOracle(fa, b));
+    const auto copied = against(kron::TriangleOracle(copy_a, copy_b));
     EXPECT_TRUE(own.pass());
     EXPECT_EQ(own.fingerprint(), copied.fingerprint());
   }
   // Forms of another product shape are refused up front.
-  EXPECT_THROW((void)validate::validate_census(
-                   StreamingCensus(a, b),
-                   kron::ClosedForms(kron::TriangleOracle(b, a))),
+  const kron::TriangleOracle other(b, a);
+  EXPECT_THROW((void)validate::validate_census(StreamingCensus(a, b),
+                                               other.vertex_expr(),
+                                               other.edge_expr()),
                std::invalid_argument);
 }
 
