@@ -1,8 +1,9 @@
 // Multi-factor Kronecker chains: the k-factor generalization used by the
 // paper's companion work [3] for extreme-scale benchmark generation.
 // Three 300-vertex factors already give a 27-million-vertex product with
-// billions of edges; exact triangle statistics at any vertex or edge still
-// cost only factor-sized work.
+// billions of edges; kron::TriangleOracle, the same oracle as for two
+// factors, still answers exact triangle statistics at any vertex or edge
+// from factor-sized work.
 //
 //   ./multi_factor [--n 300] [--k 3] [--seed 37]
 #include <iostream>
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
   std::vector<Graph> factors = api::GeneratorRegistry::builtin().build_factors(
       api::GraphSpec::parse(spec));
   obs::Stopwatch timer;
-  const kron::KronChain chain(factors);
+  const kron::TriangleOracle chain(std::move(factors));
   const count_t tau = chain.total_triangles();
   const double secs = timer.wall_s();
 
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
   std::cout << "point queries (exact):\n";
   for (const vid p : {vid{0}, chain.num_vertices() / 3,
                       chain.num_vertices() - 1}) {
-    std::cout << "  vertex " << p << ": degree " << chain.nonloop_degree(p)
+    std::cout << "  vertex " << p << ": degree " << chain.degree(p)
               << ", triangles " << chain.vertex_triangles(p) << "\n";
   }
 
@@ -54,8 +55,8 @@ int main(int argc, char** argv) {
     small.push_back(api::GeneratorRegistry::builtin().build(
         "hk:n=8,m=2,p=0.6,seed=" + std::to_string(seed + 100 + i)));
   }
-  const kron::KronChain sc(small);
-  const Graph m = sc.materialize();
+  const kron::TriangleOracle sc(small);
+  const Graph m = kron::kron_graph(sc.factors());
   const auto t = triangle::participation_vertices(m);
   bool ok = sc.total_triangles() == triangle::count_total(m);
   for (vid p = 0; p < m.num_vertices(); ++p) {

@@ -54,7 +54,7 @@ DegreeSummary summarize_kron_degrees(const Graph& a, const Graph& b) {
   }
   // With loops in both factors the -1 correction breaks the convolution;
   // expand (factors are small by assumption).
-  return summarize_degrees(kron::degrees(a, b).expand());
+  return summarize_degrees(kron::degrees({&a, &b}).expand());
 }
 
 }  // namespace kronotri::analysis

@@ -9,6 +9,8 @@
 #include "analysis/components.hpp"
 #include "analysis/degree.hpp"
 #include "analysis/egonet.hpp"
+#include "kron/labeled.hpp"
+#include "kron/product.hpp"
 #include "triangle/clustering.hpp"
 #include "triangle/count.hpp"
 #include "triangle/labeled.hpp"
@@ -107,7 +109,7 @@ PlanContext::PlanContext(GraphSpec spec, RunOptions options,
       options_(std::move(options)),
       factors_(std::move(factors)) {
   // Outer modifiers apply to the materialized product, so the factor-side
-  // structures (view/oracle/chain/stream) would describe a DIFFERENT graph;
+  // structures (view/oracle/stream) would describe a DIFFERENT graph;
   // a modified product is treated as a plain explicit graph.
   const bool modified = spec_.get_bool("prune", false) ||
                         spec_.get_bool("loops", false);
@@ -124,25 +126,16 @@ const kron::KronGraphView& PlanContext::view() const {
 }
 
 const kron::TriangleOracle& PlanContext::oracle() const {
-  if (!two_factor_) {
-    throw std::logic_error(
-        "PlanContext::oracle() requires a 2-factor product");
-  }
-  if (!oracle_) oracle_.emplace(factors_[0], factors_[1]);
-  return *oracle_;
-}
-
-const kron::KronChain& PlanContext::chain() const {
   if (!product_) {
-    throw std::logic_error("PlanContext::chain() requires a product spec");
+    throw std::logic_error("PlanContext::oracle() requires a product spec");
   }
-  if (!chain_) chain_.emplace(factors_);
-  return *chain_;
+  if (!oracle_) oracle_.emplace(factors_);
+  return *oracle_;
 }
 
 const Graph& PlanContext::graph() const {
   if (!product_) return factors_.front();
-  if (!graph_) graph_ = chain().materialize();
+  if (!graph_) graph_ = kron::kron_graph(factors_);
   return *graph_;
 }
 
@@ -251,8 +244,9 @@ std::vector<std::pair<std::string, std::string>> AnalysisRegistry::families()
 namespace {
 
 /// `census` — the paper's headline table: vertices / edges / exact
-/// triangles of the factors and of C, from factor-side formulas whenever a
-/// product is available (TriangleOracle for two factors, KronChain beyond).
+/// triangles of the factors and of C, from the factor-side TriangleOracle
+/// whenever the job is a product (rows "A", "B", "C = A (x) B" for two
+/// factors, "A1", …, "C (chain)" beyond).
 /// Params:
 ///   truth=1     include per-vertex ground-truth counts in the report data
 ///   truth_file=PATH  stream the (sampled) ground-truth rows straight to a
@@ -322,29 +316,19 @@ class CensusAnalysis final : public Analysis {
     };
 
     count_t product_total = 0;
-    if (ctx.two_factor()) {
-      const auto& a = ctx.factors()[0];
-      const auto& b = ctx.factors()[1];
-      add("A", a.num_vertices(), a.num_undirected_edges(),
-          triangle::count_total(a));
-      add("B", b.num_vertices(), b.num_undirected_edges(),
-          triangle::count_total(b));
+    if (ctx.is_product()) {
+      const std::vector<Graph>& fs = ctx.factors();
+      const bool pair = fs.size() == 2;
+      for (std::size_t i = 0; i < fs.size(); ++i) {
+        std::string label = pair && i == 1 ? "B" : "A";
+        if (!pair) label += std::to_string(i + 1);
+        add(label, fs[i].num_vertices(), fs[i].num_undirected_edges(),
+            triangle::count_total(fs[i]));
+      }
       const auto& oracle = ctx.oracle();
       product_total = oracle.total_triangles();
-      add("C = A (x) B", oracle.num_vertices(),
+      add(pair ? "C = A (x) B" : "C (chain)", oracle.num_vertices(),
           oracle.num_undirected_edges(), product_total);
-    } else if (ctx.is_product()) {
-      for (std::size_t i = 0; i < ctx.factors().size(); ++i) {
-        const auto& f = ctx.factors()[i];
-        std::string label = "A";
-        label += std::to_string(i + 1);
-        add(label, f.num_vertices(), f.num_undirected_edges(),
-            triangle::count_total(f));
-      }
-      const auto& chain = ctx.chain();
-      product_total = chain.total_triangles();
-      add("C (chain)", chain.num_vertices(), chain.num_undirected_edges(),
-          product_total);
     } else {
       const Graph& g = ctx.graph();
       product_total = ctx.total_triangles();
@@ -356,13 +340,11 @@ class CensusAnalysis final : public Analysis {
       // or sampled on a uniform stride (the --truth protocol). truth_file
       // streams the rows to disk so product-sized dumps never build a
       // product-sized report tree.
-      const count_t n = ctx.two_factor() ? ctx.oracle().num_vertices()
-                        : ctx.is_product() ? ctx.chain().num_vertices()
-                                           : ctx.graph().num_vertices();
+      const count_t n = ctx.is_product() ? ctx.oracle().num_vertices()
+                                         : ctx.graph().num_vertices();
       const auto count_at = [&](vid p) {
-        return ctx.two_factor()  ? ctx.oracle().vertex_triangles(p)
-               : ctx.is_product() ? ctx.chain().vertex_triangles(p)
-                                  : ctx.vertex_triangles()[p];
+        return ctx.is_product() ? ctx.oracle().vertex_triangles(p)
+                                : ctx.vertex_triangles()[p];
       };
       const vid step =
           sample_ == 0 ? 1 : std::max<vid>(1, static_cast<vid>(n / sample_));
@@ -684,9 +666,11 @@ class EgonetAnalysis final : public Analysis {
   vid vertex_;
 };
 
-/// `labeled-census` — the §V labeled triangle census on the explicit graph
-/// with the deterministic labeling f(v) = v mod L. Params: labels=L,
-/// mem_budget=BYTES[K|M|G] (accumulator clamp).
+/// `labeled-census` — the §V labeled triangle census on the explicit graph.
+/// A graph is labeled f(v) = v mod L. A product inherits its labels from
+/// the first factor, f(p) = x_0(p) mod L for p's first-factor coordinate
+/// x_0 (kron::kron_labeling), so its per-type sums are Thm 6's. Params:
+/// labels=L, mem_budget=BYTES[K|M|G] (accumulator clamp).
 class LabeledCensusAnalysis final : public Analysis {
  public:
   explicit LabeledCensusAnalysis(const Params& p)
@@ -705,10 +689,15 @@ class LabeledCensusAnalysis final : public Analysis {
                          std::span<EdgeSink* const>) override {
     AnalysisReport r = report();
     const Graph& g = ctx.graph();
+    const std::span<const Graph> factors(ctx.factors());
     triangle::Labeling lab;
     lab.num_labels = labels_;
-    lab.label.resize(g.num_vertices());
-    for (vid v = 0; v < g.num_vertices(); ++v) lab.label[v] = v % labels_;
+    lab.label.resize(factors.front().num_vertices());
+    for (vid v = 0; v < lab.label.size(); ++v) lab.label[v] = v % labels_;
+    if (ctx.is_product()) {
+      lab = kron::kron_labeling(lab,
+                                kron::kron_num_vertices(factors.subspan(1)));
+    }
     const auto census = triangle::labeled_census(g, lab, budget_);
     // Per-type totals: Σ_v t^{(q1,{qa,qb})}[v] over all center labels —
     // 3·(triangles of that unordered label triple) summed over rotations.
@@ -732,7 +721,9 @@ class LabeledCensusAnalysis final : public Analysis {
     r.data.set("vertex_count_sum", vertex_sum);
     r.data.set("types", std::move(types));
     std::ostringstream os;
-    os << "labeled census with L=" << labels_ << " (f(v)=v mod L): Σ t = "
+    os << "labeled census with L=" << labels_
+       << (ctx.is_product() ? " (f(p)=x_A(p) mod L)" : " (f(v)=v mod L)")
+       << ": Σ t = "
        << util::commas(vertex_sum) << " over "
        << (labels_ * (labels_ + 1) / 2) << " vertex types\n";
     r.text = os.str();
@@ -764,6 +755,10 @@ class ValidateAnalysis final : public Analysis {
     }
   }
 
+  bool needs_edge_triangles(const PlanContext& ctx) const override {
+    return !ctx.is_product();
+  }
+
   AnalysisReport execute(PlanContext& ctx,
                          std::span<EdgeSink* const>) override {
     AnalysisReport r = report();
@@ -774,14 +769,21 @@ class ValidateAnalysis final : public Analysis {
     opt.unit = unit_;
     opt.units = units_;
     validate::ValidationReport vr;
-    if (ctx.two_factor()) {
+    if (ctx.is_product()) {
       vr = validate::validate_product(ctx.oracle(), opt);
-    } else if (ctx.is_product()) {
-      vr = validate::validate_chain(ctx.chain(), opt);
     } else {
-      // Single graph: a 1-factor chain is the census self-check.
-      const kron::KronChain chain({ctx.graph()});
-      vr = validate::validate_chain(chain, opt);
+      // A single graph's closed forms are its own t and Δ, which the plan's
+      // census already holds: the streaming census is checked against them.
+      const Graph& g = ctx.graph();
+      std::vector<kron::KronVectorExpr::Term> t;
+      t.push_back({1, {ctx.vertex_triangles()}});
+      std::vector<kron::KronMatrixExpr::Term> delta;
+      delta.push_back(
+          {1, {ctx.census().mirror_edge_counts(ctx.edge_triangles())}});
+      vr = validate::validate_census(
+          validate::StreamingCensus(std::span(&g, 1), opt),
+          kron::KronVectorExpr(1, std::move(t)),
+          kron::KronMatrixExpr({&g}, 1, std::move(delta)));
     }
     vr.spec = ctx.spec().to_string();
     std::ostringstream os;
@@ -831,8 +833,8 @@ AnalysisRegistry& AnalysisRegistry::builtin() {
            "Fig. 7 egonet check at one vertex: vertex=P (required)",
            [](const Params& p) { return std::make_unique<EgonetAnalysis>(p); });
     r->add("labeled-census",
-           "§V labeled census with f(v)=v mod L: labels=L, "
-           "mem_budget=BYTES[K|M|G]",
+           "§V labeled census, f(v)=v mod L (a product inherits its first "
+           "factor's labels, Thm 6/7): labels=L, mem_budget=BYTES[K|M|G]",
            [](const Params& p) {
              return std::make_unique<LabeledCensusAnalysis>(p);
            });

@@ -14,7 +14,7 @@
 //     the analysis rides THE single stream_parallel pass (composed with
 //     every other sink-backed analysis through one TeeSink per partition);
 //   * factor/graph-backed — execute() reads the PlanContext: the factor
-//     list, the lazily built oracle/view/chain, or the materialized graph
+//     list, the lazily built oracle/view, or the materialized graph
 //     (needs_graph() tells the engine to materialize — during the stream
 //     pass via a CooCollectorSink when one runs anyway, by building the
 //     spec otherwise).
@@ -36,7 +36,6 @@
 #include "api/sink.hpp"
 #include "api/spec.hpp"
 #include "core/graph.hpp"
-#include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/view.hpp"
 #include "triangle/census.hpp"
@@ -120,7 +119,7 @@ class Params {
 };
 
 /// Everything an Analysis may read about the job. Factor-side structures
-/// (view, oracle, chain) are built lazily ONCE and shared by every
+/// (view, oracle) are built lazily ONCE and shared by every
 /// analysis — census and validate both need the oracle, but it is
 /// constructed a single time per run. So are the triangle counts of the
 /// explicit graph: truss, clustering, census and egonet read them here
@@ -137,17 +136,16 @@ class PlanContext {
   }
 
   /// True when the job is a Kronecker product of exactly two factors with
-  /// no outer modifiers — the regime where the implicit view, the
-  /// two-factor oracle and the partitioned edge stream all apply.
+  /// no outer modifiers — the regime where the implicit view and the
+  /// partitioned edge stream apply.
   [[nodiscard]] bool two_factor() const noexcept { return two_factor_; }
   /// True for any multi-factor product without outer modifiers (k >= 2).
   [[nodiscard]] bool is_product() const noexcept { return product_; }
 
-  /// Implicit product view / closed-form oracle; require two_factor().
+  /// Implicit product view; requires two_factor().
   [[nodiscard]] const kron::KronGraphView& view() const;
+  /// Closed-form oracle over the factor list; requires is_product().
   [[nodiscard]] const kron::TriangleOracle& oracle() const;
-  /// k-factor chain over the factor list; requires is_product().
-  [[nodiscard]] const kron::KronChain& chain() const;
 
   /// The explicit graph of the job: the single built graph for non-product
   /// specs, the materialized product otherwise (built on first use, or
@@ -185,7 +183,6 @@ class PlanContext {
   bool needs_edge_triangles_ = true;
   mutable std::optional<kron::KronGraphView> view_;
   mutable std::optional<kron::TriangleOracle> oracle_;
-  mutable std::optional<kron::KronChain> chain_;
   mutable std::optional<Graph> graph_;
   mutable std::optional<triangle::CensusWorkspace> census_;
   mutable std::optional<std::vector<count_t>> edge_triangles_;

@@ -11,6 +11,7 @@
 
 #include "api/pipeline.hpp"
 #include "core/io.hpp"
+#include "kron/product.hpp"
 #include "obs/counters.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
@@ -456,12 +457,10 @@ RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
   }
 
   PlanContext ctx(spec, plan.options, std::move(factors));
-  if (ctx.two_factor()) {
-    report.num_vertices = ctx.view().num_vertices();
-    report.num_undirected_edges = ctx.view().num_undirected_edges();
-  } else if (ctx.is_product()) {
-    report.num_vertices = ctx.chain().num_vertices();
-    report.num_undirected_edges = ctx.chain().num_undirected_edges();
+  if (ctx.is_product()) {
+    report.num_vertices = kron::kron_num_vertices(ctx.factors());
+    report.num_undirected_edges =
+        kron::kron_num_undirected_edges(ctx.factors());
   } else {
     report.num_vertices = ctx.graph().num_vertices();
     report.num_undirected_edges = ctx.graph().num_undirected_edges();

@@ -9,7 +9,7 @@
 #include "gen/prune.hpp"
 #include "gen/random.hpp"
 #include "gen/rmat.hpp"
-#include "kron/multi.hpp"
+#include "kron/product.hpp"
 
 namespace kronotri::api {
 
@@ -34,7 +34,7 @@ bool GeneratorRegistry::contains(const std::string& family) const {
 Graph GeneratorRegistry::build_unlocked(const GraphSpec& spec) const {
   Graph g = [&] {
     if (spec.is_kron()) {
-      return kron::KronChain(build_factors_unlocked(spec)).materialize();
+      return kron::kron_graph(build_factors_unlocked(spec));
     }
     const auto it = factories_.find(spec.family);
     if (it == factories_.end()) {

@@ -36,7 +36,7 @@ class GeneratorRegistry {
   [[nodiscard]] bool contains(const std::string& family) const;
 
   /// Builds the graph a spec describes. Composite "kron" specs build every
-  /// factor recursively and materialize the product via kron::KronChain.
+  /// factor recursively and materialize their product (kron::kron_graph).
   /// The universal modifier params are applied afterwards, in order:
   /// prune=1 (§III.D(a) reduction to Δ ≤ 1, with optional seed param as the
   /// tie-break seed), then loops=1 (A + I). Throws std::invalid_argument on

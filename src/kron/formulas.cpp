@@ -94,11 +94,30 @@ CountCsr diag_hadamard_a2(const Graph& g) {
       g, [&](vid x, vid y) -> count_t { return x == y ? g.out_degree(x) : 0; });
 }
 
-void require_undirected(const Graph& a, const Graph& b, const char* what) {
-  if (!a.is_undirected() || !b.is_undirected()) {
-    throw std::invalid_argument(std::string(what) +
-                                ": §III formulas require undirected factors");
+void require_undirected(const std::vector<const Graph*>& factors,
+                        const char* what) {
+  for (const Graph* g : factors) {
+    if (!g->is_undirected()) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": §III formulas require undirected factors");
+    }
   }
+}
+
+/// Whether D_C = ⊗_f D_f has an entry: only then are the loop terms of the
+/// §III expansion nonzero (file comment).
+bool all_looped(const std::vector<const Graph*>& factors) {
+  return std::all_of(factors.begin(), factors.end(),
+                     [](const Graph* g) { return g->has_self_loops(); });
+}
+
+/// The term coeff · ⊗_f stat(factor f).
+template <typename Term, typename Stat>
+Term each_factor(std::int64_t coeff, const std::vector<const Graph*>& factors,
+                 Stat stat) {
+  Term t{coeff, {}};
+  for (const Graph* g : factors) t.factors.push_back(stat(*g));
+  return t;
 }
 
 }  // namespace
@@ -322,101 +341,63 @@ CountCsr KronMatrixExpr::expand() const {
 count_t KronMatrixExpr::sum() const { return checked(terms_.total()); }
 
 // ---------------------------------------------------------------------------
-// §III.A — degrees
+// §III.A–C over k factors
 // ---------------------------------------------------------------------------
 
-KronVectorExpr degrees(const Graph& a, const Graph& b) {
-  std::vector<KronVectorExpr::Term> terms;
-  terms.push_back({1, {ops::row_sums<count_t>(a.matrix()),
-                      ops::row_sums<count_t>(b.matrix())}});
-  if (a.has_self_loops() && b.has_self_loops()) {
-    terms.push_back({-1, {loop_vector(a), loop_vector(b)}});
+KronVectorExpr degrees(const std::vector<const Graph*>& factors) {
+  using Term = KronVectorExpr::Term;
+  std::vector<Term> terms;
+  terms.push_back(each_factor<Term>(1, factors, [](const Graph& g) {
+    return ops::row_sums<count_t>(g.matrix());
+  }));
+  if (all_looped(factors)) {
+    terms.push_back(each_factor<Term>(-1, factors, loop_vector));
   }
   return KronVectorExpr(1, std::move(terms));
 }
 
-KronVectorExpr in_degrees(const Graph& a, const Graph& b) {
-  std::vector<KronVectorExpr::Term> terms;
-  terms.push_back({1, {ops::row_sums<count_t>(ops::transpose(a.matrix())),
-                      ops::row_sums<count_t>(ops::transpose(b.matrix()))}});
-  if (a.has_self_loops() && b.has_self_loops()) {
-    terms.push_back({-1, {loop_vector(a), loop_vector(b)}});
-  }
-  return KronVectorExpr(1, std::move(terms));
-}
-
-// ---------------------------------------------------------------------------
-// Thm 1 / Cor 1 / general — t_C
-// ---------------------------------------------------------------------------
-
-KronVectorExpr vertex_triangles(const Graph& a, const Graph& b) {
-  require_undirected(a, b, "vertex_triangles");
-  const bool la = a.has_self_loops(), lb = b.has_self_loops();
-  std::vector<KronVectorExpr::Term> terms;
-  if (!la && !lb) {
-    // Thm 1: t_C = 2·t_A ⊗ t_B.
-    terms.push_back({2, {triangle::participation_vertices(a),
-                        triangle::participation_vertices(b)}});
+KronVectorExpr vertex_triangles(const std::vector<const Graph*>& factors) {
+  using Term = KronVectorExpr::Term;
+  require_undirected(factors, "vertex_triangles");
+  std::vector<Term> terms;
+  if (!all_looped(factors)) {
+    // ½·⊗ diag(A_f³), with a loop-free factor's diag(A³) = 2·t_A; the
+    // first one keeps t_A, cancelling the ½.
+    bool halved = false;
+    terms.push_back(each_factor<Term>(1, factors, [&](const Graph& g) {
+      if (g.has_self_loops()) return triangle::diag_cube(g);
+      std::vector<count_t> t = triangle::participation_vertices(g);
+      if (halved) {
+        for (count_t& v : t) v *= 2;
+      }
+      halved = true;
+      return t;
+    }));
     return KronVectorExpr(1, std::move(terms));
   }
-  if (!la) {
-    // Cor 1: t_C = t_A ⊗ diag(B³).
-    terms.push_back({1, {triangle::participation_vertices(a),
-                        triangle::diag_cube(b)}});
-    return KronVectorExpr(1, std::move(terms));
-  }
-  if (!lb) {
-    // Cor 1 mirrored: t_C = diag(A³) ⊗ t_B.
-    terms.push_back({1, {triangle::diag_cube(a),
-                        triangle::participation_vertices(b)}});
-    return KronVectorExpr(1, std::move(terms));
-  }
-  // General case (§III.B): ½[diag(A³)⊗diag(B³) − 2·diag(A²D_A)⊗diag(B²D_B)
-  //                          − diag(A D_A A)⊗diag(B D_B B)
-  //                          + 2·diag(D_A)⊗diag(D_B)].
-  terms.push_back({1, {triangle::diag_cube(a), triangle::diag_cube(b)}});
-  terms.push_back({-2, {diag_a2_d(a), diag_a2_d(b)}});
-  terms.push_back({-1, {diag_ada(a), diag_ada(b)}});
-  terms.push_back({2, {loop_vector(a), loop_vector(b)}});
+  terms.push_back(each_factor<Term>(1, factors, triangle::diag_cube));
+  terms.push_back(each_factor<Term>(-2, factors, diag_a2_d));
+  terms.push_back(each_factor<Term>(-1, factors, diag_ada));
+  terms.push_back(each_factor<Term>(2, factors, loop_vector));
   return KronVectorExpr(2, std::move(terms));
 }
 
-// ---------------------------------------------------------------------------
-// Thm 2 / Cor 2 / general — Δ_C
-// ---------------------------------------------------------------------------
-
-KronMatrixExpr edge_triangles(const Graph& a, const Graph& b) {
-  require_undirected(a, b, "edge_triangles");
-  const bool la = a.has_self_loops(), lb = b.has_self_loops();
-  std::vector<KronMatrixExpr::Term> terms;
-  if (!la && !lb) {
-    // Thm 2: Δ_C = Δ_A ⊗ Δ_B.
-    terms.push_back({1, {triangle::edge_support_masked(a),
-                        triangle::edge_support_masked(b)}});
-    return KronMatrixExpr({&a, &b}, 1, std::move(terms));
+KronMatrixExpr edge_triangles(const std::vector<const Graph*>& factors) {
+  using Term = KronMatrixExpr::Term;
+  require_undirected(factors, "edge_triangles");
+  std::vector<Term> terms;
+  // A∘A², which is Δ_A for a loop-free factor.
+  terms.push_back(each_factor<Term>(1, factors, [](const Graph& g) {
+    return g.has_self_loops() ? a_hadamard_a2(g)
+                              : triangle::edge_support_masked(g);
+  }));
+  if (all_looped(factors)) {
+    terms.push_back(each_factor<Term>(-1, factors, rows_where_loop));
+    terms.push_back(each_factor<Term>(-1, factors, cols_where_loop));
+    terms.push_back(each_factor<Term>(2, factors, loop_matrix));
+    terms.push_back(each_factor<Term>(-1, factors, diag_hadamard_a2));
   }
-  if (!la) {
-    // Cor 2: Δ_C = Δ_A ⊗ (B ∘ B²).
-    terms.push_back({1, {triangle::edge_support_masked(a), a_hadamard_a2(b)}});
-    return KronMatrixExpr({&a, &b}, 1, std::move(terms));
-  }
-  if (!lb) {
-    // Cor 2 mirrored.
-    terms.push_back({1, {a_hadamard_a2(a), triangle::edge_support_masked(b)}});
-    return KronMatrixExpr({&a, &b}, 1, std::move(terms));
-  }
-  // General case (§III.C): (A∘A²)⊗(B∘B²) − (D_A A)⊗(D_B B) − (A D_A)⊗(B D_B)
-  //                        + 2·D_A⊗D_B − (D_A∘A²)⊗(D_B∘B²).
-  terms.push_back({1, {a_hadamard_a2(a), a_hadamard_a2(b)}});
-  terms.push_back({-1, {rows_where_loop(a), rows_where_loop(b)}});
-  terms.push_back({-1, {cols_where_loop(a), cols_where_loop(b)}});
-  terms.push_back({2, {loop_matrix(a), loop_matrix(b)}});
-  terms.push_back({-1, {diag_hadamard_a2(a), diag_hadamard_a2(b)}});
-  return KronMatrixExpr({&a, &b}, 1, std::move(terms));
-}
-
-count_t total_triangles(const Graph& a, const Graph& b) {
-  return vertex_triangles(a, b).sum() / 3;
+  return KronMatrixExpr(factors, 1, std::move(terms));
 }
 
 }  // namespace kronotri::kron

@@ -1,25 +1,36 @@
 // Closed Kronecker formulas for undirected triangle statistics (§III).
 //
-// Every theorem in the paper expresses a statistic of C = A ⊗ B as a small
-// signed sum of Kronecker products of factor statistics:
+// For C = A_1 ⊗ … ⊗ A_k (k ≥ 1 undirected factors, self loops allowed in
+// any of them), write D_f for factor f's self-loop diagonal. Then D_C =
+// ⊗_f D_f, and every matrix power or loop product of C is the Kronecker
+// product of the same expression in each factor. So the paper's
+// two-factor general formulas carry over to k factors term by term:
 //
-//   Thm 1  (no self loops):         t_C = 2·t_A ⊗ t_B
-//   Cor 1  (loops in B only):       t_C = t_A ⊗ diag(B³)
-//   general (loops in both):        t_C = ½[ diag(A³)⊗diag(B³)
-//                                           − 2·diag(A²D_A)⊗diag(B²D_B)
-//                                           − diag(A D_A A)⊗diag(B D_B B)
-//                                           + 2·diag(D_A)⊗diag(D_B) ]
-//   Thm 2  (no self loops):         Δ_C = Δ_A ⊗ Δ_B
-//   Cor 2  (loops in B only):       Δ_C = Δ_A ⊗ (B∘B²)
-//   general (loops in both):        Δ_C = (A∘A²)⊗(B∘B²) − (D_A A)⊗(D_B B)
-//                                         − (A D_A)⊗(B D_B) + 2·D_A⊗D_B
-//                                         − (D_A∘A²)⊗(D_B∘B²)
-//   §III.A (degrees):               d_C = (A·1)⊗(B·1) − loops_A⊗loops_B
+//   §III.B  t_C = ½[ ⊗ diag(A_f³) − 2·⊗ diag(A_f² D_f)
+//                   − ⊗ diag(A_f D_f A_f) + 2·⊗ diag(D_f) ]
+//   §III.C  Δ_C = ⊗ (A_f∘A_f²) − ⊗ (D_f A_f) − ⊗ (A_f D_f)
+//                 + 2·⊗ D_f − ⊗ (D_f∘A_f²)
+//   §III.A  d_C = ⊗ (A_f·1) − ⊗ diag(D_f)
 //
-// These, the directed (Thm 4/5), labeled (Thm 6/7) and k-factor
-// (KronChain) formulas are all stored as one KronVectorExpr or
-// KronMatrixExpr: a signed sum over terms t of Kronecker products of k ≥ 1
-// factor statistics, over a common divisor d,
+// Zero-term pruning: a term is dropped when one of its factor statistics
+// is all zero. Every loop term has a statistic supported on D_f, which is
+// all zero exactly when factor f is loop-free. So the loop terms survive
+// only when every factor has loops, and a product with a loop-free factor
+// keeps a single term. The leading term is always kept.
+//
+// Divisor 1: a loop-free factor's diag(A³) is 2·t_A. In the single-term
+// case the first loop-free factor contributes t_A, so the ½ cancels and
+// the divisor is 1. For two factors the single terms are exactly Thm 1
+// (t_A ⊗ 2t_B = 2·t_A ⊗ t_B) / Cor 1 (t_A ⊗ diag(B³)) and Thm 2 / Cor 2
+// (Δ_A ⊗ Δ_B, Δ_A ⊗ B∘B²). A loop-free factor's t_A and Δ_A come from the
+// triangle census engine, which orients edges by degree and so beats row
+// merges on skewed factors; a looped factor's diag(A³) and A∘A² come from
+// sorted row merges (ops::diag_cube_symmetric, ops::masked_product).
+//
+// These, the directed (Thm 4/5) and labeled (Thm 6/7) formulas are all
+// stored as one KronVectorExpr or KronMatrixExpr: a signed sum over terms
+// t of Kronecker products of k ≥ 1 factor statistics, over a common
+// divisor d,
 //
 //   v[p] = (Σ_t c_t · Π_f v_{t,f}[x_f]) / d,
 //   M[p, q] = (Σ_t c_t · Π_f M_{t,f}(x_f, y_f)) / d,
@@ -134,10 +145,14 @@ class KronVectorExpr {
 
   /// Exact value histogram of the full vector, computed as the
   /// product-convolution of the factor histograms — O(Π_f |distinct v_f|)
-  /// instead of O(Π_f n_f). Only defined for single-term expressions (Thm 1
-  /// / Cor 1 shapes — the paper's contribution (d) on triangle
-  /// distributions); throws std::logic_error otherwise.
+  /// instead of O(Π_f n_f). Only defined for a single nonnegative term
+  /// (t_C of a product with a loop-free factor — the paper's contribution
+  /// (d) on triangle distributions); throws std::logic_error otherwise.
   [[nodiscard]] std::map<count_t, count_t> histogram() const;
+
+  [[nodiscard]] std::size_t num_terms() const noexcept {
+    return terms_.coeff.size();
+  }
 
   [[nodiscard]] vid size() const noexcept { return n_; }
   [[nodiscard]] std::size_t num_factors() const noexcept {
@@ -211,24 +226,17 @@ class KronMatrixExpr {
   vid n_ = 1;
 };
 
-/// Non-loop degree vector d_C of C = A ⊗ B (§III.A; works for directed
-/// factors too, giving out-degrees).
-KronVectorExpr degrees(const Graph& a, const Graph& b);
+/// Non-loop degree vector d_C of C = ⊗_f factors[f] (§III.A). Also
+/// works for directed factors, giving out-degrees.
+KronVectorExpr degrees(const std::vector<const Graph*>& factors);
 
-/// In-degree vector of C (column sums less loops).
-KronVectorExpr in_degrees(const Graph& a, const Graph& b);
+/// Triangle participation at vertices t_C of C = ⊗_f factors[f] (§III.B
+/// with zero-term pruning; see the file comment). Requires 1 to
+/// kMaxFactors undirected factors.
+KronVectorExpr vertex_triangles(const std::vector<const Graph*>& factors);
 
-/// Triangle participation at vertices t_C. Dispatches between Thm 1, Cor 1
-/// (either orientation), and the general self-loop formula based on the
-/// factors' loop structure. Requires undirected factors.
-KronVectorExpr vertex_triangles(const Graph& a, const Graph& b);
-
-/// Triangle participation at edges Δ_C (Thm 2 / Cor 2 / general case).
-/// Requires undirected factors; a and b must outlive the expression.
-KronMatrixExpr edge_triangles(const Graph& a, const Graph& b);
-
-/// τ(C) = ⅓·1ᵗt_C, computed factor-side. For loop-free factors this equals
-/// the paper's 6·τ(A)·τ(B).
-count_t total_triangles(const Graph& a, const Graph& b);
+/// Triangle participation at edges Δ_C (§III.C, pruned alike). Requires
+/// undirected factors, which must outlive the expression.
+KronMatrixExpr edge_triangles(const std::vector<const Graph*>& factors);
 
 }  // namespace kronotri::kron

@@ -1,19 +1,31 @@
 #include "kron/oracle.hpp"
 
-#include "kron/view.hpp"
+#include <stdexcept>
+
+#include "kron/product.hpp"
 
 namespace kronotri::kron {
 
-TriangleOracle::TriangleOracle(const Graph& a, const Graph& b)
-    : a_(&a),
-      b_(&b),
-      tvec_(kronotri::kron::vertex_triangles(a, b)),
-      dmat_(kronotri::kron::edge_triangles(a, b)),
-      deg_(kronotri::kron::degrees(a, b)) {
-  total_ = tvec_.sum() / 3;
-  n_ = a.num_vertices() * b.num_vertices();
-  edges_ = KronGraphView(a, b).num_undirected_edges();
+namespace {
+
+std::vector<const Graph*> pointers(const std::vector<Graph>& factors) {
+  if (factors.empty()) {
+    throw std::invalid_argument("TriangleOracle needs at least one factor");
+  }
+  std::vector<const Graph*> out;
+  for (const Graph& f : factors) out.push_back(&f);
+  return out;
 }
+
+}  // namespace
+
+TriangleOracle::TriangleOracle(std::vector<Graph> factors)
+    : factors_(std::move(factors)),
+      tvec_(kronotri::kron::vertex_triangles(pointers(factors_))),
+      dmat_(kronotri::kron::edge_triangles(pointers(factors_))),
+      deg_(kronotri::kron::degrees(pointers(factors_))),
+      total_(tvec_.sum() / 3),
+      edges_(kron_num_undirected_edges(factors_)) {}
 
 double TriangleOracle::local_clustering(vid p) const {
   const count_t d = deg_.at(p);

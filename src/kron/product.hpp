@@ -7,6 +7,7 @@
 // kron::KronGraphView / kron::EdgeStream instead.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/csr.hpp"
@@ -60,5 +61,16 @@ CsrMatrix<TOut> kron_matrix(const CsrMatrix<TA>& a, const CsrMatrix<TB>& b) {
 
 /// Materialized product graph G_C with C = A ⊗ B.
 Graph kron_graph(const Graph& a, const Graph& b);
+
+/// Materialized product of k ≥ 1 factors, left factor most significant.
+Graph kron_graph(std::span<const Graph> factors);
+
+/// Π_f n_f, the vertex count of the product of `factors`.
+vid kron_num_vertices(std::span<const Graph> factors);
+
+/// Undirected edges of the product of undirected `factors`: its stored
+/// entries pair up, except its self loops, which need a loop in every
+/// factor.
+count_t kron_num_undirected_edges(std::span<const Graph> factors);
 
 }  // namespace kronotri::kron

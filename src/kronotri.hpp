@@ -32,7 +32,6 @@
 #include "kron/formulas.hpp"      // IWYU pragma: export
 #include "kron/index.hpp"         // IWYU pragma: export
 #include "kron/labeled.hpp"       // IWYU pragma: export
-#include "kron/multi.hpp"         // IWYU pragma: export
 #include "kron/oracle.hpp"        // IWYU pragma: export
 #include "kron/product.hpp"       // IWYU pragma: export
 #include "kron/stream.hpp"        // IWYU pragma: export

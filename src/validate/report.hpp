@@ -3,9 +3,10 @@
 // The paper's validation loop, packaged: run the sharded StreamingCensus
 // over the implicit product, and compare every measured per-vertex and
 // per-edge triangle count against the factor-side closed forms (the
-// kron::TriangleOracle Thm 1/2 / Cor 1/2 expressions for two factors, the
-// KronChain generalization for longer chains) inside the census's own
-// wedge pass. Per *Same Stats, Different Graphs*, the report keeps the
+// kron::TriangleOracle expressions, for any k ≥ 1 factors and any
+// self-loop configuration) inside the census's own wedge pass. When t_C
+// is a single Kronecker term (some factor loop-free), the measured vertex
+// histogram is also compared with the closed-form one. Per *Same Stats, Different Graphs*, the report keeps the
 // full measured count distributions (histograms), not just totals, plus
 // max-abs-error and a pass/fail verdict — the artifact the CLI prints and
 // CI gates on.
@@ -21,7 +22,6 @@
 #include "validate/streaming_census.hpp"
 
 namespace kronotri::kron {
-class KronChain;
 class KronMatrixExpr;
 class KronVectorExpr;
 class TriangleOracle;
@@ -45,8 +45,8 @@ struct ValidationReport {
   CountCheck edge;
 
   /// Closed-form vertex histogram (factor-side, TriangleOracle) when the
-  /// product's triangle formula is a single Kronecker term; empty (and
-  /// histogram_checked = false) otherwise.
+  /// product's t_C is a single Kronecker term (some factor loop-free);
+  /// empty (and histogram_checked = false) otherwise.
   std::map<count_t, count_t> predicted_vertex_histogram;
   bool histogram_checked = false;
 
@@ -103,24 +103,19 @@ struct ValidationReport {
 /// restriction) and checks every measured count against t_C = `vertex` and
 /// Δ_C = `edge`, which need not be the census's own product: an edge
 /// `edge` lacks counts as a mismatch of its measured Δ. The predicted total
-/// is vertex.sum() / 3.
+/// is vertex.sum() / 3, and a single-term `vertex` also predicts the
+/// vertex histogram.
 ValidationReport validate_census(const StreamingCensus& census,
                                  const kron::KronVectorExpr& vertex,
                                  const kron::KronMatrixExpr& edge);
 
-/// Streams the census of C = A ⊗ B under `opt` and validates it against the
-/// oracle's two-factor closed forms (any self-loop configuration), plus
-/// the closed-form vertex histogram when the formula is a single term.
+/// validate_census of the oracle's own factors under `opt` against the
+/// oracle's closed forms.
 ValidationReport validate_product(const kron::TriangleOracle& oracle,
                                   const StreamingOptions& opt = {});
 
 /// Same, building the oracle of A ⊗ B. Factors must be undirected.
 ValidationReport validate_product(const Graph& a, const Graph& b,
                                   const StreamingOptions& opt = {});
-
-/// Same for a k-factor chain; predictions use the KronChain formulas, which
-/// require at least one loop-free factor (std::invalid_argument otherwise).
-ValidationReport validate_chain(const kron::KronChain& chain,
-                                const StreamingOptions& opt = {});
 
 }  // namespace kronotri::validate

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "kron/formulas.hpp"
-#include "kron/multi.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
@@ -27,12 +26,10 @@ bool fold_sampled(vid u) {
   return (u * 0x9E3779B97F4A7C15ull) >> (64 - kFoldSampleBits) == 0;
 }
 
-std::vector<const Graph*> chain_factor_ptrs(const kron::KronChain& chain) {
+std::vector<const Graph*> factor_ptrs(std::span<const Graph> factors) {
   std::vector<const Graph*> fs;
-  fs.reserve(chain.num_factors());
-  for (std::size_t i = 0; i < chain.num_factors(); ++i) {
-    fs.push_back(&chain.factor(i));
-  }
+  fs.reserve(factors.size());
+  for (const Graph& f : factors) fs.push_back(&f);
   return fs;
 }
 
@@ -183,9 +180,9 @@ StreamingCensus::StreamingCensus(const Graph& a, const Graph& b,
                                  StreamingOptions opt)
     : StreamingCensus(std::vector<const Graph*>{&a, &b}, opt) {}
 
-StreamingCensus::StreamingCensus(const kron::KronChain& chain,
+StreamingCensus::StreamingCensus(std::span<const Graph> factors,
                                  StreamingOptions opt)
-    : StreamingCensus(chain_factor_ptrs(chain), opt) {}
+    : StreamingCensus(factor_ptrs(factors), opt) {}
 
 void StreamingCensus::build_masks() {
   const Graph& b = *factors_.back();

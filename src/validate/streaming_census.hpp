@@ -28,12 +28,13 @@
 //     by its single writer — a measurement, not the closed form.
 //   * Once u's wedges are closed, t(u) and the Δ of every edge u owns are
 //     final and u's coordinates are still in hand, so the same worker
-//     compares them with the closed forms, a kron::KronVectorExpr at u's
-//     coordinates and a kron::KronMatrixExpr at the odometer's slots, into
-//     thread-local tallies, merged once per shard. Sums and maxima do
-//     not depend on the merge order: the check is identical at every team
-//     size. Under --trace its time, sampled on one vertex in 64, is the
-//     counter validate.fold_ns.
+//     compares them with the closed forms (kron::TriangleOracle's, for any
+//     k and any self loops), a kron::KronVectorExpr at u's coordinates and
+//     a kron::KronMatrixExpr at the odometer's slots, into thread-local
+//     tallies, merged once per shard. Sums and maxima do not depend on the
+//     merge order: the check is identical at every team size. Under
+//     --trace its time, sampled on one vertex in 64, is the counter
+//     validate.fold_ns.
 //
 // Work is one factor test per examined block pair on every factor but the
 // last: for A ⊗ B, C(d_A, 2) + d_A tests on A per vertex. The last factor B
@@ -65,7 +66,6 @@
 #include "core/types.hpp"
 
 namespace kronotri::kron {
-class KronChain;
 class KronMatrixExpr;
 class KronVectorExpr;
 }  // namespace kronotri::kron
@@ -140,9 +140,11 @@ class StreamingCensus {
   /// loops in the factors are fine — the census runs on C − I∘C.
   StreamingCensus(const Graph& a, const Graph& b, StreamingOptions opt = {});
 
-  /// Census of a k-factor chain C = A₁ ⊗ … ⊗ A_k (k ≥ 1). The chain must
-  /// outlive the engine.
-  explicit StreamingCensus(const kron::KronChain& chain,
+  /// Census of a k-factor chain C = A₁ ⊗ … ⊗ A_k (1 ≤ k ≤ kMaxFactors),
+  /// under the same preconditions. kron::TriangleOracle::factors() is such
+  /// a chain; streaming the oracle's own factors lets the closed-form
+  /// check read its slots off the neighbor odometer.
+  explicit StreamingCensus(std::span<const Graph> factors,
                            StreamingOptions opt = {});
 
   [[nodiscard]] const StreamingOptions& options() const noexcept {

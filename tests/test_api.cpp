@@ -22,7 +22,6 @@
 #include "analysis/degree.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
-#include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
 #include "kron/view.hpp"
@@ -138,13 +137,13 @@ TEST(Registry, KronSpecMaterializesTheProduct) {
   EXPECT_EQ(c, expected);
 }
 
-TEST(Registry, ThreeFactorKronMatchesKronChain) {
+TEST(Registry, ThreeFactorKronMatchesTheFactorFold) {
   const auto& reg = GeneratorRegistry::builtin();
   const Graph c =
       reg.build("kron:(clique:n=3)x(cycle:n=4)x(hk:n=6,m=2,p=0.5,seed=1)");
   std::vector<Graph> factors = {gen::clique(3), gen::cycle(4),
                                 gen::holme_kim(6, 2, 0.5, 1)};
-  EXPECT_EQ(c, kron::KronChain(factors).materialize());
+  EXPECT_EQ(c, kron::kron_graph(factors));
 }
 
 TEST(Registry, BuildFactorsReturnsFactorListWithoutMaterializing) {

@@ -365,7 +365,7 @@ TEST_F(CliTest, ValidateSpecStreamsShardedCensus) {
   EXPECT_NE(out.find("shards"), std::string::npos);
   EXPECT_NE(out.find("2,048"), std::string::npos);
 
-  // 3-factor chains go through the KronChain predictor.
+  // 3-factor chains go through the same k-factor oracle.
   EXPECT_EQ(run_cmd({"validate", "--spec",
                      "kron:(er:n=12,p=0.3,seed=1)x(clique:n=3)x(path:n=3)",
                      "--shards", "5"},

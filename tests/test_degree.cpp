@@ -32,8 +32,10 @@ TEST_P(DegreeSweep, InDegreesMatchMaterializedDirected) {
   const Graph a = kt_test::random_directed(6, 0.35, GetParam());
   const Graph b = kt_test::random_directed(5, 0.4, GetParam() + 1);
   const Graph c = kron::kron_graph(a, b);
-  const auto din = kron::in_degrees(a, b).expand();
-  const auto dout = kron::degrees(a, b).expand();
+  // In-degrees of C are the out-degrees of Cᵀ = Aᵀ ⊗ Bᵀ.
+  const Graph at = a.transpose(), bt = b.transpose();
+  const auto din = kron::degrees({&at, &bt}).expand();
+  const auto dout = kron::degrees({&a, &b}).expand();
   const Graph ct = c.transpose();
   for (vid p = 0; p < c.num_vertices(); ++p) {
     EXPECT_EQ(dout[p], c.nonloop_degree(p));
@@ -78,7 +80,7 @@ TEST(Degree, SelfLoopDegreeFormulas) {
   // §III.A: with loops in B only, d_C(p) = d_A(i)·(d_B(k)+1) at looped k.
   const Graph a = gen::clique(4);
   const Graph b = gen::clique(3).with_all_self_loops();
-  const auto d = kron::degrees(a, b).expand();
+  const auto d = kron::degrees({&a, &b}).expand();
   const kron::KronIndex idx(3);
   for (vid p = 0; p < 12; ++p) {
     const vid i = idx.a_of(p);
@@ -86,7 +88,7 @@ TEST(Degree, SelfLoopDegreeFormulas) {
   }
   // Both factors looped: d_C(p) = (d_A+1)(d_B+1) − 1 (the loop of C).
   const Graph al = gen::clique(4).with_all_self_loops();
-  const auto d2 = kron::degrees(al, b).expand();
+  const auto d2 = kron::degrees({&al, &b}).expand();
   for (vid p = 0; p < 12; ++p) {
     EXPECT_EQ(d2[p], 4u * 3u - 1u);
   }

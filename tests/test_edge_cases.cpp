@@ -8,7 +8,6 @@
 #include "gen/classic.hpp"
 #include "helpers.hpp"
 #include "kron/formulas.hpp"
-#include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
 #include "kron/stream.hpp"
@@ -36,9 +35,9 @@ TEST(EdgeCases, SingleVertexWithLoop) {
   EXPECT_EQ(g.num_self_loops(), 1u);
   EXPECT_EQ(triangle::count_total(g), 0u);
   // Loop ⊗ loop: product has one loop, zero triangles.
-  const auto t = kron::vertex_triangles(g, g);
+  const auto t = kron::vertex_triangles({&g, &g});
   EXPECT_EQ(t.at(0), 0u);
-  EXPECT_EQ(kron::total_triangles(g, g), 0u);
+  EXPECT_EQ(kron::TriangleOracle(g, g).total_triangles(), 0u);
 }
 
 TEST(EdgeCases, EmptyFactorProducesEmptyProduct) {
@@ -47,7 +46,7 @@ TEST(EdgeCases, EmptyFactorProducesEmptyProduct) {
   const kron::KronGraphView view(e, k);
   EXPECT_EQ(view.nnz(), 0u);
   EXPECT_EQ(view.num_undirected_edges(), 0u);
-  EXPECT_EQ(kron::total_triangles(e, k), 0u);
+  EXPECT_EQ(kron::TriangleOracle(e, k).total_triangles(), 0u);
   kron::EdgeStream stream(e, k);
   EXPECT_EQ(stream.partition_size(), 0u);
   EXPECT_FALSE(stream.next().has_value());
@@ -67,8 +66,8 @@ TEST(EdgeCases, StreamMorePartitionsThanEdges) {
 TEST(EdgeCases, TriangleFreeFactorKillsAllProductTriangles) {
   const Graph tree = gen::star(6);
   const Graph rich = gen::clique(5);
-  EXPECT_EQ(kron::total_triangles(tree, rich), 0u);
-  const auto tv = kron::vertex_triangles(tree, rich);
+  EXPECT_EQ(kron::TriangleOracle(tree, rich).total_triangles(), 0u);
+  const auto tv = kron::vertex_triangles({&tree, &rich});
   for (vid p = 0; p < tv.size(); ++p) EXPECT_EQ(tv.at(p), 0u);
 }
 
@@ -107,27 +106,32 @@ std::size_t expect_point_vs_expand(const kron::KronMatrixExpr& expr) {
 TEST(EdgeCases, KronMatrixExprPointVsExpand) {
   const Graph a = kt_test::random_undirected(5, 0.5, 1, 0.5);
   const Graph b = kt_test::random_undirected(4, 0.5, 2, 0.5);
-  expect_point_vs_expand(kron::edge_triangles(a, b));
-  // A 3-factor chain with a looped factor: its k-factor expressions.
-  const kron::KronChain chain({kt_test::random_undirected(4, 0.6, 3),
-                               kt_test::random_undirected(3, 0.6, 4, 1.0),
-                               kt_test::random_undirected(3, 0.7, 5, 0.5)});
-  ASSERT_EQ(chain.edge_expr().num_factors(), 3u);
-  EXPECT_GT(expect_point_vs_expand(chain.edge_expr()), 0u);
-  const Graph c = chain.materialize();
-  for (vid p = 0; p < c.num_vertices(); ++p) {
-    for (vid q = 0; q < c.num_vertices(); ++q) {
-      EXPECT_EQ(chain.edge_expr().stored(p, q).has_value(), c.has_edge(p, q));
+  expect_point_vs_expand(kron::edge_triangles({&a, &b}));
+  // 3-factor chains, one with a looped factor and one with loops in every
+  // factor: their k-factor expressions.
+  for (const double loops : {0.0, 1.0}) {
+    const kron::TriangleOracle chain(
+        {kt_test::random_undirected(4, 0.6, 3, loops),
+         kt_test::random_undirected(3, 0.6, 4, 1.0),
+         kt_test::random_undirected(3, 0.7, 5, 0.5)});
+    ASSERT_EQ(chain.edge_expr().num_factors(), 3u);
+    EXPECT_GT(expect_point_vs_expand(chain.edge_expr()), 0u);
+    const Graph c = kron::kron_graph(chain.factors());
+    for (vid p = 0; p < c.num_vertices(); ++p) {
+      for (vid q = 0; q < c.num_vertices(); ++q) {
+        EXPECT_EQ(chain.edge_expr().stored(p, q).has_value(),
+                  c.has_edge(p, q));
+      }
     }
+    const kron::KronVectorExpr& vertex = chain.vertex_expr();
+    const std::vector<count_t> values = vertex.expand();
+    count_t total = 0;
+    for (vid p = 0; p < vertex.size(); ++p) {
+      EXPECT_EQ(vertex.at(p), values[p]);
+      total += values[p];
+    }
+    EXPECT_EQ(vertex.sum(), total);
   }
-  const kron::KronVectorExpr& vertex = chain.vertex_expr();
-  const std::vector<count_t> values = vertex.expand();
-  count_t total = 0;
-  for (vid p = 0; p < vertex.size(); ++p) {
-    EXPECT_EQ(vertex.at(p), values[p]);
-    total += values[p];
-  }
-  EXPECT_EQ(vertex.sum(), total);
 }
 
 TEST(EdgeCases, DirectedCensusOnEmptyGraph) {

@@ -1,12 +1,12 @@
-// Multi-factor Kronecker chain tests: the k-factor generalization of
-// Thm 1/2 validated against materialized products and the two-factor
-// machinery.
+// Multi-factor Kronecker products: the k-factor §III expansion held by
+// kron::TriangleOracle, validated against materialized products for every
+// self-loop configuration.
 #include <gtest/gtest.h>
 
 #include "gen/classic.hpp"
 #include "helpers.hpp"
 #include "kron/formulas.hpp"
-#include "kron/multi.hpp"
+#include "kron/oracle.hpp"
 #include "kron/product.hpp"
 #include "triangle/count.hpp"
 #include "triangle/support.hpp"
@@ -14,54 +14,59 @@
 namespace {
 
 using namespace kronotri;
-using kron::KronChain;
+using kron::TriangleOracle;
+
+/// Every t, Δ, degree and total of `oracle` against brute force on its
+/// materialized product; edge_triangles() must be nullopt exactly off the
+/// product's pattern.
+void expect_matches_materialized(const TriangleOracle& oracle) {
+  const Graph m = kron::kron_graph(oracle.factors());
+  ASSERT_EQ(oracle.num_vertices(), m.num_vertices());
+  EXPECT_EQ(oracle.num_undirected_edges(), m.num_undirected_edges());
+  const auto t = triangle::participation_vertices(m);
+  for (vid p = 0; p < m.num_vertices(); ++p) {
+    EXPECT_EQ(oracle.vertex_triangles(p), t[p]) << "p=" << p;
+    EXPECT_EQ(oracle.degree(p), m.nonloop_degree(p)) << "p=" << p;
+  }
+  const auto delta = triangle::edge_support_masked(m);
+  for (vid p = 0; p < m.num_vertices(); ++p) {
+    for (vid q = 0; q < m.num_vertices(); ++q) {
+      const std::optional<count_t> d = oracle.edge_triangles(p, q);
+      ASSERT_EQ(d.has_value(), m.has_edge(p, q)) << p << "," << q;
+      if (d && p != q) {
+        EXPECT_EQ(*d, delta.at(p, q)) << p << "," << q;
+      }
+    }
+  }
+  EXPECT_EQ(oracle.total_triangles(), triangle::count_total(m));
+}
 
 TEST(KronChain, RejectsEmptyAndDirected) {
-  EXPECT_THROW(KronChain({}), std::invalid_argument);
+  EXPECT_THROW(TriangleOracle(std::vector<Graph>{}), std::invalid_argument);
   const Graph d = Graph::from_edges(3, {{{0, 1}, {1, 2}}}, false);
-  EXPECT_THROW(KronChain({gen::clique(3), d}), std::invalid_argument);
+  EXPECT_THROW(TriangleOracle(gen::clique(3), d), std::invalid_argument);
 }
 
 TEST(KronChain, SingleFactorIsIdentityOperation) {
-  const Graph g = kt_test::random_undirected(10, 0.3, 1);
-  const KronChain chain({g});
-  EXPECT_EQ(chain.num_vertices(), g.num_vertices());
-  EXPECT_EQ(chain.nnz(), g.nnz());
-  EXPECT_TRUE(chain.materialize() == g);
-  const auto t = triangle::participation_vertices(g);
-  for (vid p = 0; p < g.num_vertices(); ++p) {
-    EXPECT_EQ(chain.vertex_triangles(p), t[p]);
+  for (const double loops : {0.0, 0.5}) {
+    const Graph g = kt_test::random_undirected(10, 0.3, 1, loops);
+    const TriangleOracle oracle({g});
+    EXPECT_TRUE(kron::kron_graph(oracle.factors()) == g);
+    const auto t = triangle::participation_vertices(g);
+    for (vid p = 0; p < g.num_vertices(); ++p) {
+      EXPECT_EQ(oracle.vertex_triangles(p), t[p]);
+    }
+    EXPECT_EQ(oracle.total_triangles(), triangle::count_total(g));
+    expect_matches_materialized(oracle);
   }
-  EXPECT_EQ(chain.total_triangles(), triangle::count_total(g));
 }
 
-TEST(KronChain, IndexRoundTrip) {
-  const KronChain chain({gen::clique(3), gen::clique(4), gen::clique(5)});
-  EXPECT_EQ(chain.num_vertices(), 60u);
-  for (vid p = 0; p < 60; ++p) {
-    EXPECT_EQ(chain.compose(chain.decompose(p)), p);
-  }
-  EXPECT_EQ(chain.decompose(0), (std::vector<vid>{0, 0, 0}));
-  EXPECT_EQ(chain.decompose(59), (std::vector<vid>{2, 3, 4}));
-  EXPECT_THROW((void)chain.compose({0, 0}), std::invalid_argument);
-}
-
-TEST(KronChain, TwoFactorsMatchPairwiseMachinery) {
+TEST(KronChain, TwoFactorsMatchTheMaterializedProduct) {
   const Graph a = kt_test::random_undirected(6, 0.45, 2);
   const Graph b = kt_test::random_undirected(5, 0.5, 3, 0.4);  // loops in B
-  const KronChain chain({a, b});
-  const auto tvec = kron::vertex_triangles(a, b);
-  const auto dmat = kron::edge_triangles(a, b);
-  for (vid p = 0; p < chain.num_vertices(); ++p) {
-    EXPECT_EQ(chain.vertex_triangles(p), tvec.at(p));
-  }
-  const Graph c = kron::kron_graph(a, b);
-  for (vid p = 0; p < c.num_vertices(); ++p) {
-    for (const vid q : c.neighbors(p)) {
-      EXPECT_EQ(chain.edge_triangles(p, q), dmat.at(p, q));
-    }
-  }
-  EXPECT_EQ(chain.total_triangles(), kron::total_triangles(a, b));
+  expect_matches_materialized(TriangleOracle(a, b));
+  expect_matches_materialized(TriangleOracle(b, a));
+  expect_matches_materialized(TriangleOracle(b, b));
 }
 
 class KronChainSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -71,31 +76,21 @@ TEST_P(KronChainSweep, ThreeFactorsMatchMaterialized) {
   const Graph a = kt_test::random_undirected(4, 0.5, seed);
   const Graph b = kt_test::random_undirected(3, 0.6, seed + 1, 0.5);
   const Graph c = kt_test::random_undirected(4, 0.5, seed + 2);
-  const KronChain chain({a, b, c});
-  const Graph m = chain.materialize();
+  expect_matches_materialized(TriangleOracle({a, b, c}));
+}
 
-  EXPECT_EQ(chain.num_vertices(), m.num_vertices());
-  EXPECT_EQ(chain.nnz(), m.nnz());
-  EXPECT_EQ(chain.num_undirected_edges(), m.num_undirected_edges());
-
-  const auto t = triangle::participation_vertices(m);
-  for (vid p = 0; p < m.num_vertices(); ++p) {
-    EXPECT_EQ(chain.vertex_triangles(p), t[p]) << "p=" << p;
-    EXPECT_EQ(chain.out_degree(p), m.out_degree(p));
-    EXPECT_EQ(chain.nonloop_degree(p), m.nonloop_degree(p));
-  }
-  const auto delta = triangle::edge_support_masked(m);
-  for (vid p = 0; p < m.num_vertices(); ++p) {
-    for (const vid q : m.neighbors(p)) {
-      if (p == q) continue;
-      EXPECT_EQ(chain.edge_triangles(p, q), delta.at(p, q));
-    }
-  }
-  EXPECT_EQ(chain.total_triangles(), triangle::count_total(m));
-  for (vid p = 0; p < m.num_vertices(); ++p) {
-    for (vid q = 0; q < m.num_vertices(); ++q) {
-      ASSERT_EQ(chain.has_edge(p, q), m.has_edge(p, q));
-    }
+TEST_P(KronChainSweep, LoopsInEveryFactorMatchMaterialized) {
+  // The four-term §III.B / five-term §III.C expansions at k = 2, 3, 4.
+  const std::uint64_t seed = GetParam();
+  std::vector<Graph> factors;
+  for (std::size_t k = 0; k < 4; ++k) {
+    factors.push_back(
+        kt_test::random_undirected(k == 0 ? 4 : 3, 0.6, seed + 10 * k, 0.6)
+            .with_all_self_loops());
+    if (k == 0) continue;
+    const TriangleOracle oracle(factors);
+    EXPECT_EQ(oracle.vertex_expr().num_terms(), 4u);
+    expect_matches_materialized(oracle);
   }
 }
 
@@ -104,50 +99,79 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KronChainSweep,
 
 TEST(KronChain, PowerProductOfCliques) {
   // K₃^{⊗3}: τ = 6²·τ(K₃)³ = 36, every vertex in ½·2³ = 4 triangles.
-  const KronChain chain({gen::clique(3), gen::clique(3), gen::clique(3)});
-  EXPECT_EQ(chain.num_vertices(), 27u);
-  EXPECT_EQ(chain.total_triangles(), 36u);
+  const TriangleOracle oracle(
+      {gen::clique(3), gen::clique(3), gen::clique(3)});
+  EXPECT_EQ(oracle.num_vertices(), 27u);
+  EXPECT_EQ(oracle.total_triangles(), 36u);
   for (vid p = 0; p < 27; ++p) {
-    EXPECT_EQ(chain.vertex_triangles(p), 4u);
+    EXPECT_EQ(oracle.vertex_triangles(p), 4u);
   }
-  const Graph m = chain.materialize();
+  EXPECT_EQ(oracle.triangle_histogram(),
+            (std::map<count_t, count_t>{{4, 27}}));
+  const Graph m = kron::kron_graph(oracle.factors());
   EXPECT_EQ(triangle::count_total(m), 36u);
 }
 
 TEST(KronChain, SelfLoopBoostingAcrossChain) {
-  // Loops in all but one factor are allowed; τ grows with each J factor.
+  // τ grows with each J factor, up to loops in every factor.
   const Graph k = gen::clique(3);
   const Graph j = gen::clique_with_loops(3);
-  const count_t plain = KronChain({k, k, k}).total_triangles();
-  const count_t one_j = KronChain({k, k, j}).total_triangles();
-  const count_t two_j = KronChain({k, j, j}).total_triangles();
+  const count_t plain = TriangleOracle({k, k, k}).total_triangles();
+  const count_t one_j = TriangleOracle({k, k, j}).total_triangles();
+  const count_t two_j = TriangleOracle({k, j, j}).total_triangles();
+  const count_t all_j = TriangleOracle({j, j, j}).total_triangles();
   EXPECT_LT(plain, one_j);
   EXPECT_LT(one_j, two_j);
-  // Verify the boosted chain against materialization.
-  const KronChain boosted({k, j, j});
-  EXPECT_EQ(two_j, triangle::count_total(boosted.materialize()));
+  EXPECT_LT(two_j, all_j);
+  expect_matches_materialized(TriangleOracle({k, j, j}));
 }
 
-TEST(KronChain, AllLoopedFactorsRejectedForTriangleStats) {
+TEST(KronChain, AllLoopedFactorsGiveTheCompleteGraphsCounts) {
+  // J₃ ⊗ J₃ is K₉ plus a loop at every vertex: C(9, 3) = 84 triangles,
+  // each vertex in C(8, 2) = 28 and each edge in 7. Four terms, so no
+  // closed-form histogram.
   const Graph j = gen::clique_with_loops(3);
-  const KronChain chain({j, j});
-  EXPECT_EQ(chain.num_vertices(), 9u);  // structural queries still fine
-  EXPECT_THROW((void)chain.total_triangles(), std::invalid_argument);
-  EXPECT_THROW((void)chain.vertex_triangles(0), std::invalid_argument);
+  const TriangleOracle oracle(j, j);
+  EXPECT_EQ(oracle.num_vertices(), 9u);
+  EXPECT_EQ(oracle.total_triangles(), 84u);
+  for (vid p = 0; p < 9; ++p) {
+    EXPECT_EQ(oracle.vertex_triangles(p), 28u);
+    EXPECT_EQ(oracle.degree(p), 8u);
+    EXPECT_EQ(oracle.edge_triangles(p, (p + 1) % 9), 7u);
+  }
+  EXPECT_EQ(oracle.vertex_expr().num_terms(), 4u);
+  EXPECT_THROW((void)oracle.triangle_histogram(), std::logic_error);
+  expect_matches_materialized(oracle);
 }
 
-TEST(KronChain, NonEdgeQueryThrows) {
-  const KronChain chain({gen::clique(3), gen::clique(3)});
-  EXPECT_THROW((void)chain.edge_triangles(0, 0), std::invalid_argument);
+TEST(KronChain, NonEdgeQueryIsNullopt) {
+  const TriangleOracle oracle(gen::clique(3), gen::clique(3));
+  EXPECT_FALSE(oracle.edge_triangles(0, 0).has_value());
+  EXPECT_FALSE(oracle.edge_triangles(0, 1).has_value());  // same A-row
+  EXPECT_EQ(oracle.edge_triangles(0, 4), 1u);
 }
 
 TEST(KronChain, FourFactorChainTotals) {
   const Graph k3 = gen::clique(3);
-  const KronChain chain({k3, k3, k3, k3});
+  const TriangleOracle oracle({k3, k3, k3, k3});
   // τ(K₃^{⊗4}) = 6³·1 = 216; n = 81; every vertex: ½·2⁴ = 8.
-  EXPECT_EQ(chain.num_vertices(), 81u);
-  EXPECT_EQ(chain.total_triangles(), 216u);
-  EXPECT_EQ(chain.vertex_triangles(80), 8u);
+  EXPECT_EQ(oracle.num_vertices(), 81u);
+  EXPECT_EQ(oracle.total_triangles(), 216u);
+  EXPECT_EQ(oracle.vertex_triangles(80), 8u);
+  // Loop-free factors keep divisor 1 and one term.
+  EXPECT_EQ(oracle.vertex_expr().num_terms(), 1u);
+}
+
+TEST(KronChain, CopiesAndMovesKeepTheirOwnFactors) {
+  TriangleOracle moved(
+      std::vector<Graph>{gen::clique(4), gen::clique_with_loops(3)});
+  const TriangleOracle copy = moved;
+  const TriangleOracle taken = std::move(moved);
+  EXPECT_NE(&copy.factors()[0], &taken.factors()[0]);
+  EXPECT_EQ(&copy.edge_expr().factor(0), &copy.factors()[0]);
+  EXPECT_EQ(&taken.edge_expr().factor(1), &taken.factors()[1]);
+  expect_matches_materialized(copy);
+  expect_matches_materialized(taken);
 }
 
 }  // namespace

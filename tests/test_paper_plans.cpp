@@ -19,6 +19,7 @@
 #include "analysis/degree.hpp"
 #include "api/plan.hpp"
 #include "api/registry.hpp"
+#include "kron/labeled.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -222,8 +223,35 @@ TEST(PaperPlans, LabeledCensusCoversEachTriangleThreeTimes) {
   const std::uint64_t tau =
       uint_at(data(report, 0, "census"), "total_triangles");
   EXPECT_EQ(tau, 2214u);
-  EXPECT_EQ(uint_at(data(report, 1, "labeled-census"), "vertex_count_sum"),
-            3 * tau);
+  const Value& labeled = data(report, 1, "labeled-census");
+  EXPECT_EQ(uint_at(labeled, "vertex_count_sum"), 3 * tau);
+
+  // Thm 6: C's labels are inherited from A's, f(x) = x mod 3, so each
+  // type's sum over the product is Σ_{q1} of its closed form's sum.
+  const std::vector<Graph> factors =
+      api::GeneratorRegistry::builtin().build_factors(
+          api::GraphSpec::parse(at(at(report, "plan"), "spec").as_string()));
+  ASSERT_EQ(factors.size(), 2u);
+  triangle::Labeling lab;
+  lab.num_labels = 3;
+  for (vid x = 0; x < factors[0].num_vertices(); ++x) {
+    lab.label.push_back(x % 3);
+  }
+  const auto& types = at(labeled, "types").items();
+  ASSERT_EQ(types.size(), 6u);
+  for (const Value& row : types) {
+    const std::string pair = row.get_string("other_labels", "");
+    const auto qa = static_cast<std::uint32_t>(std::stoul(pair));
+    const auto qb =
+        static_cast<std::uint32_t>(std::stoul(pair.substr(pair.find(',') + 1)));
+    count_t want = 0;
+    for (std::uint32_t q1 = 0; q1 < 3; ++q1) {
+      want += kron::labeled_vertex_triangles(factors[0], lab, factors[1], q1,
+                                             qa, qb)
+                  .sum();
+    }
+    EXPECT_EQ(uint_at(row, "vertex_count_sum"), want) << pair;
+  }
 }
 
 TEST(PaperPlans, MultiFactorChainCensusMatchesTheStream) {
@@ -235,6 +263,12 @@ TEST(PaperPlans, MultiFactorChainCensusMatchesTheStream) {
   EXPECT_EQ(uint_at(validate, "num_factors"), 3u);
   EXPECT_EQ(uint_at(validate, "measured_total"), tau);
   EXPECT_EQ(uint_at(validate, "predicted_total"), tau);
+  // A chain with a loop-free factor has a single-term t_C, so its
+  // closed-form histogram is checked too.
+  EXPECT_TRUE(at(validate, "histogram_checked").as_bool());
+  EXPECT_FALSE(at(validate, "predicted_vertex_histogram").members().empty());
+  EXPECT_EQ(histogram(at(validate, "predicted_vertex_histogram")),
+            histogram(at(validate, "vertex_histogram")));
 }
 
 TEST(PaperPlans, Thm3TrussOracleEqualsThePeel) {

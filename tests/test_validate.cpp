@@ -18,7 +18,6 @@
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
 #include "helpers.hpp"
-#include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
 #include "kron/stream.hpp"
@@ -129,23 +128,20 @@ TEST_P(StreamingParity, BitIdenticalToWorkspaceAcrossThreadsAndShards) {
   }
 }
 
-/// Streams `chain` at OMP 1/2/8 × shards 1/4/16 and checks every run
-/// against the materialized product, and against the chain's closed forms
-/// when they apply (some factor loop-free). The factor-membership test
-/// count depends on neither teams nor shards.
-void expect_chain_parity(const kron::KronChain& chain) {
-  const Graph c = chain.materialize();
+/// Streams `chain`'s factors at OMP 1/2/8 × shards 1/4/16 and checks every
+/// run against the materialized product, and the chain's closed forms
+/// against it, in any self-loop configuration; validate_product must pass
+/// with the same report at every team and shard count. The
+/// factor-membership test count depends on neither teams nor shards.
+void expect_chain_parity(const kron::TriangleOracle& chain) {
+  const Graph c = kron::kron_graph(chain.factors());
   const FullCensus ref = materialized_reference(c);
-  bool closed_forms = false;
-  for (std::size_t i = 0; i < chain.num_factors(); ++i) {
-    closed_forms |= chain.factor(i).num_self_loops() == 0;
-  }
   std::optional<count_t> checks;
   for (const std::uint64_t shards : {1u, 4u, 16u}) {
     StreamingOptions opt;
     opt.force_shards = shards;
     const auto runs = with_thread_counts(
-        [&] { return collect(StreamingCensus(chain, opt), c); });
+        [&] { return collect(StreamingCensus(chain.factors(), opt), c); });
     for (const auto& run : runs) {
       EXPECT_EQ(run.vertex, ref.vertex) << "shards=" << shards;
       EXPECT_EQ(run.edge, ref.edge) << "shards=" << shards;
@@ -153,8 +149,13 @@ void expect_chain_parity(const kron::KronChain& chain) {
       if (!checks) checks = run.stats.wedge_checks;
       EXPECT_EQ(run.stats.wedge_checks, *checks) << "shards=" << shards;
     }
+    const auto reports = with_thread_counts(
+        [&] { return validate::validate_product(chain, opt); });
+    for (const auto& r : reports) {
+      EXPECT_TRUE(r.pass()) << "shards=" << shards;
+      EXPECT_EQ(r.fingerprint(), reports.front().fingerprint());
+    }
   }
-  if (!closed_forms) return;
   count_t vsum = 0;
   for (vid p = 0; p < chain.num_vertices(); ++p) {
     EXPECT_EQ(ref.vertex[p], chain.vertex_triangles(p)) << "vertex " << p;
@@ -168,18 +169,30 @@ void expect_chain_parity(const kron::KronChain& chain) {
 }
 
 TEST_P(StreamingParity, ThreeFactorChainMatchesWorkspaceAndClosedForm) {
-  expect_chain_parity(kron::KronChain(
+  expect_chain_parity(kron::TriangleOracle(
       {kt_test::random_undirected(5, 0.5, GetParam(), 0.3),
        kt_test::random_undirected(4, 0.5, GetParam() + 1),
        kt_test::random_undirected(3, 0.6, GetParam() + 2, 0.5)}));
 }
 
 TEST_P(StreamingParity, FourFactorChainMatchesWorkspaceAndClosedForm) {
-  expect_chain_parity(kron::KronChain(
+  expect_chain_parity(kron::TriangleOracle(
       {kt_test::random_undirected(4, 0.6, GetParam() + 3, 0.4),
        kt_test::random_undirected(3, 0.7, GetParam() + 4, 0.5),
        kt_test::random_undirected(3, 0.7, GetParam() + 5),
        kt_test::random_undirected(3, 0.7, GetParam() + 6, 0.5)}));
+}
+
+TEST_P(StreamingParity, ThreeFactorChainWithLoopsInEveryFactor) {
+  // Every factor looped: the four-term t_C and five-term Δ_C expansions.
+  const kron::TriangleOracle chain(
+      {kt_test::random_undirected(5, 0.5, GetParam() + 7, 0.5)
+           .with_all_self_loops(),
+       kt_test::random_undirected(4, 0.5, GetParam() + 8, 0.3)
+           .with_all_self_loops(),
+       kt_test::random_undirected(3, 0.6, GetParam() + 9, 1.0)});
+  ASSERT_EQ(chain.vertex_expr().num_terms(), 4u);
+  expect_chain_parity(chain);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingParity,
@@ -189,11 +202,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamingParity,
 TEST(StreamingBlocks, LoopsOnlyOnAnInnerFactor) {
   // Outer factors loop-free: no same-block test at level 0 passes, so the
   // inner loops only matter inside closed outer pairs.
-  expect_chain_parity(kron::KronChain(
+  expect_chain_parity(kron::TriangleOracle(
       {gen::clique(4), gen::clique(3).with_all_self_loops(), gen::cycle(4)}));
-  expect_chain_parity(kron::KronChain(
-      {kt_test::random_undirected(6, 0.6, 41),
-       kt_test::random_undirected(5, 0.6, 42, 0.6)}));
+  expect_chain_parity(kron::TriangleOracle(kt_test::random_undirected(6, 0.6, 41), kt_test::random_undirected(5, 0.6, 42, 0.6)));
 }
 
 TEST(StreamingBlocks, LoopedK1Factor) {
@@ -203,20 +214,20 @@ TEST(StreamingBlocks, LoopedK1Factor) {
   // coordinate is u itself, dropped: an empty block.
   const Graph k1 = gen::clique(1).with_all_self_loops();
   const Graph x = kt_test::random_undirected(7, 0.5, 43, 0.5);
-  expect_chain_parity(kron::KronChain({k1, x}));
-  expect_chain_parity(kron::KronChain({x, k1}));
-  expect_chain_parity(kron::KronChain({x, k1, gen::clique(3)}));
-  expect_chain_parity(kron::KronChain({k1, k1, x}));
+  expect_chain_parity(kron::TriangleOracle(k1, x));
+  expect_chain_parity(kron::TriangleOracle(x, k1));
+  expect_chain_parity(kron::TriangleOracle({x, k1, gen::clique(3)}));
+  expect_chain_parity(kron::TriangleOracle({k1, k1, x}));
 }
 
 TEST(StreamingBlocks, FactorsWithIsolatedVertices) {
   // Empty rows give neighbor-free product vertices and empty blocks.
   const Graph sparse =
       Graph::from_edges(6, {{{0, 1}, {1, 2}, {0, 2}, {2, 2}, {3, 3}}}, true);
-  expect_chain_parity(kron::KronChain({sparse, gen::clique(3)}));
+  expect_chain_parity(kron::TriangleOracle(sparse, gen::clique(3)));
   expect_chain_parity(
-      kron::KronChain({gen::clique(3).with_all_self_loops(), sparse}));
-  expect_chain_parity(kron::KronChain(
+      kron::TriangleOracle(gen::clique(3).with_all_self_loops(), sparse));
+  expect_chain_parity(kron::TriangleOracle(
       {sparse, kt_test::random_undirected(4, 0.6, 44, 0.5), sparse}));
 }
 
@@ -284,19 +295,18 @@ TEST(StreamingMasks, LastFactorRowsAcrossWordBoundaries) {
     // Hub rows of degree n; u's own position reaches bits 63 and 64 once
     // n > 64. Behind a looped K2 every innermost block but u's own is a
     // whole row.
-    expect_chain_parity(kron::KronChain({looped_k2, hubbed(n, n)}));
+    expect_chain_parity(kron::TriangleOracle(looped_k2, hubbed(n, n)));
     // A loop-free clique row: d = n − 1, no gap, every mask bit set but
     // the diagonal's.
-    expect_chain_parity(kron::KronChain({gen::clique(3), gen::clique(n)}));
+    expect_chain_parity(kron::TriangleOracle(gen::clique(3), gen::clique(n)));
   }
   // A looped K66: rows of 66, u at every position, masks all ones.
-  expect_chain_parity(kron::KronChain(
-      {gen::clique(3), gen::clique(66).with_all_self_loops()}));
+  expect_chain_parity(kron::TriangleOracle(gen::clique(3), gen::clique(66).with_all_self_loops()));
   // A star's center row spans 2 words while its leaves' masks hold only
   // the center (plus a leaf's own loop): sparse rows read bit by bit.
   expect_chain_parity(
-      kron::KronChain({looped_k2, gen::star(100).with_all_self_loops()}));
-  expect_chain_parity(kron::KronChain({gen::clique(3), gen::star(70)}));
+      kron::TriangleOracle(looped_k2, gen::star(100).with_all_self_loops()));
+  expect_chain_parity(kron::TriangleOracle(gen::clique(3), gen::star(70)));
 }
 
 TEST(StreamingMasks, EmptyAndSingletonLastFactorRows) {
@@ -305,26 +315,26 @@ TEST(StreamingMasks, EmptyAndSingletonLastFactorRows) {
   const Graph b = Graph::from_edges(
       7, {{{1, 1}, {2, 3}, {4, 5}, {5, 6}, {4, 6}, {4, 4}, {5, 5}, {6, 6}}},
       true);
-  expect_chain_parity(kron::KronChain({gen::clique(3), b}));
+  expect_chain_parity(kron::TriangleOracle(gen::clique(3), b));
   expect_chain_parity(
-      kron::KronChain({gen::clique(3).with_all_self_loops(), b}));
-  expect_chain_parity(kron::KronChain({b, b}));
+      kron::TriangleOracle(gen::clique(3).with_all_self_loops(), b));
+  expect_chain_parity(kron::TriangleOracle(b, b));
 }
 
 TEST(StreamingMasks, SingleFactorEngine) {
   // k = 1: the level-0 block is the whole neighbor list, closed by the
   // masks alone, and a looped vertex's block is its row less itself.
-  expect_chain_parity(kron::KronChain({hubbed(129, 7)}));
-  expect_chain_parity(kron::KronChain({gen::clique(65)}));
+  expect_chain_parity(kron::TriangleOracle({hubbed(129, 7)}));
+  expect_chain_parity(kron::TriangleOracle({gen::clique(65)}));
   expect_chain_parity(
-      kron::KronChain({kt_test::random_undirected(30, 0.4, 45, 0.5)}));
+      kron::TriangleOracle({kt_test::random_undirected(30, 0.4, 45, 0.5)}));
 }
 
 TEST(StreamingMasks, ThreeFactorChainWithAWideLoopedLastFactor) {
-  expect_chain_parity(kron::KronChain(
+  expect_chain_parity(kron::TriangleOracle(
       {kt_test::random_undirected(3, 0.7, 46, 0.5),
        kt_test::random_undirected(3, 0.7, 47, 0.5), hubbed(70, 48)}));
-  expect_chain_parity(kron::KronChain(
+  expect_chain_parity(kron::TriangleOracle(
       {gen::clique(3), kt_test::random_undirected(3, 0.7, 49),
        hubbed(66, 50)}));
 }
@@ -419,15 +429,18 @@ TEST(ValidationReport, PassesOnCleanProductsEveryLoopRegime) {
 }
 
 TEST(ValidationReport, ChainReportPassesAndCountsEdges) {
-  const kron::KronChain chain(
+  const kron::TriangleOracle chain(
       {gen::holme_kim(30, 2, 0.5, 31), gen::clique(3),
        gen::path(3).with_all_self_loops()});
-  const auto report = validate::validate_chain(chain);
+  const auto report = validate::validate_product(chain);
   EXPECT_TRUE(report.pass());
+  EXPECT_TRUE(report.histogram_checked);
+  EXPECT_EQ(report.predicted_vertex_histogram, chain.triangle_histogram());
   EXPECT_EQ(report.num_vertices, chain.num_vertices());
   EXPECT_EQ(report.num_edges,
             chain.num_undirected_edges() -
-                static_cast<count_t>(chain.materialize().num_self_loops()));
+                static_cast<count_t>(
+                    kron::kron_graph(chain.factors()).num_self_loops()));
 }
 
 /// g with the undirected edge {x, y} toggled: removed when present, added
@@ -533,31 +546,29 @@ TEST(ValidationReport, CountsMismatchesAgainstWrongClosedForms) {
 TEST(ValidationReport, ChainCountsMismatchesAgainstWrongClosedForms) {
   const Graph f = gen::holme_kim(12, 2, 0.5, 53);
   const Graph looped = gen::path(3).with_all_self_loops();
-  const kron::KronChain chain({f, gen::clique(3), looped});
-  const kron::KronChain wrong(
+  const kron::TriangleOracle chain({f, gen::clique(3), looped});
+  const kron::TriangleOracle wrong(
       {toggle_edge(f, 0, f.neighbors(0)[0]), gen::clique(3), looped});
-  const FullCensus ref = materialized_reference(chain.materialize());
+  const FullCensus ref =
+      materialized_reference(kron::kron_graph(chain.factors()));
   const PointwiseFold want = fold_by_brute_force(
       ref, [&](vid p) { return wrong.vertex_triangles(p); },
-      [&](vid p, vid q) -> std::optional<count_t> {
-        if (!wrong.has_edge(p, q)) return std::nullopt;
-        return wrong.edge_triangles(p, q);
-      });
+      [&](vid p, vid q) { return wrong.edge_triangles(p, q); });
   EXPECT_GT(want.vertex_mismatches, 0u);
   EXPECT_GT(want.refused, 0u);
   EXPECT_GT(want.edge_mismatches, want.refused);
   StreamingOptions opt;
   opt.force_shards = 4;
-  expect_fold(StreamingCensus(chain, opt), wrong.vertex_expr(),
+  expect_fold(StreamingCensus(chain.factors(), opt), wrong.vertex_expr(),
               wrong.edge_expr(), ref, want);
 }
 
 TEST(ValidationReport, FingerprintIsTheSameAtEveryTeamSize) {
   const Graph a = gen::holme_kim(40, 3, 0.6, 5);
   const Graph b = gen::holme_kim(12, 2, 0.5, 6);
-  const kron::KronChain chain({gen::holme_kim(10, 2, 0.5, 7),
-                               gen::clique(3).with_all_self_loops(),
-                               gen::cycle(4)});
+  const kron::TriangleOracle chain({gen::holme_kim(10, 2, 0.5, 7),
+                                    gen::clique(3).with_all_self_loops(),
+                                    gen::cycle(4)});
   for (const std::uint64_t shards : {1u, 4u, 16u}) {
     StreamingOptions opt;
     opt.force_shards = shards;
@@ -571,7 +582,7 @@ TEST(ValidationReport, FingerprintIsTheSameAtEveryTeamSize) {
         });
       }
     }
-    plans.emplace_back([&] { return validate::validate_chain(chain, opt); });
+    plans.emplace_back([&] { return validate::validate_product(chain, opt); });
     for (std::size_t i = 0; i < plans.size(); ++i) {
       const auto runs = with_thread_counts([&] { return plans[i](); });
       for (const auto& r : runs) {
@@ -597,14 +608,15 @@ TEST(ValidationReport, FormsOfFactorCopiesGiveTheSameReport) {
   const Graph b = kt_test::random_undirected(6, 0.5, 62, 0.5);
   for (const bool loops_a : {false, true}) {
     const Graph fa = loops_a ? a.with_all_self_loops() : a;
-    const StreamingCensus census(fa, b);
-    const Graph copy_a = fa, copy_b = b;
+    // The census streams `own`'s factors; `copied` holds copies of them.
+    const kron::TriangleOracle own_forms(fa, b), copied_forms(fa, b);
+    const StreamingCensus census(own_forms.factors());
     const auto against = [&](const kron::TriangleOracle& oracle) {
       return validate::validate_census(census, oracle.vertex_expr(),
                                        oracle.edge_expr());
     };
-    const auto own = against(kron::TriangleOracle(fa, b));
-    const auto copied = against(kron::TriangleOracle(copy_a, copy_b));
+    const auto own = against(own_forms);
+    const auto copied = against(copied_forms);
     EXPECT_TRUE(own.pass());
     EXPECT_EQ(own.fingerprint(), copied.fingerprint());
   }
