@@ -33,80 +33,87 @@ std::vector<const Graph*> factor_ptrs(std::span<const Graph> factors) {
   return fs;
 }
 
-/// One center's wedge loop, enumerated by factor blocks (file comment): the
-/// neighbors sharing coordinates 0..f−1 are a contiguous level-f block, and
-/// dropping u itself leaves every block contiguous. A last-factor block is
-/// the whole of u's last-factor row R_x in position order, except the one
-/// block at u's own prefix, which lacks u's position `gap` when B has a loop
-/// at x.
+/// One center's wedge loop, walked over u's factor rows by position (file
+/// comment). Neighbor (p_0…p_{k−1}), p_f a position in u's factor-f row
+/// R_f, is tuple Σ_f p_f·size[f+1] of the rows' odometer. u is a tuple of
+/// its own rows, the hole at positions hole[0..k), only when every factor
+/// loops at u's coordinate; it is never paired. A level-f block, named by a
+/// position prefix of length f, is passed as its first tuple and whether
+/// it holds the hole. u owns the edges to the tuples from `first` on, the
+/// ones after it.
 struct BlockWedges {
   const Graph* const* factors;
   std::size_t k;
-  std::size_t deg;
-  const vid* coords;           ///< coords[i*k + f]: factor-f coordinate of i
-  const esz* slots;            ///< slots[i*k + f]: factor-f slot of i
-  const std::size_t* ends;     ///< ends[f*deg + i]: end of i's level-f+1 block
-  std::size_t split;           ///< first neighbor with id > u
+  const vid* const* rows;      ///< rows[f]: R_f
+  const std::size_t* deg;      ///< deg[f] = |R_f|
+  const esz* size;             ///< size[f] = Π_{g ≥ f} deg[g], size[k] = 1
+  const std::size_t* hole;     ///< hole[f]: u's position in R_f, if looped
+  esz first;                   ///< u's first owned tuple
   count_t* eb;                 ///< u's owned-edge counters
-  const std::uint64_t* masks;  ///< R_x's row masks, `words` per position
-  esz row;                     ///< first slot of R_x
-  std::size_t d;               ///< |R_x|
-  std::size_t words;           ///< ⌈d/64⌉
-  std::size_t gap;             ///< position of x in R_x, if B loops at x
+  const std::uint64_t* masks;  ///< R_{k−1}'s row masks, `words` per position
+  std::size_t words;           ///< ⌈deg[k−1]/64⌉
   count_t t = 0;               ///< closed wedges at u
   count_t checks = 0;          ///< product pairs decided
 
-  /// Closes every wedge {i, j}, i < j, with i ∈ [i0, i1) and j ∈ [j0, j1),
-  /// two level-f blocks (the same block when `same`).
-  void close(std::size_t f, std::size_t i0, std::size_t i1, std::size_t j0,
-             std::size_t j1, bool same) {
+  /// Closes every wedge {i, j}, i < j, with i in level-f block I (first
+  /// tuple i0, holding the hole when `ih`) and j in J (j0, `jh`), the same
+  /// block when `same`.
+  void close(std::size_t f, esz i0, bool ih, esz j0, bool jh, bool same) {
     if (f + 1 == k) {
-      close_last(i0, i1, j0, j1, same);
+      close_last(i0, ih, j0, jh, same);
       return;
     }
     const Graph& g = *factors[f];
-    const std::size_t* const end = ends + f * deg;
-    for (std::size_t i = i0; i < i1; i = end[i]) {
-      const vid x = coords[i * k + f];
+    const vid* const r = rows[f];
+    const esz n = size[f + 1];
+    for (std::size_t p = 0; p < deg[f]; ++p) {
+      const bool pi = ih && p == hole[f];
+      if (pi && n == 1) continue;  // the sub-block is u alone: empty
       // A block pairs with itself (a self-loop test) only if it holds a
       // pair.
-      std::size_t j = same ? i : j0;
-      if (same && end[i] == i + 1) ++j;
-      for (; j < j1; j = end[j]) {
+      std::size_t q = same ? p : 0;
+      if (same && n - pi < 2) ++q;
+      for (; q < deg[f]; ++q) {
+        const bool qj = jh && q == hole[f];
+        if (qj && n == 1) continue;
         ++checks;
-        if (g.has_edge(x, coords[j * k + f])) {
-          close(f + 1, i, end[i], j, end[j], same && i == j);
+        if (g.has_edge(r[p], r[q])) {
+          close(f + 1, i0 + p * n, pi, j0 + q * n, qj, same && p == q);
         }
       }
     }
   }
 
-  /// The last factor: i's mask row, cut to J's positions, lists i's closed
-  /// wedges into J. Position q of R_x is neighbor j0 + q, one less past the
-  /// gap when J is the block that lacks it.
-  void close_last(std::size_t i0, std::size_t i1, std::size_t j0,
-                  std::size_t j1, bool same) {
-    const bool gapped = j1 - j0 < d;
-    checks += same ? (i1 - i0) * (i1 - i0 - 1) / 2 : (i1 - i0) * (j1 - j0);
-    for (std::size_t i = i0; i < i1; ++i) {
-      const std::size_t p = slots[i * k + k - 1] - row;
+  /// The last factor: the mask row of i's position p, cut to J's
+  /// positions, lists i's closed wedges into J. Position q of R_{k−1} is
+  /// tuple j0 + q; the hole's position `gap` is skipped in a block that
+  /// holds it.
+  void close_last(esz i0, bool ih, esz j0, bool jh, bool same) {
+    const std::size_t d = deg[k - 1];
+    const std::size_t gap = hole[k - 1];
+    // Locals, so the counter stores below need not reload them.
+    count_t* const own = eb;
+    const esz lo = first;
+    const count_t ni = d - ih, nj = d - jh;
+    checks += same ? ni * (ni - 1) / 2 : ni * nj;
+    for (std::size_t p = 0; p < d; ++p) {
+      if (ih && p == gap) continue;
       const std::size_t q0 = same ? p + 1 : 0;
       const std::uint64_t* const mask = masks + p * words;
       count_t closed = 0;
       for (std::size_t w = q0 >> 6; w < words; ++w) {
         std::uint64_t bits = mask[w];
         if (w == q0 >> 6) bits &= ~std::uint64_t{0} << (q0 & 63);
-        if (gapped && w == gap >> 6) bits &= ~(std::uint64_t{1} << (gap & 63));
+        if (jh && w == gap >> 6) bits &= ~(std::uint64_t{1} << (gap & 63));
         for (; bits != 0; bits &= bits - 1) {
-          const std::size_t q =
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-          const std::size_t j = j0 + q - (gapped && q > gap ? 1 : 0);
+          const esz j = j0 + w * 64 +
+                        static_cast<std::size_t>(std::countr_zero(bits));
           ++closed;
-          if (j >= split) ++eb[j - split];
+          if (j >= lo) ++own[j - lo];
         }
       }
       t += closed;
-      if (i >= split) eb[i - split] += closed;
+      if (i0 + p >= lo) own[i0 + p - lo] += closed;
     }
   }
 };
@@ -167,10 +174,6 @@ StreamingCensus::StreamingCensus(std::vector<const Graph*> factors,
     }
     radix_.push_back(f->num_vertices());
     n_ *= f->num_vertices();
-  }
-  weight_.assign(factors_.size(), 1);
-  for (std::size_t i = factors_.size() - 1; i-- > 0;) {
-    weight_[i] = weight_[i + 1] * radix_[i + 1];
   }
   plan_shards();
   build_masks();
@@ -252,56 +255,6 @@ esz StreamingCensus::upper_degree(vid p) const {
   return total;  // all-equal tuple is p itself, not > p
 }
 
-void StreamingCensus::neighbors_with_coords(vid p, const vid* p_coords,
-                                            std::vector<vid>& ids,
-                                            std::vector<vid>& coords,
-                                            std::vector<esz>& slots) const {
-  const std::size_t k = factors_.size();
-  ids.clear();
-  coords.clear();
-  slots.clear();
-  std::span<const vid> rows[kMaxFactors];
-  esz row_start[kMaxFactors];
-  esz deg = 1;
-  for (std::size_t i = 0; i < k; ++i) {
-    rows[i] = factors_[i]->neighbors(p_coords[i]);
-    row_start[i] = factors_[i]->matrix().row_ptr()[p_coords[i]];
-    deg *= rows[i].size();
-  }
-  if (deg == 0) return;
-  ids.reserve(deg);
-  coords.reserve(deg * k);
-  slots.reserve(deg * k);
-
-  // Odometer over the factor rows, left digit most significant; rows are
-  // sorted, so composed ids come out ascending. value[i] is the partial sum
-  // of the first i digits.
-  std::size_t idx[kMaxFactors] = {};
-  vid value[kMaxFactors + 1];
-  value[0] = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    value[i + 1] = value[i] + rows[i][0] * weight_[i];
-  }
-  for (;;) {
-    const vid id = value[k];
-    if (id != p) {  // drop the self loop — the census runs on C − I∘C
-      ids.push_back(id);
-      for (std::size_t i = 0; i < k; ++i) coords.push_back(rows[i][idx[i]]);
-      for (std::size_t i = 0; i < k; ++i) {
-        slots.push_back(row_start[i] + idx[i]);
-      }
-    }
-    std::size_t i = k;
-    while (i > 0 && idx[i - 1] + 1 == rows[i - 1].size()) --i;
-    if (i == 0) return;
-    ++idx[i - 1];
-    for (std::size_t j = i; j < k; ++j) idx[j] = 0;
-    for (std::size_t j = i - 1; j < k; ++j) {
-      value[j + 1] = value[j] + rows[j][idx[j]] * weight_[j];
-    }
-  }
-}
-
 void StreamingCensus::plan_shards() {
   shards_.clear();
   if (n_ == 0) return;
@@ -381,9 +334,6 @@ count_t StreamingCensus::process_shard(ShardRange range,
   count_t checks = 0, vsum = 0, esum = 0;
 #pragma omp parallel reduction(+ : checks, vsum, esum)
   {
-    std::vector<vid> ids, coords;
-    std::vector<esz> slots;
-    std::vector<std::size_t> ends;
     Tally vertex_tally(check != nullptr), edge_tally(check != nullptr);
     double us = 0;
 #pragma omp for schedule(dynamic, 16) nowait
@@ -391,43 +341,40 @@ count_t StreamingCensus::process_shard(ShardRange range,
       const vid u = lo + static_cast<vid>(uu);
       vid ucoords[kMaxFactors];
       decompose(u, ucoords);
-      neighbors_with_coords(u, ucoords, ids, coords, slots);
-      const std::size_t deg = ids.size();
-      const std::size_t split = static_cast<std::size_t>(
-          std::upper_bound(ids.begin(), ids.end(), u) - ids.begin());
-      assert(deg - split == offsets[static_cast<std::size_t>(uu) + 1] -
-                                offsets[static_cast<std::size_t>(uu)]);
+      // u's factor rows, walked by position (BlockWedges); u is its own
+      // tuple only when every factor loops at its coordinate.
+      const vid* rows[kMaxFactors];
+      std::size_t degs[kMaxFactors], hole[kMaxFactors];
+      esz size[kMaxFactors + 1];
+      size[k] = 1;
+      bool looped = true;
+      for (std::size_t f = k; f-- > 0;) {
+        const auto row = factors_[f]->neighbors(ucoords[f]);
+        rows[f] = row.data();
+        degs[f] = row.size();
+        size[f] = size[f + 1] * row.size();
+        hole[f] = static_cast<std::size_t>(
+            std::lower_bound(row.begin(), row.end(), ucoords[f]) - row.begin());
+        looped = looped && hole[f] < row.size() && row[hole[f]] == ucoords[f];
+      }
+      // u owns its edges to the tuples after its own, the last `owned`.
+      const esz owned = offsets[static_cast<std::size_t>(uu) + 1] -
+                        offsets[static_cast<std::size_t>(uu)];
+      const esz first = size[0] - owned;
       // Every counter below is owned by this u alone: vertex[uu] and the
       // owned-edge slice eb = [offsets[uu], offsets[uu+1]) — single-writer,
       // so no atomics, no thread-local copies, no reduction.
       count_t* const eb = edge.data() + offsets[static_cast<std::size_t>(uu)];
-      if (deg >= 2) {
-        // Block ends for factors 0..k−2: neighbor i stays in i+1's
-        // level-(f+1) block when both share coordinates 0..f.
-        ends.resize((k - 1) * deg);
-        for (std::size_t f = 0; f + 1 < k; ++f) {
-          std::size_t* const e = ends.data() + f * deg;
-          e[deg - 1] = deg;
-          for (std::size_t i = deg - 1; i-- > 0;) {
-            const bool joined =
-                coords[i * k + f] == coords[(i + 1) * k + f] &&
-                (f == 0 || ends[(f - 1) * deg + i] > i + 1);
-            e[i] = joined ? e[i + 1] : i + 1;
-          }
-        }
-        const vid x = ucoords[k - 1];
-        const auto rx = factors_.back()->neighbors(x);
-        const std::size_t gap = static_cast<std::size_t>(
-            std::lower_bound(rx.begin(), rx.end(), x) - rx.begin());
-        BlockWedges w{factors_.data(), k, deg, coords.data(), slots.data(),
-                      ends.data(), split, eb, masks_.data() + mask_off_[x],
-                      factors_.back()->matrix().row_ptr()[x], rx.size(),
-                      (rx.size() + 63) / 64, gap};
-        w.close(0, 0, deg, 0, deg, true);
+      if (size[0] - looped >= 2) {
+        BlockWedges w{factors_.data(), k,     rows,  degs,
+                      size,            hole,  first, eb,
+                      masks_.data() + mask_off_[ucoords[k - 1]],
+                      (degs[k - 1] + 63) / 64};
+        w.close(0, 0, looped, 0, looped, true);
         vertex[static_cast<std::size_t>(uu)] = w.t;
         checks += w.checks;
         vsum += w.t;
-        for (std::size_t i = 0; i < deg - split; ++i) esum += eb[i];
+        for (esz i = 0; i < owned; ++i) esum += eb[i];
       }
       if (check == nullptr) continue;
       // u's counts are final and its coordinates still in hand: check t(u),
@@ -436,21 +383,32 @@ count_t StreamingCensus::process_shard(ShardRange range,
       const double t0 = sampled ? obs::now_us() : 0.0;
       vertex_tally.add(vertex[static_cast<std::size_t>(uu)],
                        vertex_expr->at_coords(ucoords));
+      // A position odometer started just past u walks the owned tuples.
+      std::size_t pos[kMaxFactors];
+      esz row_ptr[kMaxFactors];
+      esz next = first;
+      for (std::size_t f = k; owned > 0 && f-- > 0;) {
+        pos[f] = static_cast<std::size_t>(next % degs[f]);
+        next /= degs[f];
+        row_ptr[f] = factors_[f]->matrix().row_ptr()[ucoords[f]];
+      }
       esz s[kMaxFactors];
-      for (std::size_t i = split; i < deg; ++i) {
+      for (esz i = 0; i < owned; ++i) {
         std::size_t f = 0;
         for (; f < k; ++f) {
           // A factor of the expression that IS the engine's factor shares
-          // its CSR, so the odometer's slot is the expression's slot.
+          // its CSR, so the row's slot is the expression's slot.
           const std::optional<esz> found =
               &edge_expr->factor(f) == factors_[f]
-                  ? slots[i * k + f]
-                  : edge_expr->slot(f, ucoords[f], coords[i * k + f]);
+                  ? row_ptr[f] + pos[f]
+                  : edge_expr->slot(f, ucoords[f], rows[f][pos[f]]);
           if (!found) break;
           s[f] = *found;
         }
-        edge_tally.add(eb[i - split],
-                       f == k ? edge_expr->at_slots(s) : std::nullopt);
+        edge_tally.add(eb[i], f == k ? edge_expr->at_slots(s) : std::nullopt);
+        // Step the odometer, the last position fastest.
+        for (f = k - 1; f > 0 && ++pos[f] == degs[f]; --f) pos[f] = 0;
+        if (f == 0) ++pos[0];
       }
       if (sampled) us += obs::now_us() - t0;
     }

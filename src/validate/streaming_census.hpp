@@ -17,20 +17,22 @@
 //     single-writer: shards never exchange contributions, so counts are
 //     bit-identical to triangle::CensusWorkspace on the materialized
 //     product at any thread count and any shard count.
-//   * N(u) is the odometer product of the factor adjacency rows, with each
-//     neighbor's factor coordinates (and adjacency slots) kept alongside,
-//     and comes out in lexicographic coordinate order: neighbors sharing
-//     coordinates 0..f−1 form one contiguous block, cut by coordinate f
-//     into sub-blocks. One factor-f membership test on a pair of blocks
-//     (I, J), I ≤ J, decides all |I|·|J| product pairs across them: a
-//     failed test skips them, a passed one pairs the sub-blocks at factor
-//     f+1 (I = J asks for a self loop). Every closed wedge is still counted
-//     by its single writer — a measurement, not the closed form.
+//   * N(u) is the odometer product of u's factor adjacency rows, and it is
+//     walked, never written out: a neighbor is a tuple of row positions
+//     (p_0…p_{k−1}), its coordinates and adjacency slots read off the rows,
+//     its index in lexicographic coordinate order computed from the
+//     positions. Neighbors sharing positions 0..f−1 form one contiguous
+//     block, cut by position f into sub-blocks. One factor-f membership
+//     test on a pair of blocks (I, J), I ≤ J, decides all |I|·|J| product
+//     pairs across them: a failed test skips them, a passed one pairs the
+//     sub-blocks at factor f+1 (I = J asks for a self loop). Every closed
+//     wedge is still counted by its single writer — a measurement, not the
+//     closed form. A thread's state for u is O(k), whatever u's degree.
 //   * Once u's wedges are closed, t(u) and the Δ of every edge u owns are
-//     final and u's coordinates are still in hand, so the same worker
+//     final and u's rows are still in hand, so the same worker
 //     compares them with the closed forms (kron::TriangleOracle's, for any
 //     k and any self loops), a kron::KronVectorExpr at u's coordinates and
-//     a kron::KronMatrixExpr at the odometer's slots, into thread-local
+//     a kron::KronMatrixExpr at the walked slots, into thread-local
 //     tallies, merged once per shard. Sums and maxima do not depend on the
 //     merge order: the check is identical at every team size. Under
 //     --trace its time, sampled on one vertex in 64, is the counter
@@ -214,18 +216,8 @@ class StreamingCensus {
   /// most significant), writing into coords[0..k).
   void decompose(vid p, vid* coords) const noexcept;
 
-  /// Materializes the sorted neighbor list of p (self excluded) with the
-  /// per-factor coordinates of each neighbor kept alongside: ids[i] is the
-  /// product id, coords[i*k .. i*k+k) its factor coordinates and
-  /// slots[i*k + f] the factor-f adjacency slot of (p_coords[f],
-  /// coords[i*k + f]).
-  void neighbors_with_coords(vid p, const vid* p_coords, std::vector<vid>& ids,
-                             std::vector<vid>& coords,
-                             std::vector<esz>& slots) const;
-
   std::vector<const Graph*> factors_;
   std::vector<vid> radix_;   ///< per-factor vertex counts
-  std::vector<vid> weight_;  ///< mixed-radix weights (suffix products)
   vid n_ = 1;
   StreamingOptions opt_;
   std::vector<ShardRange> shards_;

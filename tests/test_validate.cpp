@@ -9,10 +9,14 @@
 #include <omp.h>
 #endif
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "gen/classic.hpp"
@@ -22,7 +26,10 @@
 #include "kron/product.hpp"
 #include "kron/stream.hpp"
 #include "kron/view.hpp"
+#include "runner/runner.hpp"
 #include "triangle/census.hpp"
+#include "util/journal.hpp"
+#include "util/json.hpp"
 #include "validate/report.hpp"
 #include "validate/streaming_census.hpp"
 
@@ -231,17 +238,61 @@ TEST(StreamingBlocks, FactorsWithIsolatedVertices) {
       {sparse, kt_test::random_undirected(4, 0.6, 44, 0.5), sparse}));
 }
 
+// The walk names each neighbor by its row positions; these put u's own
+// tuple (the hole) where the index arithmetic has edges.
+TEST(StreamingBlocks, HoleAtTheFirstOrLastPositionOfABlock) {
+  // In a looped star the center is first in its own row and each leaf is
+  // last in its row {center, leaf}; in a looped path the two ends do the
+  // same. u's hole then opens or closes a block at every level.
+  const Graph star = gen::star(5).with_all_self_loops();
+  const Graph path = gen::path(4).with_all_self_loops();
+  expect_chain_parity(kron::TriangleOracle(star, path));
+  expect_chain_parity(kron::TriangleOracle(path, star));
+  expect_chain_parity(kron::TriangleOracle({star, path, star}));
+}
+
+TEST(StreamingBlocks, BlockLeftEmptyByTheHole) {
+  // Behind a looped K1 prefix, a last-factor row {x} that loops at x makes
+  // u's own innermost block u alone: it is empty once u is dropped, first,
+  // inside or last among its sibling blocks of a looped K4 row.
+  const Graph k1 = gen::clique(1).with_all_self_loops();
+  const Graph lone = Graph::from_edges(
+      4, {{{1, 1}, {0, 2}, {2, 3}, {0, 0}, {3, 3}}}, true);
+  expect_chain_parity(kron::TriangleOracle(
+      {k1, gen::clique(4).with_all_self_loops(), lone}));
+  expect_chain_parity(kron::TriangleOracle(
+      {gen::clique(3).with_all_self_loops(), k1, lone}));
+}
+
+TEST(StreamingBlocks, LoopsInEveryFactorAtEachChainLength) {
+  for (const std::size_t k : {2u, 3u, 4u}) {
+    SCOPED_TRACE(k);
+    std::vector<Graph> factors;
+    for (std::size_t f = 0; f < k; ++f) {
+      factors.push_back(kt_test::random_undirected(k == 4 ? 3 : 5, 0.6,
+                                                   50 + 10 * k + f)
+                            .with_all_self_loops());
+    }
+    expect_chain_parity(kron::TriangleOracle(std::move(factors)));
+  }
+}
+
 /// Σ_u of the block recursion's factor tests on a clique-like 2-factor
-/// product: every vertex sees `ra` A-blocks of `rb` neighbors each, every
+/// product: every vertex sees A-blocks holding `blocks` neighbors, every
 /// pair of distinct A-coordinates is an A-edge, and B is a clique (plus
 /// loops) on each block's coordinates. Level 0 tests each block against
-/// itself (when it holds a pair) and the C(ra, 2) block pairs; each passed
-/// pair costs rb² B-tests, and each self-looped A-block (`a_loops`)
-/// C(rb, 2) more.
-count_t block_checks(vid n, count_t ra, bool a_loops, count_t rb) {
-  const count_t pairs_a = ra * (ra - 1) / 2;
-  const count_t per_u = (rb >= 2 ? ra : 0) + pairs_a + pairs_a * rb * rb +
-                        (a_loops ? ra * (rb * (rb - 1) / 2) : 0);
+/// itself (when it holds a pair) and every pair of non-empty blocks; each
+/// passed pair (I, J) costs |I|·|J| B-tests, and each self-looped A-block
+/// (`a_loops`) C(|I|, 2).
+count_t block_checks(vid n, const std::vector<count_t>& blocks,
+                     bool a_loops) {
+  count_t per_u = 0;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (blocks[i] >= 2) per_u += 1 + (a_loops ? blocks[i] * (blocks[i] - 1) / 2 : 0);
+    for (std::size_t j = i + 1; j < blocks.size(); ++j) {
+      if (blocks[i] > 0 && blocks[j] > 0) per_u += 1 + blocks[i] * blocks[j];
+    }
+  }
   return per_u * n;
 }
 
@@ -250,23 +301,39 @@ TEST(StreamingBlocks, WedgeChecksFollowTheBlockClosedForm) {
   // fails: the unpruned loop tested each of the C(d, 2) pairs per vertex.
   for (const auto& [a, b] : {std::pair<vid, vid>{5, 4}, {6, 3}, {4, 7}}) {
     const count_t n = static_cast<count_t>(a) * b;
-    // K_a ⊗ K_b: A-row a−1, B-row b−1.
+    // K_a ⊗ K_b: a−1 A-blocks of the B-row, b−1.
     const auto plain =
         StreamingCensus(gen::clique(a), gen::clique(b)).run();
-    EXPECT_EQ(plain.wedge_checks, block_checks(n, a - 1, false, b - 1))
+    EXPECT_EQ(plain.wedge_checks,
+              block_checks(n, std::vector<count_t>(a - 1, b - 1), false))
         << "K" << a << " x K" << b;
     // K_a ⊗ looped K_b: the B-row holds b entries (its own coordinate
     // too), and u is never its own neighbor since K_a has no loop.
     const auto looped_b = StreamingCensus(
         gen::clique(a), gen::clique(b).with_all_self_loops()).run();
-    EXPECT_EQ(looped_b.wedge_checks, block_checks(n, a - 1, false, b))
+    EXPECT_EQ(looped_b.wedge_checks,
+              block_checks(n, std::vector<count_t>(a - 1, b), false))
         << "K" << a << " x J" << b;
     // Looped K_a ⊗ K_b: every A-block passes its self-loop test and pairs
     // its own B-coordinates.
     const auto looped_a = StreamingCensus(
         gen::clique(a).with_all_self_loops(), gen::clique(b)).run();
-    EXPECT_EQ(looped_a.wedge_checks, block_checks(n, a, true, b - 1))
+    EXPECT_EQ(looped_a.wedge_checks,
+              block_checks(n, std::vector<count_t>(a, b - 1), true))
         << "J" << a << " x K" << b;
+  }
+  // Looped K_a ⊗ looped K_b: u is its own tuple, so the A-block at u's
+  // coordinate holds b − 1 neighbors: one (no self-loop test) when b = 2,
+  // none (no test at all) when b = 1.
+  for (const auto& [a, b] : {std::pair<vid, vid>{5, 4}, {4, 2}, {5, 1}}) {
+    const count_t n = static_cast<count_t>(a) * b;
+    std::vector<count_t> blocks(a - 1, b);
+    blocks.push_back(b - 1);
+    const auto looped = StreamingCensus(gen::clique(a).with_all_self_loops(),
+                                        gen::clique(b).with_all_self_loops())
+                            .run();
+    EXPECT_EQ(looped.wedge_checks, block_checks(n, blocks, true))
+        << "J" << a << " x J" << b;
   }
 }
 
@@ -371,6 +438,57 @@ TEST(StreamingCensus, BudgetDrivesShardCountAndBoundsAccumulators) {
   EXPECT_EQ(stats.edge_count_sum, wide.edge_count_sum);
   EXPECT_EQ(stats.num_edges, wide.num_edges);
   EXPECT_GT(wide.peak_accumulator_bytes, stats.peak_accumulator_bytes);
+}
+
+/// The report of `plan` run by a child `kronotri run` at an OpenMP team of
+/// `threads`: the child's peak RSS is the run's alone.
+util::json::Value run_child(const std::string& plan, int threads) {
+  const std::string exe = runner::default_worker_exe();
+  EXPECT_FALSE(exe.empty()) << "no kronotri binary beside the test";
+  const std::string out = "/tmp/kronotri_validate_rss" +
+                          std::to_string(::getpid()) + ".json";
+  const std::string cmd = "OMP_NUM_THREADS=" + std::to_string(threads) +
+                          " '" + exe + "' run --plan '" + plan +
+                          "' --json " + out + " > /dev/null";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  const std::optional<std::string> text = util::journal::read_file(out);
+  ::unlink(out.c_str());
+  return text ? util::json::Value::parse(*text) : util::json::Value{};
+}
+
+TEST(StreamingMemory, ThreadsHoldNoProductRow) {
+  // Each hub of star(101) ⊗ star(10001) has 10⁶ neighbors. The validator
+  // walks a row by factor positions, so past the last factor's row masks
+  // and the shard accumulators a run holds only the process's own state
+  // (about 7 MiB); rows written out per thread took about 52 MiB.
+  const std::string plan =
+      "kron:(star:n=101)x(star:n=10001) validate:mem_budget=1M";
+  std::vector<std::string> reports;
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    const util::json::Value r = run_child(plan, threads);
+    ASSERT_TRUE(r.get_bool("pass", false));
+    reports.push_back(runner::comparable(r).dump_canonical_string());
+    const util::json::Value* data = nullptr;
+    for (const util::json::Value& a : r.find("analyses")->items()) {
+      if (a.get_string("name", "") == "validate") data = a.find("data");
+    }
+    ASSERT_NE(data, nullptr);
+    ASSERT_EQ(data->get_uint("vertex_mismatches", 1), 0u);
+    // Sanitizer shadow memory and quarantine are RSS too: only the plain
+    // build's figure measures the validator.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    if (threads != 2) continue;
+    const auto outside =
+        static_cast<std::int64_t>(r.get_uint("peak_rss_bytes", 0)) -
+        static_cast<std::int64_t>(
+            r.find("counters")->get_uint("validate.mask_bytes", 0)) -
+        static_cast<std::int64_t>(data->get_uint("peak_accumulator_bytes", 0));
+    EXPECT_LE(outside, std::int64_t{16} << 20);
+#endif
+  }
+  EXPECT_EQ(reports[1], reports[0]);
+  EXPECT_EQ(reports[2], reports[0]);
 }
 
 TEST(StreamingCensus, UpperDegreeMatchesEnumeration) {
