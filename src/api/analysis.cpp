@@ -160,13 +160,74 @@ void PlanContext::set_needs_edge_triangles(bool needed) {
 
 const triangle::CensusWorkspace& PlanContext::census() const {
   if (!census_) {
-    census_.emplace(graph(),
-                    needs_edge_triangles_
-                        ? triangle::CensusWorkspace::Detail::kEdges
-                        : triangle::CensusWorkspace::Detail::kVertexOnly);
+    using Detail = triangle::CensusWorkspace::Detail;
+    census_.emplace(graph(), product_                ? Detail::kEdgeIds
+                             : needs_edge_triangles_ ? Detail::kEdges
+                                                     : Detail::kVertexOnly);
   }
   return *census_;
 }
+
+namespace {
+
+/// Δ_C at every edge id of `ws`, the census workspace of the loop-free
+/// product, read off the closed form `delta` in one parallel sweep. Row p
+/// of C is the odometer over p's factor rows, last factor fastest, so its
+/// entries q > p come in ascending order, which is the order of p's edge
+/// ids; each is evaluated at its factor slots without a search.
+std::vector<count_t> product_edge_triangles(
+    const kron::KronMatrixExpr& delta, const triangle::CensusWorkspace& ws) {
+  const BoolCsr& s = ws.structure();
+  const std::vector<esz>& slot_id = ws.edge_ids().slot_id;
+  const std::size_t k = delta.num_factors();
+  std::vector<count_t> out(ws.num_edges());
+  bool ok = true;
+#pragma omp parallel for schedule(dynamic, 64) reduction(&& : ok)
+  for (std::int64_t pp = 0; pp < static_cast<std::int64_t>(s.rows()); ++pp) {
+    const vid p = static_cast<vid>(pp);
+    const auto row = s.row_cols(p);
+    const auto owned = static_cast<esz>(
+        row.end() - std::upper_bound(row.begin(), row.end(), p));
+    if (owned == 0) continue;
+    // p's factor rows, and an odometer over their positions started at
+    // p's first entry past p (the row holds `owned` of them at its end).
+    esz base[kron::kMaxFactors], slot[kron::kMaxFactors];
+    std::size_t pos[kron::kMaxFactors], deg[kron::kMaxFactors];
+    esz tuples = 1;
+    vid rest = p;
+    for (std::size_t f = k; f-- > 0;) {
+      const BoolCsr& m = delta.factor(f).matrix();
+      const vid x = rest % m.rows();
+      rest /= m.rows();
+      base[f] = m.row_ptr()[x];
+      deg[f] = m.row_degree(x);
+      tuples *= deg[f];
+    }
+    esz next = tuples - owned;
+    for (std::size_t f = k; f-- > 0;) {
+      pos[f] = static_cast<std::size_t>(next % deg[f]);
+      next /= deg[f];
+    }
+    const esz* const ids = slot_id.data() + (s.row_ptr()[p + 1] - owned);
+    for (esz i = 0; i < owned; ++i) {
+      for (std::size_t f = 0; f < k; ++f) slot[f] = base[f] + pos[f];
+      const std::optional<count_t> v = delta.at_slots(slot);
+      ok = ok && v.has_value();
+      out[ids[i]] = v.value_or(0);
+      // Step the odometer, the last position fastest.
+      std::size_t f = k - 1;
+      for (; f > 0 && ++pos[f] == deg[f]; --f) pos[f] = 0;
+      if (f == 0) ++pos[0];
+    }
+  }
+  if (!ok) {
+    throw std::logic_error(
+        "PlanContext: the product's Δ closed form did not evaluate");
+  }
+  return out;
+}
+
+}  // namespace
 
 const std::vector<count_t>& PlanContext::edge_triangles() const {
   if (!needs_edge_triangles_) {
@@ -174,20 +235,29 @@ const std::vector<count_t>& PlanContext::edge_triangles() const {
         "PlanContext::edge_triangles(): no analysis of this plan declared "
         "needs_edge_triangles()");
   }
-  if (!edge_triangles_) edge_triangles_ = census().edge_census();
+  if (!edge_triangles_) {
+    edge_triangles_ =
+        product_ ? product_edge_triangles(oracle().edge_expr(), census())
+                 : census().edge_census();
+  }
   return *edge_triangles_;
 }
 
 const std::vector<count_t>& PlanContext::vertex_triangles() const {
   if (!vertex_triangles_) {
-    vertex_triangles_ = needs_edge_triangles_
-                            ? census().vertex_census(edge_triangles())
-                            : census().vertex_census();
+    if (product_) {
+      vertex_triangles_ = oracle().vertex_expr().expand();
+    } else if (needs_edge_triangles_) {
+      vertex_triangles_ = census().vertex_census(edge_triangles());
+    } else {
+      vertex_triangles_ = census().vertex_census();
+    }
   }
   return *vertex_triangles_;
 }
 
 count_t PlanContext::total_triangles() const {
+  if (product_) return oracle().total_triangles();
   count_t sum = 0;
   for (const count_t t : vertex_triangles()) sum += t;
   return sum / 3;
@@ -568,22 +638,27 @@ class ComponentsAnalysis final : public Analysis {
   }
 };
 
-/// `clustering` — global and average clustering coefficients of the
-/// explicit graph (the §I motivating statistics), from the plan's shared
-/// triangle counts.
+/// `clustering` — global and average clustering coefficients (the §I
+/// motivating statistics) from the plan's shared triangle counts. A
+/// product takes its degrees d_C and counts from the oracle, so it is
+/// never materialized.
 class ClusteringAnalysis final : public Analysis {
  public:
   explicit ClusteringAnalysis(const Params& p) { p.require_known({}); }
 
-  bool needs_graph(const PlanContext&) const override { return true; }
+  bool needs_graph(const PlanContext& ctx) const override {
+    return !ctx.is_product();
+  }
 
   AnalysisReport execute(PlanContext& ctx,
                          std::span<EdgeSink* const>) override {
     AnalysisReport r = report();
-    const Graph& g = ctx.graph();
-    const double global = triangle::global_clustering(g, ctx.total_triangles());
+    const std::vector<count_t> d =
+        ctx.is_product() ? ctx.oracle().degree_expr().expand()
+                         : triangle::nonloop_degrees(ctx.graph());
+    const double global = triangle::global_clustering(d, ctx.total_triangles());
     const double average =
-        triangle::average_clustering(g, ctx.vertex_triangles());
+        triangle::average_clustering(d, ctx.vertex_triangles());
     r.data.set("global_clustering", global);
     r.data.set("average_clustering", average);
     std::ostringstream os;

@@ -121,10 +121,11 @@ class Params {
 /// Everything an Analysis may read about the job. Factor-side structures
 /// (view, oracle) are built lazily ONCE and shared by every
 /// analysis — census and validate both need the oracle, but it is
-/// constructed a single time per run. So are the triangle counts of the
-/// explicit graph: truss, clustering, census and egonet read them here
-/// instead of each enumerating the graph's triangles again. The context
-/// owns the factors.
+/// constructed a single time per run. So are the triangle counts t, Δ
+/// and τ: truss, clustering, census and egonet read them here instead of
+/// each computing them again. On a product they are the oracle's closed
+/// forms, so no triangle of C is enumerated; on any other graph they come
+/// from one census of it. The context owns the factors.
 class PlanContext {
  public:
   PlanContext(GraphSpec spec, RunOptions options, std::vector<Graph> factors);
@@ -160,18 +161,23 @@ class PlanContext {
   void set_needs_edge_triangles(bool needed);
 
   /// The census workspace of graph(), built on first use and kept until
-  /// the plan ends: with edge ids when the plan reads Δ(e), vertex-only
-  /// (no edge-id map) otherwise.
+  /// the plan ends. On a product it holds only the loop-free structure and
+  /// its edge ids (Detail::kEdgeIds), which truss::peel walks. Otherwise
+  /// it carries edge ids when the plan reads Δ(e) and is vertex-only (no
+  /// edge-id map) when it does not.
   [[nodiscard]] const triangle::CensusWorkspace& census() const;
-  /// Δ(e) per undirected edge id of census(): one census pass, on first
-  /// use only. Throws std::logic_error when the plan declared no reader.
+  /// Δ(e) per undirected edge id of census(), on first use only. A
+  /// product's come from the oracle's Δ_C in one parallel sweep over C's
+  /// rows; any other graph pays one census pass. Throws std::logic_error
+  /// when the plan declared no reader.
   [[nodiscard]] const std::vector<count_t>& edge_triangles() const;
-  /// t_v per vertex of graph(): ½·Σ_{e∋v} Δ(e), an O(m) sweep over
-  /// edge_triangles(), when the plan reads Δ(e); the single vertex-only
-  /// pass otherwise. Either way a plan pays one census pass, whatever the
-  /// order of its analyses.
+  /// t_v per vertex of graph(). A product expands the oracle's t_C and
+  /// needs no materialized graph. Otherwise it is ½·Σ_{e∋v} Δ(e), an O(m)
+  /// sweep over edge_triangles(), when the plan reads Δ(e), and the single
+  /// vertex-only pass when it does not. Either way a plan pays at most one
+  /// census pass, whatever the order of its analyses.
   [[nodiscard]] const std::vector<count_t>& vertex_triangles() const;
-  /// τ(graph()) = ⅓·Σ_v t_v.
+  /// τ(graph()): the oracle's on a product, ⅓·Σ_v t_v otherwise.
   [[nodiscard]] count_t total_triangles() const;
 
  private:

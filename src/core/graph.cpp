@@ -16,6 +16,18 @@ Graph::Graph(BoolCsr adjacency) : adj_(std::move(adjacency)) {
   undirected_ = ops::is_symmetric(adj_);
 }
 
+Graph Graph::with_predicates(BoolCsr adjacency, bool undirected,
+                             count_t self_loops) {
+  if (adjacency.rows() != adjacency.cols()) {
+    throw std::invalid_argument("Graph: adjacency matrix must be square");
+  }
+  Graph g;
+  g.adj_ = std::move(adjacency);
+  g.undirected_ = undirected;
+  g.self_loops_ = self_loops;
+  return g;
+}
+
 Graph Graph::from_edges(vid n, std::span<const std::pair<vid, vid>> edges,
                         bool symmetrize) {
   BoolCoo coo(n, n);

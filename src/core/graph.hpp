@@ -21,6 +21,13 @@ class Graph {
   Graph() : Graph(BoolCsr{}) {}
   explicit Graph(BoolCsr adjacency);
 
+  /// Wraps an adjacency matrix whose two predicates the caller already
+  /// knows (a Kronecker product of undirected factors is undirected, and
+  /// its self loops number Π_f loops_f), skipping the constructor's
+  /// transpose-and-compare and diagonal scan. The caller vouches for both.
+  static Graph with_predicates(BoolCsr adjacency, bool undirected,
+                               count_t self_loops);
+
   /// Build from an explicit edge list on n vertices. Duplicate edges
   /// collapse. With `symmetrize`, each (u,v) also inserts (v,u).
   static Graph from_edges(vid n, std::span<const std::pair<vid, vid>> edges,

@@ -5,18 +5,22 @@
 namespace kronotri::kron {
 
 Graph kron_graph(const Graph& a, const Graph& b) {
-  return Graph(kron_matrix<std::uint8_t>(a.matrix(), b.matrix()));
+  BoolCsr c = kron_matrix<std::uint8_t>(a.matrix(), b.matrix());
+  // (A ⊗ B)ᵀ = Aᵀ ⊗ Bᵀ and diag(A ⊗ B) = diag(A) ⊗ diag(B), so C's
+  // predicates follow from the factors'. Only a directed factor leaves
+  // symmetry to Graph's own check.
+  if (!a.is_undirected() || !b.is_undirected()) return Graph(std::move(c));
+  return Graph::with_predicates(std::move(c), true,
+                                a.num_self_loops() * b.num_self_loops());
 }
 
 Graph kron_graph(std::span<const Graph> factors) {
   if (factors.empty()) {
     throw std::invalid_argument("kron_graph needs at least one factor");
   }
-  BoolCsr acc = factors.front().matrix();
-  for (const Graph& f : factors.subspan(1)) {
-    acc = kron_matrix<std::uint8_t>(acc, f.matrix());
-  }
-  return Graph(std::move(acc));
+  Graph acc = factors.front();
+  for (const Graph& f : factors.subspan(1)) acc = kron_graph(acc, f);
+  return acc;
 }
 
 vid kron_num_vertices(std::span<const Graph> factors) {

@@ -94,7 +94,7 @@ FamilyCost spec_cost(const api::GraphSpec& s) {
 /// the needs_graph() answers of the builtin analyses in that regime.
 bool streams_on_two_factor(const std::string& name) {
   return name == "census" || name == "degree" || name == "validate" ||
-         name == "components" || name == "egonet";
+         name == "components" || name == "egonet" || name == "clustering";
 }
 
 constexpr double kBytesPerEntry = 24;   // CSR cols+offsets + census counters

@@ -60,9 +60,11 @@ EdgeIdMap build_edge_ids(const BoolCsr& s) {
 }
 
 CensusWorkspace::CensusWorkspace(const Graph& a, Detail detail)
-    : s_(simple_part(a)), o_(orient_by_degree(s_)) {
+    : s_(simple_part(a)), oriented_(detail != Detail::kEdgeIds) {
+  if (oriented_) o_ = orient_by_degree(s_);
   if (detail == Detail::kVertexOnly) return;
   ids_ = build_edge_ids(s_);
+  if (!oriented_) return;
   // Oriented successor lists are subsequences of the (sorted) structure
   // rows, so a single linear merge per row maps every oriented slot to its
   // undirected edge id — no binary searches.
@@ -78,6 +80,14 @@ CensusWorkspace::CensusWorkspace(const Graph& a, Detail detail)
       oriented_eid_[k] = sid[j];
       ++j;
     }
+  }
+}
+
+void CensusWorkspace::require_orientation() const {
+  if (!oriented_) {
+    throw std::logic_error(
+        "CensusWorkspace: a Detail::kEdgeIds workspace enumerates no "
+        "triangles");
   }
 }
 

@@ -19,9 +19,12 @@
 // Counts are exact integer sums, so results are bit-identical for every
 // thread count. All census consumers (triangle/count.cpp,
 // triangle/labeled.cpp, triangle/support.cpp, truss/decompose.cpp, and the
-// per-plan census api::PlanContext shares between analyses) run on this
-// engine. Every enumeration pass bumps the `triangle.census_passes` counter,
-// so a RunReport shows how many censuses a plan paid for.
+// per-plan census api::PlanContext shares between analyses of a graph that
+// is not a Kronecker product) run on this engine. A product plan's
+// PlanContext reads t and Δ off kron::TriangleOracle instead and keeps
+// only the loop-free structure and edge ids here (Detail::kEdgeIds) for
+// truss::peel. Every enumeration pass bumps the `triangle.census_passes`
+// counter, so a RunReport shows how many censuses a plan paid for.
 #pragma once
 
 #include <algorithm>
@@ -78,15 +81,21 @@ void count_census_pass();
 class CensusWorkspace {
  public:
   /// What the workspace precomputes. Vertex-only censuses (count_total,
-  /// participation_vertices, run plans whose analyses read no Δ(e)) skip the edge-id build — one binary search per undirected edge
-  /// plus two m-sized arrays they would never read.
-  enum class Detail { kVertexOnly, kEdges };
+  /// participation_vertices, run plans whose analyses read no Δ(e)) skip
+  /// the edge-id build — one binary search per undirected edge plus two
+  /// m-sized arrays they would never read. kEdgeIds keeps only the
+  /// loop-free structure and its edge ids, for callers that get Δ(e)
+  /// elsewhere (a Kronecker product's closed form) and enumerate nothing:
+  /// no degree orientation, no oriented-slot ids.
+  enum class Detail { kVertexOnly, kEdges, kEdgeIds };
 
   /// Requires an undirected graph (throws std::invalid_argument otherwise);
   /// self loops are stripped per Def. 5/6. With Detail::kVertexOnly the
   /// edge-id map is not built: edge_ids(), edge_census(),
   /// mirror_edge_counts() and for_each_triangle() must not be used — only
-  /// for_each_triangle_vertices().
+  /// for_each_triangle_vertices(). With Detail::kEdgeIds nothing can be
+  /// enumerated: edge_census(), vertex_census() and both for_each_*
+  /// throw std::logic_error.
   explicit CensusWorkspace(const Graph& a, Detail detail = Detail::kEdges);
 
   /// A − I∘A: the symmetric loop-free structure every census runs on.
@@ -105,6 +114,7 @@ class CensusWorkspace {
   /// `visit` needs no synchronization. Returns the wedge-check count.
   template <typename TLS, typename Visit>
   count_t for_each_triangle(std::vector<TLS>& tls, Visit&& visit) const {
+    require_orientation();
     const std::int64_t n = static_cast<std::int64_t>(s_.rows());
     const esz* const eid = oriented_eid_.data();
     count_census_pass();
@@ -136,6 +146,7 @@ class CensusWorkspace {
   template <typename TLS, typename Visit>
   count_t for_each_triangle_vertices(std::vector<TLS>& tls,
                                      Visit&& visit) const {
+    require_orientation();
     const std::int64_t n = static_cast<std::int64_t>(s_.rows());
     count_census_pass();
     count_t checks = 0;
@@ -178,7 +189,11 @@ class CensusWorkspace {
       const std::vector<count_t>& per_edge) const;
 
  private:
+  /// Throws std::logic_error on a Detail::kEdgeIds workspace.
+  void require_orientation() const;
+
   BoolCsr s_;
+  bool oriented_ = false;
   Oriented o_;
   EdgeIdMap ids_;
   std::vector<esz> oriented_eid_;  // per oriented successor slot → edge id

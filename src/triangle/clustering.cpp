@@ -4,17 +4,16 @@
 
 namespace kronotri::triangle {
 
-namespace {
-
 std::vector<count_t> nonloop_degrees(const Graph& a) {
   std::vector<count_t> d(a.num_vertices());
   for (vid v = 0; v < a.num_vertices(); ++v) d[v] = a.nonloop_degree(v);
   return d;
 }
 
-std::vector<double> local_from_counts(const Graph& a,
+namespace {
+
+std::vector<double> local_from_counts(std::span<const count_t> d,
                                       std::span<const count_t> t) {
-  const std::vector<count_t> d = nonloop_degrees(a);
   std::vector<double> c(t.size(), 0.0);
   for (std::size_t v = 0; v < t.size(); ++v) {
     if (d[v] >= 2) {
@@ -29,19 +28,18 @@ std::vector<double> local_from_counts(const Graph& a,
 }  // namespace
 
 std::vector<double> local_clustering(const Graph& a) {
-  return local_from_counts(a, participation_vertices(a));
+  return local_from_counts(nonloop_degrees(a), participation_vertices(a));
 }
 
 double global_clustering(const Graph& a) {
-  return global_clustering(a, count_total(a));
+  return global_clustering(nonloop_degrees(a), count_total(a));
 }
 
 double average_clustering(const Graph& a) {
-  return average_clustering(a, participation_vertices(a));
+  return average_clustering(nonloop_degrees(a), participation_vertices(a));
 }
 
-double global_clustering(const Graph& a, count_t tau) {
-  const std::vector<count_t> d = nonloop_degrees(a);
+double global_clustering(std::span<const count_t> d, count_t tau) {
   long double wedges = 0;
   for (const count_t dv : d) {
     if (dv >= 2) {
@@ -54,8 +52,9 @@ double global_clustering(const Graph& a, count_t tau) {
                                            wedges);
 }
 
-double average_clustering(const Graph& a, std::span<const count_t> t) {
-  const std::vector<double> c = local_from_counts(a, t);
+double average_clustering(std::span<const count_t> d,
+                          std::span<const count_t> t) {
+  const std::vector<double> c = local_from_counts(d, t);
   if (c.empty()) return 0.0;
   long double sum = 0;
   for (const double v : c) sum += v;

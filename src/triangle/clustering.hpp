@@ -21,10 +21,16 @@ double global_clustering(const Graph& a);
 /// Mean of the local coefficients (Watts–Strogatz average clustering).
 double average_clustering(const Graph& a);
 
-/// The same coefficients from triangle counts the caller already holds —
-/// tau = τ(A), t = t_A (one entry per vertex) — so a census shared between
-/// analyses is not recomputed. Bit-identical to the overloads above.
-double global_clustering(const Graph& a, count_t tau);
-double average_clustering(const Graph& a, std::span<const count_t> t);
+/// Non-loop degree per vertex, (A − I∘A)·1.
+std::vector<count_t> nonloop_degrees(const Graph& a);
+
+/// The same coefficients from counts the caller already holds — non-loop
+/// degrees d, tau = τ(A), t = t_A (one entry per vertex) — so a census
+/// shared between analyses is not recomputed, and a Kronecker product's
+/// d_C and t_C can come from its factors. Sums run in vertex order, so
+/// the results are bit-identical to the overloads above.
+double global_clustering(std::span<const count_t> d, count_t tau);
+double average_clustering(std::span<const count_t> d,
+                          std::span<const count_t> t);
 
 }  // namespace kronotri::triangle

@@ -23,8 +23,10 @@
 //
 // peel() is the peel itself, over a census workspace the caller already
 // holds and its per-edge supports: a run plan's truss analysis peels from
-// the census its plan shares between analyses (api::PlanContext), and
-// reads |T^{(κ)}| off truss_sizes() instead of a symmetric matrix.
+// the workspace and Δ(e) its plan shares between analyses
+// (api::PlanContext; on a Kronecker product the supports are the
+// oracle's and the workspace has no orientation), and reads |T^{(κ)}| off
+// truss_sizes() instead of a symmetric matrix.
 #pragma once
 
 #include <span>
@@ -54,7 +56,7 @@ struct TrussDecomposition {
 /// by the parallel level-synchronous peel. Adds its work to the
 /// `truss.peel_lookups` and `truss.peel_sub_rounds` counters. `support` is Δ(e) per edge id
 /// (ws.edge_census()); the peel consumes it as its working supports. ws
-/// must carry edge ids (CensusWorkspace::Detail::kEdges).
+/// must carry edge ids (CensusWorkspace::Detail::kEdges or kEdgeIds).
 std::vector<count_t> peel(const triangle::CensusWorkspace& ws,
                           std::vector<count_t> support);
 

@@ -8,6 +8,7 @@
 #ifdef _OPENMP
 #include <omp.h>
 #endif
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -25,6 +26,7 @@
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
 #include "kron/view.hpp"
+#include "obs/counters.hpp"
 #include "runner/runner.hpp"
 #include "triangle/count.hpp"
 #include "truss/decompose.hpp"
@@ -578,6 +580,16 @@ count_t census_passes(const api::RunReport& report) {
   return report.counters.get_uint("triangle.census_passes", 0);
 }
 
+/// The triangle.census_passes and truss.peel_lookups a call adds.
+template <typename F>
+std::pair<count_t, count_t> passes_and_lookups(F&& fn) {
+  obs::Counter& passes = obs::counter("triangle.census_passes");
+  obs::Counter& lookups = obs::counter("truss.peel_lookups");
+  const count_t p0 = passes.value(), l0 = lookups.value();
+  fn();
+  return {passes.value() - p0, lookups.value() - l0};
+}
+
 TEST(PlanCensus, CombinedPlansMatchOneAnalysisPlansAndShareTheCensus) {
   const char* const graphs[] = {
       "kron:(hk:n=30,m=2,p=0.6,seed=5,loops=1)x(clique:n=3,loops=1)",
@@ -620,11 +632,22 @@ TEST(PlanCensus, CombinedPlansMatchOneAnalysisPlansAndShareTheCensus) {
           EXPECT_EQ(combined[i], alone[0]) << analyses[i];
         }
       }
-      // Every per-vertex count derives from the one per-edge pass, so
-      // the order of the analyses does not change what the plan pays.
-      EXPECT_EQ(census_passes(run(graph, {"truss", "clustering"})), 1u);
-      EXPECT_EQ(census_passes(run(graph, {"clustering"})), 1u);
-      EXPECT_EQ(census_passes(run(graph, {"clustering", "truss"})), 1u);
+      // An explicit graph derives every per-vertex count from its one
+      // per-edge pass, so the order of the analyses does not change what
+      // the plan pays. A product reads t and Δ off its oracle and
+      // enumerates none of its own triangles: it pays the oracle's factor
+      // censuses only.
+      const GraphSpec spec = GraphSpec::parse(graph);
+      count_t expected = 1;
+      if (spec.is_kron()) {
+        const auto factors = GeneratorRegistry::builtin().build_factors(spec);
+        expected = passes_and_lookups(
+                       [&] { (void)kron::TriangleOracle(factors); })
+                       .first;
+      }
+      EXPECT_EQ(census_passes(run(graph, {"truss", "clustering"})), expected);
+      EXPECT_EQ(census_passes(run(graph, {"clustering"})), expected);
+      EXPECT_EQ(census_passes(run(graph, {"clustering", "truss"})), expected);
       // Validate checks against the plan's own oracle (or chain) instead
       // of building a second one, which would census the factors again.
       EXPECT_EQ(census_passes(run(graph, {"census", "validate"})),
@@ -662,7 +685,13 @@ TEST(PlanCensus, VertexOnlyCountsEqualTheEdgeDerivedOnes) {
     vertices.set_needs_edge_triangles(false);
     EXPECT_EQ(vertices.vertex_triangles(), edges.vertex_triangles());
     EXPECT_EQ(vertices.total_triangles(), edges.total_triangles());
-    EXPECT_EQ(vertices.census().num_edges(), 0u);  // no edge-id map
+    if (vertices.is_product()) {
+      // A product's t_v come from its oracle: no materialized graph, so
+      // no census workspace either.
+      EXPECT_FALSE(vertices.graph_ready());
+    } else {
+      EXPECT_EQ(vertices.census().num_edges(), 0u);  // no edge-id map
+    }
     EXPECT_THROW((void)vertices.edge_triangles(), std::logic_error);
 
     // In a plan: t_v and clustering read alone (vertex-only census) equal
@@ -677,6 +706,118 @@ TEST(PlanCensus, VertexOnlyCountsEqualTheEdgeDerivedOnes) {
     EXPECT_EQ(alone[0], with_truss[1]);
     EXPECT_EQ(alone[1], with_truss[2]);
   }
+}
+
+TEST(PlanCensus, ProductCountsComeFromTheOracleAndEqualTheExplicitCensus) {
+  const char* const graphs[] = {
+      "kron:(hk:n=40,m=3,p=0.7,seed=5)x(clique:n=5)",
+      "kron:(hk:n=40,m=3,p=0.7,seed=5)x(clique:n=3,loops=1)",
+      "kron:(hk:n=30,m=2,p=0.6,seed=5,loops=1)x(clique:n=3,loops=1)",
+      "kron:(hk:n=10,m=2,p=0.6,seed=6,loops=1)x(clique:n=3,loops=1)x("
+      "cycle:n=4,loops=1)",
+      "kron:(hk:n=30,m=2,p=0.6,seed=5)x(clique:n=1)",
+  };
+  const auto& generators = GeneratorRegistry::builtin();
+  const auto& registry = api::AnalysisRegistry::builtin();
+  const auto execute = [&](api::PlanContext& ctx, const std::string& name,
+                           const std::map<std::string, std::string>& params) {
+    api::RunReport report;
+    report.analyses.push_back(
+        registry.build(name, params)->execute(ctx, {}));
+    return report;
+  };
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  for (const int omp_threads : {1, 2, 8}) {
+    omp_set_num_threads(omp_threads);
+#else
+  {
+    const int omp_threads = 1;
+#endif
+    for (const char* text : graphs) {
+      SCOPED_TRACE(std::string(text) + " at OMP " +
+                   std::to_string(omp_threads));
+      const GraphSpec spec = GraphSpec::parse(text);
+      std::vector<Graph> factors = generators.build_factors(spec);
+      // The same product as one explicit graph: a non-kron spec keeps
+      // PlanContext on the census path.
+      api::PlanContext explicit_ctx(GraphSpec::parse("file"), {},
+                                    {kron::kron_graph(factors)});
+      api::PlanContext product(spec, {}, std::move(factors));
+      ASSERT_TRUE(product.is_product());
+      ASSERT_FALSE(explicit_ctx.is_product());
+
+      // Δ per edge id, t per vertex and τ are read off the closed forms,
+      // on the edge ids of the materialized product's census: the product
+      // pays only its oracle's factor censuses, the explicit graph one
+      // census pass of its own.
+      const count_t oracle_passes =
+          passes_and_lookups(
+              [&] { (void)kron::TriangleOracle(product.factors()); })
+              .first;
+      const auto product_work = passes_and_lookups([&] {
+        (void)product.edge_triangles();
+        (void)product.vertex_triangles();
+        (void)product.total_triangles();
+      });
+      const auto explicit_work = passes_and_lookups([&] {
+        (void)explicit_ctx.edge_triangles();
+        (void)explicit_ctx.vertex_triangles();
+        (void)explicit_ctx.total_triangles();
+      });
+      EXPECT_EQ(product_work.first, oracle_passes);
+      EXPECT_EQ(explicit_work.first, 1u);
+      EXPECT_EQ(product.census().edge_ids().ends,
+                explicit_ctx.census().edge_ids().ends);
+      EXPECT_EQ(product.edge_triangles(), explicit_ctx.edge_triangles());
+      EXPECT_EQ(product.vertex_triangles(), explicit_ctx.vertex_triangles());
+      EXPECT_EQ(product.total_triangles(), explicit_ctx.total_triangles());
+
+      // The analyses read them to the same reports and the same peel.
+      api::RunReport product_truss, explicit_truss;
+      const count_t product_lookups = passes_and_lookups([&] {
+        product_truss = execute(product, "truss", {});
+      }).second;
+      const count_t explicit_lookups = passes_and_lookups([&] {
+        explicit_truss = execute(explicit_ctx, "truss", {});
+      }).second;
+      EXPECT_EQ(comparable_analyses(product_truss),
+                comparable_analyses(explicit_truss));
+      EXPECT_EQ(product_lookups, explicit_lookups);
+      EXPECT_EQ(comparable_analyses(execute(product, "clustering", {})),
+                comparable_analyses(execute(explicit_ctx, "clustering", {})));
+      // A 2-factor egonet reads the implicit view and reports the factor
+      // coordinates too; its check itself must agree.
+      const std::map<std::string, std::string> vertex = {{"vertex", "7"}};
+      const api::RunReport product_ego = execute(product, "egonet", vertex);
+      const api::RunReport explicit_ego =
+          execute(explicit_ctx, "egonet", vertex);
+      EXPECT_TRUE(product_ego.analyses[0].pass);
+      for (const char* key : {"measured", "formula", "egonet_vertices",
+                              "egonet_edges", "pass"}) {
+        EXPECT_EQ(product_ego.analyses[0].data.find(key)->dump_string(),
+                  explicit_ego.analyses[0].data.find(key)->dump_string())
+            << key;
+      }
+      if (!product.two_factor()) {
+        EXPECT_EQ(comparable_analyses(product_ego),
+                  comparable_analyses(explicit_ego));
+      }
+
+      // A clustering plan takes d_C from the oracle too, so it
+      // materializes nothing.
+      const api::RunReport clustering =
+          api::run(api::RunPlan::parse(std::string(text) + " clustering"));
+      EXPECT_EQ(comparable_analyses(clustering),
+                comparable_analyses(execute(explicit_ctx, "clustering", {})));
+      for (const api::StageTiming& stage : clustering.stages) {
+        EXPECT_NE(stage.name, "materialize");
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
 }
 
 TEST(PlanCensus, TrussRowsMatchTheDecomposition) {

@@ -6,6 +6,7 @@
 
 #include "core/ops.hpp"
 #include "gen/classic.hpp"
+#include "gen/random.hpp"
 #include "helpers.hpp"
 #include "kron/index.hpp"
 #include "kron/product.hpp"
@@ -115,6 +116,35 @@ TEST(KronGraph, CliqueProductStats) {
   EXPECT_FALSE(c.has_self_loops());
   for (vid p = 0; p < 20; ++p) {
     EXPECT_EQ(c.nonloop_degree(p), 20u + 1 - 4 - 5);
+  }
+}
+
+TEST(KronGraph, PredicatesFollowFromTheFactors) {
+  // kron_graph takes C's symmetry and loop count from its factors; a
+  // Graph built from the same matrix checks both itself.
+  const Graph looped = kt_test::random_undirected(6, 0.5, 3, 0.5);
+  const Graph directed = gen::randomly_orient(gen::clique(4), 0.3, 9);
+  ASSERT_FALSE(directed.is_undirected());
+  const std::vector<std::vector<Graph>> cases = {
+      {gen::clique(4), gen::clique(5)},
+      {looped, gen::clique_with_loops(3)},
+      {looped, gen::clique(3)},
+      {looped, gen::clique_with_loops(2), looped},
+      {directed, gen::clique_with_loops(3)},
+      {gen::clique(1), directed},
+      {looped},
+  };
+  for (const auto& factors : cases) {
+    const Graph c = kron::kron_graph(factors);
+    const Graph checked(c.matrix());
+    EXPECT_EQ(c.is_undirected(), checked.is_undirected());
+    EXPECT_EQ(c.num_self_loops(), checked.num_self_loops());
+    if (factors.size() == 2) {
+      const Graph pair = kron::kron_graph(factors[0], factors[1]);
+      EXPECT_EQ(pair, c);
+      EXPECT_EQ(pair.is_undirected(), checked.is_undirected());
+      EXPECT_EQ(pair.num_self_loops(), checked.num_self_loops());
+    }
   }
 }
 
