@@ -146,6 +146,7 @@ bool PlanContext::graph_ready() const noexcept {
 void PlanContext::set_graph(Graph g) {
   graph_ = std::move(g);
   census_.reset();
+  edge_index_.reset();
   edge_triangles_.reset();
   vertex_triangles_.reset();
 }
@@ -160,65 +161,34 @@ void PlanContext::set_needs_edge_triangles(bool needed) {
 
 const triangle::CensusWorkspace& PlanContext::census() const {
   if (!census_) {
-    using Detail = triangle::CensusWorkspace::Detail;
-    census_.emplace(graph(), product_                ? Detail::kEdgeIds
-                             : needs_edge_triangles_ ? Detail::kEdges
-                                                     : Detail::kVertexOnly);
+    census_.emplace(graph(),
+                    needs_edge_triangles_
+                        ? triangle::CensusWorkspace::Detail::kEdges
+                        : triangle::CensusWorkspace::Detail::kVertexOnly);
   }
   return *census_;
 }
 
+const triangle::EdgeIndex& PlanContext::edge_index() const {
+  if (!product_) return census().edge_index();
+  if (!edge_index_) edge_index_ = triangle::index_edges(graph());
+  return *edge_index_;
+}
+
 namespace {
 
-/// Δ_C at every edge id of `ws`, the census workspace of the loop-free
-/// product, read off the closed form `delta` in one parallel sweep. Row p
-/// of C is the odometer over p's factor rows, last factor fastest, so its
-/// entries q > p come in ascending order, which is the order of p's edge
-/// ids; each is evaluated at its factor slots without a search.
-std::vector<count_t> product_edge_triangles(
-    const kron::KronMatrixExpr& delta, const triangle::CensusWorkspace& ws) {
-  const BoolCsr& s = ws.structure();
-  const std::vector<esz>& slot_id = ws.edge_ids().slot_id;
-  const std::size_t k = delta.num_factors();
-  std::vector<count_t> out(ws.num_edges());
+/// Δ_C at every edge id of `ids`, read off the closed form `delta` in one
+/// parallel sweep.
+std::vector<count_t> product_edge_triangles(const kron::KronMatrixExpr& delta,
+                                            const triangle::EdgeIdMap& ids) {
+  std::vector<count_t> out(ids.num_edges());
   bool ok = true;
-#pragma omp parallel for schedule(dynamic, 64) reduction(&& : ok)
-  for (std::int64_t pp = 0; pp < static_cast<std::int64_t>(s.rows()); ++pp) {
-    const vid p = static_cast<vid>(pp);
-    const auto row = s.row_cols(p);
-    const auto owned = static_cast<esz>(
-        row.end() - std::upper_bound(row.begin(), row.end(), p));
-    if (owned == 0) continue;
-    // p's factor rows, and an odometer over their positions started at
-    // p's first entry past p (the row holds `owned` of them at its end).
-    esz base[kron::kMaxFactors], slot[kron::kMaxFactors];
-    std::size_t pos[kron::kMaxFactors], deg[kron::kMaxFactors];
-    esz tuples = 1;
-    vid rest = p;
-    for (std::size_t f = k; f-- > 0;) {
-      const BoolCsr& m = delta.factor(f).matrix();
-      const vid x = rest % m.rows();
-      rest /= m.rows();
-      base[f] = m.row_ptr()[x];
-      deg[f] = m.row_degree(x);
-      tuples *= deg[f];
-    }
-    esz next = tuples - owned;
-    for (std::size_t f = k; f-- > 0;) {
-      pos[f] = static_cast<std::size_t>(next % deg[f]);
-      next /= deg[f];
-    }
-    const esz* const ids = slot_id.data() + (s.row_ptr()[p + 1] - owned);
-    for (esz i = 0; i < owned; ++i) {
-      for (std::size_t f = 0; f < k; ++f) slot[f] = base[f] + pos[f];
-      const std::optional<count_t> v = delta.at_slots(slot);
-      ok = ok && v.has_value();
-      out[ids[i]] = v.value_or(0);
-      // Step the odometer, the last position fastest.
-      std::size_t f = k - 1;
-      for (; f > 0 && ++pos[f] == deg[f]; --f) pos[f] = 0;
-      if (f == 0) ++pos[0];
-    }
+#pragma omp parallel for schedule(static) reduction(&& : ok)
+  for (std::int64_t e = 0; e < static_cast<std::int64_t>(out.size()); ++e) {
+    const auto [u, v] = ids.ends[static_cast<esz>(e)];
+    const std::optional<count_t> d = delta.stored(u, v);
+    ok = ok && d.has_value();
+    out[static_cast<esz>(e)] = d.value_or(0);
   }
   if (!ok) {
     throw std::logic_error(
@@ -237,8 +207,9 @@ const std::vector<count_t>& PlanContext::edge_triangles() const {
   }
   if (!edge_triangles_) {
     edge_triangles_ =
-        product_ ? product_edge_triangles(oracle().edge_expr(), census())
-                 : census().edge_census();
+        product_
+            ? product_edge_triangles(oracle().edge_expr(), edge_index().ids)
+            : census().edge_census();
   }
   return *edge_triangles_;
 }
@@ -590,9 +561,10 @@ class TrussAnalysis final : public Analysis {
       }
       // No wall time in `text`: the report's wall_s carries it, and text
       // must be identical across identical runs. The peel starts from the
-      // plan's shared census, and |T^κ| comes from one histogram pass.
+      // plan's shared edge index and Δ(e), and |T^κ| comes from one
+      // histogram pass.
       const auto sizes = truss::truss_sizes(
-          truss::peel(ctx.census(), ctx.edge_triangles()));
+          truss::peel(ctx.edge_index(), ctx.edge_triangles()));
       const count_t max_truss = sizes.size() - 1;
       os << "truss decomposition of " << ctx.graph().num_undirected_edges()
          << " edges; max truss " << max_truss << "\n";
@@ -640,8 +612,8 @@ class ComponentsAnalysis final : public Analysis {
 
 /// `clustering` — global and average clustering coefficients (the §I
 /// motivating statistics) from the plan's shared triangle counts. A
-/// product takes its degrees d_C and counts from the oracle, so it is
-/// never materialized.
+/// product evaluates its degrees d_C and counts at each vertex from the
+/// oracle, so it is never materialized and holds no per-vertex array.
 class ClusteringAnalysis final : public Analysis {
  public:
   explicit ClusteringAnalysis(const Params& p) { p.require_known({}); }
@@ -653,12 +625,18 @@ class ClusteringAnalysis final : public Analysis {
   AnalysisReport execute(PlanContext& ctx,
                          std::span<EdgeSink* const>) override {
     AnalysisReport r = report();
-    const std::vector<count_t> d =
-        ctx.is_product() ? ctx.oracle().degree_expr().expand()
-                         : triangle::nonloop_degrees(ctx.graph());
-    const double global = triangle::global_clustering(d, ctx.total_triangles());
-    const double average =
-        triangle::average_clustering(d, ctx.vertex_triangles());
+    triangle::ClusteringSums sums;
+    if (ctx.is_product()) {
+      // d_C and t_C one vertex at a time: nothing product-sized is held.
+      const kron::TriangleOracle& oracle = ctx.oracle();
+      for (vid p = 0; p < oracle.num_vertices(); ++p) {
+        sums.add(oracle.degree(p), oracle.vertex_triangles(p));
+      }
+    } else {
+      sums = triangle::clustering_sums(ctx.graph(), ctx.vertex_triangles());
+    }
+    const double global = sums.global(ctx.total_triangles());
+    const double average = sums.average();
     r.data.set("global_clustering", global);
     r.data.set("average_clustering", average);
     std::ostringstream os;

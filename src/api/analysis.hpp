@@ -161,15 +161,18 @@ class PlanContext {
   void set_needs_edge_triangles(bool needed);
 
   /// The census workspace of graph(), built on first use and kept until
-  /// the plan ends. On a product it holds only the loop-free structure and
-  /// its edge ids (Detail::kEdgeIds), which truss::peel walks. Otherwise
-  /// it carries edge ids when the plan reads Δ(e) and is vertex-only (no
-  /// edge-id map) when it does not.
+  /// the plan ends: with edge ids when the plan reads Δ(e), vertex-only
+  /// (no edge-id map) otherwise. A product plan's analyses never need it.
   [[nodiscard]] const triangle::CensusWorkspace& census() const;
-  /// Δ(e) per undirected edge id of census(), on first use only. A
-  /// product's come from the oracle's Δ_C in one parallel sweep over C's
-  /// rows; any other graph pays one census pass. Throws std::logic_error
-  /// when the plan declared no reader.
+  /// The loop-free structure of graph() and its undirected edge ids:
+  /// edge_triangles() is indexed by them and truss::peel walks them. A
+  /// product builds them alone, without the degree orientation a census
+  /// needs; any other graph reads them off census().
+  [[nodiscard]] const triangle::EdgeIndex& edge_index() const;
+  /// Δ(e) per undirected edge id of edge_index(), on first use only. A
+  /// product's come from the oracle's Δ_C, one point evaluation per edge
+  /// in a parallel sweep; any other graph pays one census pass. Throws
+  /// std::logic_error when the plan declared no reader.
   [[nodiscard]] const std::vector<count_t>& edge_triangles() const;
   /// t_v per vertex of graph(). A product expands the oracle's t_C and
   /// needs no materialized graph. Otherwise it is ½·Σ_{e∋v} Δ(e), an O(m)
@@ -191,6 +194,7 @@ class PlanContext {
   mutable std::optional<kron::TriangleOracle> oracle_;
   mutable std::optional<Graph> graph_;
   mutable std::optional<triangle::CensusWorkspace> census_;
+  mutable std::optional<triangle::EdgeIndex> edge_index_;  // products only
   mutable std::optional<std::vector<count_t>> edge_triangles_;
   mutable std::optional<std::vector<count_t>> vertex_triangles_;
 };

@@ -83,7 +83,6 @@ class TriangleOracle {
 
   [[nodiscard]] const KronVectorExpr& vertex_expr() const noexcept { return tvec_; }
   [[nodiscard]] const KronMatrixExpr& edge_expr() const noexcept { return dmat_; }
-  [[nodiscard]] const KronVectorExpr& degree_expr() const noexcept { return deg_; }
 
  private:
   std::vector<Graph> factors_;

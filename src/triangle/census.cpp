@@ -59,35 +59,33 @@ EdgeIdMap build_edge_ids(const BoolCsr& s) {
   return ids;
 }
 
+EdgeIndex index_edges(const Graph& a) {
+  EdgeIndex index{simple_part(a), {}};
+  index.ids = build_edge_ids(index.structure);
+  return index;
+}
+
 CensusWorkspace::CensusWorkspace(const Graph& a, Detail detail)
-    : s_(simple_part(a)), oriented_(detail != Detail::kEdgeIds) {
-  if (oriented_) o_ = orient_by_degree(s_);
+    : index_{simple_part(a), {}}, o_(orient_by_degree(index_.structure)) {
   if (detail == Detail::kVertexOnly) return;
-  ids_ = build_edge_ids(s_);
-  if (!oriented_) return;
+  const BoolCsr& s = index_.structure;
+  index_.ids = build_edge_ids(s);
+  const std::vector<esz>& slot_id = index_.ids.slot_id;
   // Oriented successor lists are subsequences of the (sorted) structure
   // rows, so a single linear merge per row maps every oriented slot to its
   // undirected edge id — no binary searches.
   oriented_eid_.resize(o_.succ.size());
 #pragma omp parallel for schedule(static)
-  for (std::int64_t uu = 0; uu < static_cast<std::int64_t>(s_.rows()); ++uu) {
+  for (std::int64_t uu = 0; uu < static_cast<std::int64_t>(s.rows()); ++uu) {
     const vid u = static_cast<vid>(uu);
-    const auto row = s_.row_cols(u);
-    const esz* const sid = ids_.slot_id.data() + s_.row_ptr()[u];
+    const auto row = s.row_cols(u);
+    const esz* const sid = slot_id.data() + s.row_ptr()[u];
     std::size_t j = 0;
     for (esz k = o_.row_ptr[u]; k < o_.row_ptr[u + 1]; ++k) {
       while (row[j] != o_.succ[k]) ++j;
       oriented_eid_[k] = sid[j];
       ++j;
     }
-  }
-}
-
-void CensusWorkspace::require_orientation() const {
-  if (!oriented_) {
-    throw std::logic_error(
-        "CensusWorkspace: a Detail::kEdgeIds workspace enumerates no "
-        "triangles");
   }
 }
 
@@ -135,14 +133,16 @@ std::vector<count_t> CensusWorkspace::vertex_census(
     const std::vector<count_t>& per_edge) const {
   // Each triangle at v closes on exactly two of v's edges, so the row sum
   // of Δ over v's stored entries counts every triangle at v twice.
+  const BoolCsr& s = index_.structure;
+  const std::vector<esz>& slot_id = index_.ids.slot_id;
   const vid n = num_vertices();
   std::vector<count_t> out(n, 0);
 #pragma omp parallel for schedule(static)
   for (std::int64_t vv = 0; vv < static_cast<std::int64_t>(n); ++vv) {
     const vid v = static_cast<vid>(vv);
     count_t acc = 0;
-    for (esz k = s_.row_ptr()[v]; k < s_.row_ptr()[v + 1]; ++k) {
-      acc += per_edge[ids_.slot_id[k]];
+    for (esz k = s.row_ptr()[v]; k < s.row_ptr()[v + 1]; ++k) {
+      acc += per_edge[slot_id[k]];
     }
     out[v] = acc / 2;
   }
@@ -151,12 +151,14 @@ std::vector<count_t> CensusWorkspace::vertex_census(
 
 CountCsr CensusWorkspace::mirror_edge_counts(
     const std::vector<count_t>& per_edge) const {
-  std::vector<count_t> vals(s_.nnz(), 0);
+  const BoolCsr& s = index_.structure;
+  const std::vector<esz>& slot_id = index_.ids.slot_id;
+  std::vector<count_t> vals(s.nnz(), 0);
 #pragma omp parallel for schedule(static)
-  for (std::int64_t k = 0; k < static_cast<std::int64_t>(s_.nnz()); ++k) {
-    vals[static_cast<esz>(k)] = per_edge[ids_.slot_id[static_cast<esz>(k)]];
+  for (std::int64_t k = 0; k < static_cast<std::int64_t>(s.nnz()); ++k) {
+    vals[static_cast<esz>(k)] = per_edge[slot_id[static_cast<esz>(k)]];
   }
-  return CountCsr::from_parts(s_.rows(), s_.cols(), s_.row_ptr(), s_.col_idx(),
+  return CountCsr::from_parts(s.rows(), s.cols(), s.row_ptr(), s.col_idx(),
                               std::move(vals));
 }
 

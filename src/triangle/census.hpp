@@ -21,10 +21,10 @@
 // triangle/labeled.cpp, triangle/support.cpp, truss/decompose.cpp, and the
 // per-plan census api::PlanContext shares between analyses of a graph that
 // is not a Kronecker product) run on this engine. A product plan's
-// PlanContext reads t and Δ off kron::TriangleOracle instead and keeps
-// only the loop-free structure and edge ids here (Detail::kEdgeIds) for
-// truss::peel. Every enumeration pass bumps the `triangle.census_passes`
-// counter, so a RunReport shows how many censuses a plan paid for.
+// PlanContext reads t and Δ off kron::TriangleOracle instead and builds
+// only an EdgeIndex of the product for truss::peel. Every enumeration pass
+// bumps the `triangle.census_passes` counter, so a RunReport shows how many
+// censuses a plan paid for.
 #pragma once
 
 #include <algorithm>
@@ -75,35 +75,55 @@ struct EdgeIdMap {
 /// paid once per graph instead of once per triangle.
 EdgeIdMap build_edge_ids(const BoolCsr& s);
 
+/// A − I∘A and its undirected edge ids: the index per-edge counts Δ(e) are
+/// kept by, and all a truss peel walks.
+struct EdgeIndex {
+  BoolCsr structure;
+  EdgeIdMap ids;
+};
+
+/// The EdgeIndex of an undirected graph (throws std::invalid_argument
+/// otherwise), self loops stripped per Def. 5/6. Builds no degree
+/// orientation: for callers that get Δ(e) elsewhere (a Kronecker
+/// product's closed form) and enumerate nothing.
+EdgeIndex index_edges(const Graph& a);
+
 /// Bumps the `triangle.census_passes` counter (one call per enumeration).
 void count_census_pass();
 
 class CensusWorkspace {
  public:
   /// What the workspace precomputes. Vertex-only censuses (count_total,
-  /// participation_vertices, run plans whose analyses read no Δ(e)) skip
-  /// the edge-id build — one binary search per undirected edge plus two
-  /// m-sized arrays they would never read. kEdgeIds keeps only the
-  /// loop-free structure and its edge ids, for callers that get Δ(e)
-  /// elsewhere (a Kronecker product's closed form) and enumerate nothing:
-  /// no degree orientation, no oriented-slot ids.
-  enum class Detail { kVertexOnly, kEdges, kEdgeIds };
+  /// participation_vertices, run plans whose analyses read no Δ(e)) skip the edge-id build — one binary search per undirected edge
+  /// plus two m-sized arrays they would never read.
+  enum class Detail { kVertexOnly, kEdges };
 
   /// Requires an undirected graph (throws std::invalid_argument otherwise);
   /// self loops are stripped per Def. 5/6. With Detail::kVertexOnly the
   /// edge-id map is not built: edge_ids(), edge_census(),
   /// mirror_edge_counts() and for_each_triangle() must not be used — only
-  /// for_each_triangle_vertices(). With Detail::kEdgeIds nothing can be
-  /// enumerated: edge_census(), vertex_census() and both for_each_*
-  /// throw std::logic_error.
+  /// for_each_triangle_vertices().
   explicit CensusWorkspace(const Graph& a, Detail detail = Detail::kEdges);
 
   /// A − I∘A: the symmetric loop-free structure every census runs on.
-  [[nodiscard]] const BoolCsr& structure() const noexcept { return s_; }
+  [[nodiscard]] const BoolCsr& structure() const noexcept {
+    return index_.structure;
+  }
   [[nodiscard]] const Oriented& oriented() const noexcept { return o_; }
-  [[nodiscard]] const EdgeIdMap& edge_ids() const noexcept { return ids_; }
-  [[nodiscard]] vid num_vertices() const noexcept { return s_.rows(); }
-  [[nodiscard]] esz num_edges() const noexcept { return ids_.num_edges(); }
+  [[nodiscard]] const EdgeIdMap& edge_ids() const noexcept {
+    return index_.ids;
+  }
+  /// structure() and edge_ids() together (empty ids with
+  /// Detail::kVertexOnly).
+  [[nodiscard]] const EdgeIndex& edge_index() const noexcept {
+    return index_;
+  }
+  [[nodiscard]] vid num_vertices() const noexcept {
+    return index_.structure.rows();
+  }
+  [[nodiscard]] esz num_edges() const noexcept {
+    return index_.ids.num_edges();
+  }
 
   /// Enumerates each triangle exactly once, calling
   /// visit(tls[worker], u, v, w, eid_uv, eid_uw, eid_vw) with u ≺ v ≺ w in
@@ -114,8 +134,7 @@ class CensusWorkspace {
   /// `visit` needs no synchronization. Returns the wedge-check count.
   template <typename TLS, typename Visit>
   count_t for_each_triangle(std::vector<TLS>& tls, Visit&& visit) const {
-    require_orientation();
-    const std::int64_t n = static_cast<std::int64_t>(s_.rows());
+    const std::int64_t n = static_cast<std::int64_t>(num_vertices());
     const esz* const eid = oriented_eid_.data();
     count_census_pass();
     count_t checks = 0;
@@ -146,8 +165,7 @@ class CensusWorkspace {
   template <typename TLS, typename Visit>
   count_t for_each_triangle_vertices(std::vector<TLS>& tls,
                                      Visit&& visit) const {
-    require_orientation();
-    const std::int64_t n = static_cast<std::int64_t>(s_.rows());
+    const std::int64_t n = static_cast<std::int64_t>(num_vertices());
     count_census_pass();
     count_t checks = 0;
 #ifdef _OPENMP
@@ -189,13 +207,8 @@ class CensusWorkspace {
       const std::vector<count_t>& per_edge) const;
 
  private:
-  /// Throws std::logic_error on a Detail::kEdgeIds workspace.
-  void require_orientation() const;
-
-  BoolCsr s_;
-  bool oriented_ = false;
+  EdgeIndex index_;
   Oriented o_;
-  EdgeIdMap ids_;
   std::vector<esz> oriented_eid_;  // per oriented successor slot → edge id
 };
 

@@ -21,16 +21,27 @@ double global_clustering(const Graph& a);
 /// Mean of the local coefficients (Watts–Strogatz average clustering).
 double average_clustering(const Graph& a);
 
-/// Non-loop degree per vertex, (A − I∘A)·1.
-std::vector<count_t> nonloop_degrees(const Graph& a);
+/// The global and average coefficients summed one vertex at a time, in
+/// vertex order, so the doubles equal the overloads above whether the
+/// caller holds d and t per vertex (a census shared between analyses) or
+/// evaluates them at each vertex of a Kronecker product and stores none.
+class ClusteringSums {
+ public:
+  /// The next vertex: non-loop degree d, in t triangles.
+  void add(count_t d, count_t t);
+  /// 3·tau / #wedges, tau = τ of the graph.
+  [[nodiscard]] double global(count_t tau) const;
+  /// Mean of the local coefficients.
+  [[nodiscard]] double average() const;
 
-/// The same coefficients from counts the caller already holds — non-loop
-/// degrees d, tau = τ(A), t = t_A (one entry per vertex) — so a census
-/// shared between analyses is not recomputed, and a Kronecker product's
-/// d_C and t_C can come from its factors. Sums run in vertex order, so
-/// the results are bit-identical to the overloads above.
-double global_clustering(std::span<const count_t> d, count_t tau);
-double average_clustering(std::span<const count_t> d,
-                          std::span<const count_t> t);
+ private:
+  long double wedges_ = 0;
+  long double local_ = 0;
+  std::size_t vertices_ = 0;
+};
+
+/// ClusteringSums over every vertex of a, from t = t_A (one entry per
+/// vertex) the caller already holds.
+ClusteringSums clustering_sums(const Graph& a, std::span<const count_t> t);
 
 }  // namespace kronotri::triangle

@@ -57,18 +57,18 @@ std::vector<count_t> truss_sizes(std::span<const count_t> truss_of) {
 
 TrussDecomposition decompose(const Graph& a) {
   const triangle::CensusWorkspace ws(a);
-  return assemble(ws.structure(), ws.edge_ids(), peel(ws, ws.edge_census()),
-                  ws.num_edges());
+  return assemble(ws.structure(), ws.edge_ids(),
+                  peel(ws.edge_index(), ws.edge_census()), ws.num_edges());
 }
 
-std::vector<count_t> peel(const triangle::CensusWorkspace& ws,
+std::vector<count_t> peel(const triangle::EdgeIndex& index,
                           std::vector<count_t> sup) {
-  const BoolCsr& s = ws.structure();
-  const triangle::EdgeIdMap& eids = ws.edge_ids();
+  const BoolCsr& s = index.structure;
+  const triangle::EdgeIdMap& eids = index.ids;
   const esz m = eids.num_edges();
   if (eids.slot_id.size() != s.nnz() || sup.size() != m) {
     throw std::invalid_argument(
-        "truss::peel: needs a workspace with edge ids and one support per "
+        "truss::peel: needs an edge index with ids and one support per "
         "edge id");
   }
 

@@ -21,12 +21,12 @@
 // serial Batagelj–Zaveršnik bucket peel (decompose_serial) at every
 // thread count.
 //
-// peel() is the peel itself, over a census workspace the caller already
-// holds and its per-edge supports: a run plan's truss analysis peels from
-// the workspace and Δ(e) its plan shares between analyses
-// (api::PlanContext; on a Kronecker product the supports are the
-// oracle's and the workspace has no orientation), and reads |T^{(κ)}| off
-// truss_sizes() instead of a symmetric matrix.
+// peel() is the peel itself, over an edge index the caller already holds
+// and its per-edge supports: a run plan's truss analysis peels from the
+// index and Δ(e) its plan shares between analyses (api::PlanContext; on a
+// Kronecker product the supports are the oracle's and the index comes
+// without a census), and reads |T^{(κ)}| off truss_sizes() instead of a
+// symmetric matrix.
 #pragma once
 
 #include <span>
@@ -36,7 +36,7 @@
 #include "core/graph.hpp"
 
 namespace kronotri::triangle {
-class CensusWorkspace;
+struct EdgeIndex;
 }
 
 namespace kronotri::truss {
@@ -52,12 +52,13 @@ struct TrussDecomposition {
   [[nodiscard]] count_t edges_in_truss(count_t kappa) const;
 };
 
-/// Truss number of every undirected edge of ws, indexed by ws.edge_ids(),
+/// Truss number of every undirected edge of `index`, indexed by its ids,
 /// by the parallel level-synchronous peel. Adds its work to the
-/// `truss.peel_lookups` and `truss.peel_sub_rounds` counters. `support` is Δ(e) per edge id
-/// (ws.edge_census()); the peel consumes it as its working supports. ws
-/// must carry edge ids (CensusWorkspace::Detail::kEdges or kEdgeIds).
-std::vector<count_t> peel(const triangle::CensusWorkspace& ws,
+/// `truss.peel_lookups` and `truss.peel_sub_rounds` counters. `support` is
+/// Δ(e) per edge id (CensusWorkspace::edge_census()); the peel consumes it
+/// as its working supports. Throws std::invalid_argument when `index` has
+/// no ids or `support` is not one count per id.
+std::vector<count_t> peel(const triangle::EdgeIndex& index,
                           std::vector<count_t> support);
 
 /// |T^{(κ)}| for every κ in [0, max truss], from per-edge truss numbers:
@@ -67,7 +68,7 @@ std::vector<count_t> peel(const triangle::CensusWorkspace& ws,
 std::vector<count_t> truss_sizes(std::span<const count_t> truss_of);
 
 /// Computes the decomposition with the parallel level-synchronous peel
-/// (peel() over a fresh census workspace of a). Requires an undirected
+/// (peel() over a fresh census workspace's index of a). Requires an undirected
 /// graph; self loops are ignored.
 TrussDecomposition decompose(const Graph& a);
 

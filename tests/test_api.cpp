@@ -767,8 +767,8 @@ TEST(PlanCensus, ProductCountsComeFromTheOracleAndEqualTheExplicitCensus) {
       });
       EXPECT_EQ(product_work.first, oracle_passes);
       EXPECT_EQ(explicit_work.first, 1u);
-      EXPECT_EQ(product.census().edge_ids().ends,
-                explicit_ctx.census().edge_ids().ends);
+      EXPECT_EQ(product.edge_index().ids.ends,
+                explicit_ctx.edge_index().ids.ends);
       EXPECT_EQ(product.edge_triangles(), explicit_ctx.edge_triangles());
       EXPECT_EQ(product.vertex_triangles(), explicit_ctx.vertex_triangles());
       EXPECT_EQ(product.total_triangles(), explicit_ctx.total_triangles());

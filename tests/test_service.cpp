@@ -19,6 +19,8 @@
 
 #include "api/analysis.hpp"
 #include "api/plan.hpp"
+#include "api/registry.hpp"
+#include "service/admission.hpp"
 #include "service/cache.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
@@ -408,6 +410,45 @@ TEST(Service, OverBudgetPlanRejectedWithoutRunning) {
   EXPECT_TRUE(ok.get_bool("ok", false));
   EXPECT_EQ(stats_of(c.stats()).find("rejected")->get_uint("over_budget", 0),
             1u);
+}
+
+TEST(Admission, StreamedProductPlansMaterializeNothing) {
+  // The cost model charges a 2-factor plan as streamed (factors plus the
+  // plan's accumulator budget) only when no analysis of it makes the
+  // engine materialize C: each one it streams answers needs_graph() false.
+  const std::string product = "kron:(hk:n=40,m=2,seed=1)x(clique:n=4)";
+  const auto& analyses = api::AnalysisRegistry::builtin();
+  const auto& generators = api::GeneratorRegistry::builtin();
+  std::size_t streamed = 0;
+  for (const auto& [name, help] : analyses.families()) {
+    const std::string token = name == "egonet" ? "egonet:vertex=7" : name;
+    const api::RunPlan plan = api::RunPlan::parse(product + " " + token);
+    const api::PlanContext ctx(plan.spec, plan.options,
+                               generators.build_factors(plan.spec));
+    const auto analysis =
+        analyses.build(plan.analyses[0].name, plan.analyses[0].params);
+    if (!service::estimate_plan_cost(plan).materializes) {
+      ++streamed;
+      EXPECT_FALSE(analysis->needs_graph(ctx)) << name;
+    }
+  }
+  EXPECT_GE(streamed, 6u);
+
+  // clustering evaluates d_C and t_C one vertex at a time, so a product
+  // too large to materialize is admitted at its factors' size; with truss
+  // it would be materialized and is turned away.
+  const std::string huge =
+      "kron:(rmat:scale=16,ef=16,seed=1)x(rmat:scale=16,ef=16,seed=2)";
+  const std::size_t budget = 256u << 20;
+  const api::RunPlan clustering = api::RunPlan::parse(huge + " clustering");
+  const service::CostEstimate streamed_cost =
+      service::estimate_plan_cost(clustering);
+  EXPECT_FALSE(streamed_cost.materializes);
+  EXPECT_EQ(service::over_budget_reason(clustering, budget), "");
+  const api::RunPlan with_truss =
+      api::RunPlan::parse(huge + " clustering truss");
+  EXPECT_TRUE(service::estimate_plan_cost(with_truss).materializes);
+  EXPECT_NE(service::over_budget_reason(with_truss, budget), "");
 }
 
 TEST(Service, MalformedInputGetsBadRequestAndServerSurvives) {

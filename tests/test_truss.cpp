@@ -161,7 +161,13 @@ TEST_P(TrussProperty, PeelFromWorkspaceMatchesDecomposeAndSerial) {
     const Graph g =
         kt_test::random_undirected(40, 0.3, GetParam() + 1300, loop_p);
     const triangle::CensusWorkspace ws(g);
-    const std::vector<count_t> truss_of = truss::peel(ws, ws.edge_census());
+    const std::vector<count_t> truss_of =
+        truss::peel(ws.edge_index(), ws.edge_census());
+    // An index built without the census orientation peels the same.
+    const triangle::EdgeIndex index = triangle::index_edges(g);
+    EXPECT_EQ(index.ids.ends, ws.edge_ids().ends);
+    EXPECT_EQ(index.ids.slot_id, ws.edge_ids().slot_id);
+    EXPECT_EQ(truss::peel(index, ws.edge_census()), truss_of);
     const auto par = truss::decompose(g);
     const auto ser = truss::decompose_serial(g);
     const std::vector<esz>& slot_id = ws.edge_ids().slot_id;
@@ -185,7 +191,8 @@ TEST_P(TrussProperty, PeelFromWorkspaceMatchesDecomposeAndSerial) {
 
 TEST(Truss, PeelOfAnEdgelessGraph) {
   const triangle::CensusWorkspace ws(gen::clique(1));
-  const std::vector<count_t> truss_of = truss::peel(ws, ws.edge_census());
+  const std::vector<count_t> truss_of =
+      truss::peel(ws.edge_index(), ws.edge_census());
   EXPECT_TRUE(truss_of.empty());
   EXPECT_EQ(truss::truss_sizes(truss_of), std::vector<count_t>(3, 0));
 }
@@ -193,7 +200,8 @@ TEST(Truss, PeelOfAnEdgelessGraph) {
 TEST(Truss, PeelRejectsAVertexOnlyWorkspace) {
   const triangle::CensusWorkspace ws(
       gen::clique(4), triangle::CensusWorkspace::Detail::kVertexOnly);
-  EXPECT_THROW((void)truss::peel(ws, {}), std::invalid_argument);
+  EXPECT_THROW((void)truss::peel(ws.edge_index(), {}),
+               std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrussProperty,
