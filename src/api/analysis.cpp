@@ -146,7 +146,6 @@ bool PlanContext::graph_ready() const noexcept {
 void PlanContext::set_graph(Graph g) {
   graph_ = std::move(g);
   census_.reset();
-  edge_index_.reset();
   edge_triangles_.reset();
   vertex_triangles_.reset();
 }
@@ -169,48 +168,18 @@ const triangle::CensusWorkspace& PlanContext::census() const {
   return *census_;
 }
 
-const triangle::EdgeIndex& PlanContext::edge_index() const {
-  if (!product_) return census().edge_index();
-  if (!edge_index_) edge_index_ = triangle::index_edges(graph());
-  return *edge_index_;
-}
-
-namespace {
-
-/// Δ_C at every edge id of `ids`, read off the closed form `delta` in one
-/// parallel sweep.
-std::vector<count_t> product_edge_triangles(const kron::KronMatrixExpr& delta,
-                                            const triangle::EdgeIdMap& ids) {
-  std::vector<count_t> out(ids.num_edges());
-  bool ok = true;
-#pragma omp parallel for schedule(static) reduction(&& : ok)
-  for (std::int64_t e = 0; e < static_cast<std::int64_t>(out.size()); ++e) {
-    const auto [u, v] = ids.ends[static_cast<esz>(e)];
-    const std::optional<count_t> d = delta.stored(u, v);
-    ok = ok && d.has_value();
-    out[static_cast<esz>(e)] = d.value_or(0);
-  }
-  if (!ok) {
-    throw std::logic_error(
-        "PlanContext: the product's Δ closed form did not evaluate");
-  }
-  return out;
-}
-
-}  // namespace
-
 const std::vector<count_t>& PlanContext::edge_triangles() const {
   if (!needs_edge_triangles_) {
     throw std::logic_error(
         "PlanContext::edge_triangles(): no analysis of this plan declared "
         "needs_edge_triangles()");
   }
-  if (!edge_triangles_) {
-    edge_triangles_ =
-        product_
-            ? product_edge_triangles(oracle().edge_expr(), edge_index().ids)
-            : census().edge_census();
+  if (product_) {
+    throw std::logic_error(
+        "PlanContext::edge_triangles(): a product's Δ is "
+        "oracle().edge_expr()");
   }
+  if (!edge_triangles_) edge_triangles_ = census().edge_census();
   return *edge_triangles_;
 }
 
@@ -514,7 +483,8 @@ class DegreeAnalysis final : public Analysis {
 
 /// `truss` — truss decomposition. With oracle=1 on a 2-factor product the
 /// Thm 3 factor-side oracle is used (B must satisfy Δ_B ≤ 1, both factors
-/// loop-free); otherwise the explicit graph is peeled directly.
+/// loop-free); otherwise a product is peeled from its factors' triangle
+/// lists, never materialized, and any other graph is peeled directly.
 class TrussAnalysis final : public Analysis {
  public:
   explicit TrussAnalysis(const Params& p)
@@ -523,7 +493,7 @@ class TrussAnalysis final : public Analysis {
   }
 
   bool needs_graph(const PlanContext& ctx) const override {
-    return !(oracle_ && ctx.two_factor());
+    return !ctx.is_product();
   }
 
   bool needs_edge_triangles(const PlanContext& ctx) const override {
@@ -560,13 +530,19 @@ class TrussAnalysis final : public Analysis {
             "modifiers");
       }
       // No wall time in `text`: the report's wall_s carries it, and text
-      // must be identical across identical runs. The peel starts from the
-      // plan's shared edge index and Δ(e), and |T^κ| comes from one
-      // histogram pass.
+      // must be identical across identical runs. A product peels from its
+      // factors' triangle lists and is never materialized; any other graph
+      // peels from the plan's shared edge index and Δ(e). |T^κ| comes from
+      // one histogram pass.
+      const bool product = ctx.is_product();
       const auto sizes = truss::truss_sizes(
-          truss::peel(ctx.edge_index(), ctx.edge_triangles()));
+          product ? truss::peel(ctx.oracle())
+                  : truss::peel(ctx.census().edge_index(),
+                                ctx.edge_triangles()));
       const count_t max_truss = sizes.size() - 1;
-      os << "truss decomposition of " << ctx.graph().num_undirected_edges()
+      os << "truss decomposition of "
+         << (product ? ctx.oracle().num_undirected_edges()
+                     : ctx.graph().num_undirected_edges())
          << " edges; max truss " << max_truss << "\n";
       for (count_t k = 3; k <= max_truss; ++k) add(k, sizes[k]);
       r.data.set("mode", "decompose");

@@ -164,15 +164,10 @@ class PlanContext {
   /// the plan ends: with edge ids when the plan reads Δ(e), vertex-only
   /// (no edge-id map) otherwise. A product plan's analyses never need it.
   [[nodiscard]] const triangle::CensusWorkspace& census() const;
-  /// The loop-free structure of graph() and its undirected edge ids:
-  /// edge_triangles() is indexed by them and truss::peel walks them. A
-  /// product builds them alone, without the degree orientation a census
-  /// needs; any other graph reads them off census().
-  [[nodiscard]] const triangle::EdgeIndex& edge_index() const;
-  /// Δ(e) per undirected edge id of edge_index(), on first use only. A
-  /// product's come from the oracle's Δ_C, one point evaluation per edge
-  /// in a parallel sweep; any other graph pays one census pass. Throws
-  /// std::logic_error when the plan declared no reader.
+  /// Δ(e) per undirected edge id of census().edge_index(), on first use
+  /// only: one census pass. Throws std::logic_error when the plan declared
+  /// no reader, and on a product, whose Δ_C is oracle().edge_expr() (its
+  /// truss peel reads it at factor slots).
   [[nodiscard]] const std::vector<count_t>& edge_triangles() const;
   /// t_v per vertex of graph(). A product expands the oracle's t_C and
   /// needs no materialized graph. Otherwise it is ½·Σ_{e∋v} Δ(e), an O(m)
@@ -194,7 +189,6 @@ class PlanContext {
   mutable std::optional<kron::TriangleOracle> oracle_;
   mutable std::optional<Graph> graph_;
   mutable std::optional<triangle::CensusWorkspace> census_;
-  mutable std::optional<triangle::EdgeIndex> edge_index_;  // products only
   mutable std::optional<std::vector<count_t>> edge_triangles_;
   mutable std::optional<std::vector<count_t>> vertex_triangles_;
 };

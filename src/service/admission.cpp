@@ -94,11 +94,18 @@ FamilyCost spec_cost(const api::GraphSpec& s) {
 /// the needs_graph() answers of the builtin analyses in that regime.
 bool streams_on_two_factor(const std::string& name) {
   return name == "census" || name == "degree" || name == "validate" ||
-         name == "components" || name == "egonet" || name == "clustering";
+         name == "components" || name == "egonet" || name == "clustering" ||
+         name == "truss";
 }
 
 constexpr double kBytesPerEntry = 24;   // CSR cols+offsets + census counters
 constexpr double kBytesPerVertex = 16;  // degree/count arrays
+// A product's truss peel (truss/product_peel.cpp): support, state and
+// truss number per undirected edge of C, and one 24-byte common-neighbour
+// entry per factor slot and shared neighbour, charged at the factor's mean
+// degree per slot.
+constexpr double kPeelBytesPerEdge = 17;
+constexpr double kBytesPerCommon = 24;
 
 }  // namespace
 
@@ -115,8 +122,10 @@ CostEstimate estimate_plan_cost(const api::RunPlan& plan) {
   const bool two_factor =
       spec.is_kron() && spec.factors.size() == 2 && !modified;
   bool all_stream = two_factor;
+  bool peels = false;
   for (const api::AnalysisRequest& req : plan.analyses) {
     all_stream = all_stream && streams_on_two_factor(req.name);
+    peels = peels || req.name == "truss";
   }
   est.materializes = !all_stream;
 
@@ -129,9 +138,17 @@ CostEstimate estimate_plan_cost(const api::RunPlan& plan) {
     for (const api::GraphSpec& f : spec.factors) {
       const FamilyCost fc = family_cost(f);
       factor_bytes += fc.entries * kBytesPerEntry + fc.vertices * kBytesPerVertex;
+      if (peels) {
+        factor_bytes += fc.entries * (fc.entries / std::max(1.0, fc.vertices)) *
+                        kBytesPerCommon;
+      }
     }
     est.bytes =
         factor_bytes + static_cast<double>(plan.options.mem_budget_bytes);
+    if (peels) {
+      est.bytes += total.entries / 2 * kPeelBytesPerEdge +
+                   total.vertices * kBytesPerVertex;
+    }
   }
 
   char buf[192];

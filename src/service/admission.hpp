@@ -15,8 +15,10 @@
 //     modifier that adds loops;
 //   * a plan whose analyses all run factor-side/streaming on an unmodified
 //     2-factor product never materializes C — its footprint is the factor
-//     graphs plus the configured accumulator budget; anything else
-//     materializes, charged at bytes-per-entry CSR + census-counter rates.
+//     graphs plus the configured accumulator budget, plus a truss peel's
+//     per-edge state and factor common-neighbour lists when it runs
+//     `truss`; anything else materializes, charged at bytes-per-entry CSR +
+//     census-counter rates.
 #pragma once
 
 #include <cstddef>

@@ -59,12 +59,6 @@ EdgeIdMap build_edge_ids(const BoolCsr& s) {
   return ids;
 }
 
-EdgeIndex index_edges(const Graph& a) {
-  EdgeIndex index{simple_part(a), {}};
-  index.ids = build_edge_ids(index.structure);
-  return index;
-}
-
 CensusWorkspace::CensusWorkspace(const Graph& a, Detail detail)
     : index_{simple_part(a), {}}, o_(orient_by_degree(index_.structure)) {
   if (detail == Detail::kVertexOnly) return;

@@ -21,10 +21,10 @@
 // triangle/labeled.cpp, triangle/support.cpp, truss/decompose.cpp, and the
 // per-plan census api::PlanContext shares between analyses of a graph that
 // is not a Kronecker product) run on this engine. A product plan's
-// PlanContext reads t and Δ off kron::TriangleOracle instead and builds
-// only an EdgeIndex of the product for truss::peel. Every enumeration pass
-// bumps the `triangle.census_passes` counter, so a RunReport shows how many
-// censuses a plan paid for.
+// PlanContext reads t and Δ off kron::TriangleOracle instead, and its
+// truss peel walks the factors (truss/product_peel.cpp). Every enumeration
+// pass bumps the `triangle.census_passes` counter, so a RunReport shows how
+// many censuses a plan paid for.
 #pragma once
 
 #include <algorithm>
@@ -81,12 +81,6 @@ struct EdgeIndex {
   BoolCsr structure;
   EdgeIdMap ids;
 };
-
-/// The EdgeIndex of an undirected graph (throws std::invalid_argument
-/// otherwise), self loops stripped per Def. 5/6. Builds no degree
-/// orientation: for callers that get Δ(e) elsewhere (a Kronecker
-/// product's closed form) and enumerate nothing.
-EdgeIndex index_edges(const Graph& a);
 
 /// Bumps the `triangle.census_passes` counter (one call per enumeration).
 void count_census_pass();

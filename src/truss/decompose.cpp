@@ -1,24 +1,87 @@
 #include "truss/decompose.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "core/ops.hpp"
-#include "obs/counters.hpp"
 #include "triangle/census.hpp"
 #include "triangle/support.hpp"
+#include "truss/peel_engine.hpp"
 
 namespace kronotri::truss {
 
 namespace {
 
-/// Edge lifecycle in the level-synchronous peel. Transitions only happen at
-/// sub-round barriers, so a round always reads the state fixed at its start.
-enum : std::uint8_t { kAlive = 0, kInFrontier = 1, kPeeled = 2 };
+/// An explicit graph's triangles, for detail::peel_frontiers. A slice of
+/// frontier edges is grouped by owner endpoint (the one with the longer
+/// row, ties to the larger id: a function of the graph alone, so the
+/// scanned rows and the lookup count do not depend on the team size or the
+/// frontier's order). The owner's row is marked once per group
+/// (mark[w] = position + 1), and every frontier edge of the group scans
+/// only its other, shorter row with O(1) lookups — Σ_e min(d_u, d_v)
+/// instead of a full merge.
+class RowTriangles {
+ public:
+  explicit RowTriangles(const triangle::EdgeIndex& index)
+      : s_(index.structure), eids_(index.ids) {}
+
+  /// Owner-sorted slice and n-sized row marks (4·n bytes, allocated by
+  /// each thread on its first slice).
+  struct Scratch {
+    std::vector<std::pair<vid, esz>> slice;
+    std::vector<std::uint32_t> mark;
+  };
+
+  template <typename Visit>
+  count_t triangles(Scratch& scratch, std::span<esz> frontier,
+                    Visit&& visit) const {
+    auto& slice = scratch.slice;
+    auto& mark = scratch.mark;
+    if (mark.empty()) mark.assign(s_.rows(), 0);
+    slice.clear();
+    for (const esz e : frontier) {
+      const auto [u, v] = eids_.ends[e];
+      slice.emplace_back(owner_of(u, v), e);
+    }
+    std::sort(slice.begin(), slice.end());
+    count_t lookups = 0;
+    for (std::size_t a = 0; a < slice.size();) {
+      const vid o = slice[a].first;
+      const esz obase = s_.row_ptr()[o];
+      const auto ro = s_.row_cols(o);
+      for (std::size_t p = 0; p < ro.size(); ++p) {
+        mark[ro[p]] = static_cast<std::uint32_t>(p + 1);
+      }
+      for (; a < slice.size() && slice[a].first == o; ++a) {
+        const esz e = slice[a].second;
+        const auto [u, v] = eids_.ends[e];
+        const vid x = u == o ? v : u;
+        const esz xbase = s_.row_ptr()[x];
+        const auto rx = s_.row_cols(x);
+        lookups += rx.size();
+        for (std::size_t q = 0; q < rx.size(); ++q) {
+          const std::uint32_t p = mark[rx[q]];
+          if (p == 0) continue;
+          visit(e, eids_.slot_id[obase + p - 1], eids_.slot_id[xbase + q]);
+        }
+      }
+      for (const vid w : ro) mark[w] = 0;
+    }
+    return lookups;
+  }
+
+ private:
+  [[nodiscard]] vid owner_of(vid u, vid v) const {
+    const esz du = s_.row_ptr()[u + 1] - s_.row_ptr()[u];
+    const esz dv = s_.row_ptr()[v + 1] - s_.row_ptr()[v];
+    return du > dv || (du == dv && u > v) ? u : v;
+  }
+
+  const BoolCsr& s_;
+  const triangle::EdgeIdMap& eids_;
+};
 
 /// Assembles the symmetric truss_number matrix from per-edge-id values.
 TrussDecomposition assemble(const BoolCsr& s, const triangle::EdgeIdMap& eids,
@@ -63,192 +126,13 @@ TrussDecomposition decompose(const Graph& a) {
 
 std::vector<count_t> peel(const triangle::EdgeIndex& index,
                           std::vector<count_t> sup) {
-  const BoolCsr& s = index.structure;
-  const triangle::EdgeIdMap& eids = index.ids;
-  const esz m = eids.num_edges();
-  if (eids.slot_id.size() != s.nnz() || sup.size() != m) {
+  if (index.ids.slot_id.size() != index.structure.nnz() ||
+      sup.size() != index.ids.num_edges()) {
     throw std::invalid_argument(
         "truss::peel: needs an edge index with ids and one support per "
         "edge id");
   }
-
-  std::vector<std::uint8_t> state(m, kAlive);
-  std::vector<count_t> truss_of(m, 2);
-
-  const vid n = s.rows();
-  const unsigned workers = triangle::census_workers();
-  std::vector<std::vector<esz>> tl_found(workers);
-  // Per-thread owner-sorted slice and n-sized row marks (4·n bytes each,
-  // allocated by each thread on its first sub-round).
-  std::vector<std::vector<std::pair<vid, esz>>> tl_slice(workers);
-  std::vector<std::vector<std::uint32_t>> tl_mark(workers);
-  count_t lookups = 0, sub_rounds = 0;
-  std::vector<esz> curr;
-  count_t level = 0;
-
-  // Decrement sup[t] unless it already sits at the level (edges at or below
-  // the threshold keep their peel level — the clamp the serial peel applies
-  // by never touching the peeled prefix). Exactly one CAS observes the
-  // crossing to `level`, so the crossing thread enqueues t exactly once.
-  const auto try_decrement = [&](esz t, std::vector<esz>& found) {
-    std::atomic_ref<count_t> slot(sup[t]);
-    count_t cur = slot.load(std::memory_order_relaxed);
-    while (cur > level) {
-      if (slot.compare_exchange_weak(cur, cur - 1,
-                                     std::memory_order_relaxed)) {
-        if (cur - 1 == level) found.push_back(t);
-        break;
-      }
-    }
-  };
-
-  // The owner of an edge is its endpoint with the longer row, ties to the
-  // larger id: a function of the graph alone, so the scanned rows (and the
-  // lookup count) do not depend on the team size or the frontier's order.
-  const auto owner_of = [&](vid u, vid v) {
-    const esz du = s.row_ptr()[u + 1] - s.row_ptr()[u];
-    const esz dv = s.row_ptr()[v + 1] - s.row_ptr()[v];
-    return du > dv || (du == dv && u > v) ? u : v;
-  };
-
-  esz remaining = m;
-  while (remaining > 0) {
-    // Jump to the smallest surviving support: the level loop advances by
-    // distinct support values, not by 1, so sparse distributions don't pay
-    // an O(m) scan per empty level.
-    count_t lo = std::numeric_limits<count_t>::max();
-#pragma omp parallel
-    {
-      count_t local_lo = std::numeric_limits<count_t>::max();
-#pragma omp for schedule(static) nowait
-      for (std::int64_t e = 0; e < static_cast<std::int64_t>(m); ++e) {
-        if (state[static_cast<esz>(e)] == kAlive) {
-          local_lo = std::min(local_lo, sup[static_cast<esz>(e)]);
-        }
-      }
-#pragma omp critical(kronotri_truss_min)
-      lo = std::min(lo, local_lo);
-    }
-    level = std::max(level, lo);
-
-    // Initial frontier of this level (thread-local gather, then concat).
-#pragma omp parallel
-    {
-#ifdef _OPENMP
-      auto& found = tl_found[static_cast<std::size_t>(omp_get_thread_num())];
-#else
-      auto& found = tl_found.front();
-#endif
-      found.clear();
-#pragma omp for schedule(static) nowait
-      for (std::int64_t e = 0; e < static_cast<std::int64_t>(m); ++e) {
-        if (state[static_cast<esz>(e)] == kAlive &&
-            sup[static_cast<esz>(e)] <= level) {
-          found.push_back(static_cast<esz>(e));
-        }
-      }
-    }
-    curr.clear();
-    for (auto& found : tl_found) {
-      curr.insert(curr.end(), found.begin(), found.end());
-      found.clear();
-    }
-    for (const esz e : curr) state[e] = kInFrontier;
-
-    // Sub-rounds: peel the frontier, collect the edges its removal drags to
-    // the level, repeat until the level is exhausted. The frontier is cut
-    // into ~8 slices per thread; each slice is grouped by owner endpoint,
-    // the owner's row is marked once per group (mark[w] = position + 1),
-    // and every frontier edge of the group scans only its other, shorter
-    // row with O(1) lookups — Σ_e min(d_u, d_v) instead of a full merge.
-    while (!curr.empty()) {
-      ++sub_rounds;
-      const std::size_t size = curr.size();
-      const std::size_t slices = std::min<std::size_t>(size, 8 * workers);
-#pragma omp parallel reduction(+ : lookups)
-      {
-#ifdef _OPENMP
-        const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-#else
-        const std::size_t tid = 0;
-#endif
-        auto& found = tl_found[tid];
-        auto& slice = tl_slice[tid];
-        auto& mark = tl_mark[tid];
-        if (mark.empty()) mark.assign(n, 0);
-#pragma omp for schedule(dynamic, 1) nowait
-        for (std::int64_t si = 0; si < static_cast<std::int64_t>(slices);
-             ++si) {
-          const auto i = static_cast<std::size_t>(si);
-          slice.clear();
-          for (std::size_t k = size * i / slices;
-               k < size * (i + 1) / slices; ++k) {
-            const auto [u, v] = eids.ends[curr[k]];
-            slice.emplace_back(owner_of(u, v), curr[k]);
-          }
-          std::sort(slice.begin(), slice.end());
-          for (std::size_t a = 0; a < slice.size();) {
-            const vid o = slice[a].first;
-            const esz obase = s.row_ptr()[o];
-            const auto ro = s.row_cols(o);
-            for (std::size_t p = 0; p < ro.size(); ++p) {
-              mark[ro[p]] = static_cast<std::uint32_t>(p + 1);
-            }
-            for (; a < slice.size() && slice[a].first == o; ++a) {
-              const esz e = slice[a].second;
-              const auto [u, v] = eids.ends[e];
-              const vid x = u == o ? v : u;
-              const esz xbase = s.row_ptr()[x];
-              const auto rx = s.row_cols(x);
-              lookups += rx.size();
-              for (std::size_t q = 0; q < rx.size(); ++q) {
-                const std::uint32_t p = mark[rx[q]];
-                if (p == 0) continue;
-                const esz eow = eids.slot_id[obase + p - 1];
-                const esz exw = eids.slot_id[xbase + q];
-                const std::uint8_t so = state[eow], sx = state[exw];
-                if (so == kPeeled || sx == kPeeled) continue;
-                // Frontier-frontier triangles are destroyed once: the
-                // smaller edge id performs the shared decrement.
-                if (so == kInFrontier && sx == kInFrontier) {
-                  // all three peel together — nothing survives to update
-                } else if (so == kInFrontier) {
-                  if (e < eow) try_decrement(exw, found);
-                } else if (sx == kInFrontier) {
-                  if (e < exw) try_decrement(eow, found);
-                } else {
-                  try_decrement(eow, found);
-                  try_decrement(exw, found);
-                }
-              }
-            }
-            for (const vid w : ro) mark[w] = 0;
-          }
-        }
-      }
-
-      remaining -= curr.size();
-      const count_t kappa = level + 2;
-#pragma omp parallel for schedule(static)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(curr.size());
-           ++i) {
-        const esz e = curr[static_cast<std::size_t>(i)];
-        truss_of[e] = kappa;
-        state[e] = kPeeled;
-      }
-
-      curr.clear();
-      for (auto& found : tl_found) {
-        curr.insert(curr.end(), found.begin(), found.end());
-        found.clear();
-      }
-      for (const esz e : curr) state[e] = kInFrontier;
-    }
-  }
-
-  obs::counter("truss.peel_lookups").add(lookups);
-  obs::counter("truss.peel_sub_rounds").add(sub_rounds);
-  return truss_of;
+  return detail::peel_frontiers(RowTriangles(index), std::move(sup));
 }
 
 TrussDecomposition decompose_serial(const Graph& a) {

@@ -21,12 +21,14 @@
 // serial Batagelj–Zaveršnik bucket peel (decompose_serial) at every
 // thread count.
 //
-// peel() is the peel itself, over an edge index the caller already holds
-// and its per-edge supports: a run plan's truss analysis peels from the
-// index and Δ(e) its plan shares between analyses (api::PlanContext; on a
-// Kronecker product the supports are the oracle's and the index comes
-// without a census), and reads |T^{(κ)}| off truss_sizes() instead of a
-// symmetric matrix.
+// peel() is the peel itself, by edge id, from one of two triangle
+// sources sharing one level-synchronous engine (truss/peel_engine.hpp):
+// an edge index the caller already holds and its per-edge supports (a run
+// plan's truss analysis on an explicit graph peels from the index and Δ(e)
+// its plan shares between analyses, api::PlanContext), or a Kronecker
+// product's oracle, whose peel takes each edge's triangles from per-factor
+// common-neighbour lists and never materializes the product. Either way
+// |T^{(κ)}| comes off truss_sizes() instead of a symmetric matrix.
 #pragma once
 
 #include <span>
@@ -37,6 +39,10 @@
 
 namespace kronotri::triangle {
 struct EdgeIndex;
+}
+
+namespace kronotri::kron {
+class TriangleOracle;
 }
 
 namespace kronotri::truss {
@@ -60,6 +66,16 @@ struct TrussDecomposition {
 /// no ids or `support` is not one count per id.
 std::vector<count_t> peel(const triangle::EdgeIndex& index,
                           std::vector<count_t> support);
+
+/// Truss number of every undirected edge of the Kronecker product C that
+/// `product` describes (any k ≥ 2 factors, self loops allowed), indexed by
+/// C's edge ids (u ascending, then v > u: the ids of
+/// triangle::build_edge_ids on the materialized C), so the numbers equal
+/// peel()'s on C id by id. Δ(e) comes from the oracle's closed form and
+/// each frontier edge's triangles from per-factor common-neighbour lists;
+/// C is never materialized. Adds to the same counters as peel(), where
+/// `truss.peel_lookups` counts triangle candidates: 3·τ_C over the peel.
+std::vector<count_t> peel(const kron::TriangleOracle& product);
 
 /// |T^{(κ)}| for every κ in [0, max truss], from per-edge truss numbers:
 /// one histogram pass and a suffix sum. The last index is the max truss

@@ -504,7 +504,7 @@ TEST(RunPlan, SinglePassRunMatchesIndependentComputation) {
   const auto& degree = report.analyses[1];
   const auto summary = analysis::summarize_kron_degrees(a, b);
   EXPECT_EQ(degree.data.find("max_degree")->as_uint(), summary.max_degree);
-  // truss ran on the collector-materialized product — compare against the
+  // truss peeled the product from its factors — compare against the
   // registry-materialized graph.
   const Graph mat = api::GeneratorRegistry::builtin().build(
       "kron:(hk:n=30,m=2,p=0.6,seed=11)x(clique:n=3,loops=1)");
@@ -747,16 +747,15 @@ TEST(PlanCensus, ProductCountsComeFromTheOracleAndEqualTheExplicitCensus) {
       ASSERT_TRUE(product.is_product());
       ASSERT_FALSE(explicit_ctx.is_product());
 
-      // Δ per edge id, t per vertex and τ are read off the closed forms,
-      // on the edge ids of the materialized product's census: the product
+      // t per vertex and τ are read off the closed forms: the product
       // pays only its oracle's factor censuses, the explicit graph one
-      // census pass of its own.
+      // census pass of its own. Δ_C, the oracle's closed form, equals the
+      // explicit census at every edge id of the materialized product.
       const count_t oracle_passes =
           passes_and_lookups(
               [&] { (void)kron::TriangleOracle(product.factors()); })
               .first;
       const auto product_work = passes_and_lookups([&] {
-        (void)product.edge_triangles();
         (void)product.vertex_triangles();
         (void)product.total_triangles();
       });
@@ -767,23 +766,29 @@ TEST(PlanCensus, ProductCountsComeFromTheOracleAndEqualTheExplicitCensus) {
       });
       EXPECT_EQ(product_work.first, oracle_passes);
       EXPECT_EQ(explicit_work.first, 1u);
-      EXPECT_EQ(product.edge_index().ids.ends,
-                explicit_ctx.edge_index().ids.ends);
-      EXPECT_EQ(product.edge_triangles(), explicit_ctx.edge_triangles());
+      const triangle::EdgeIdMap& ids = explicit_ctx.census().edge_ids();
+      for (esz e = 0; e < ids.num_edges(); ++e) {
+        EXPECT_EQ(product.oracle().edge_triangles(ids.ends[e].first,
+                                                  ids.ends[e].second),
+                  explicit_ctx.edge_triangles()[e]);
+      }
+      EXPECT_THROW((void)product.edge_triangles(), std::logic_error);
       EXPECT_EQ(product.vertex_triangles(), explicit_ctx.vertex_triangles());
       EXPECT_EQ(product.total_triangles(), explicit_ctx.total_triangles());
 
-      // The analyses read them to the same reports and the same peel.
-      api::RunReport product_truss, explicit_truss;
+      // The analyses read them to the same reports. The product's peel
+      // enumerates each edge's triangles once from the factor lists, so
+      // its lookups are exactly 3·τ_C.
+      api::RunReport product_truss;
       const count_t product_lookups = passes_and_lookups([&] {
         product_truss = execute(product, "truss", {});
       }).second;
-      const count_t explicit_lookups = passes_and_lookups([&] {
-        explicit_truss = execute(explicit_ctx, "truss", {});
-      }).second;
+      const api::RunReport explicit_truss =
+          execute(explicit_ctx, "truss", {});
       EXPECT_EQ(comparable_analyses(product_truss),
                 comparable_analyses(explicit_truss));
-      EXPECT_EQ(product_lookups, explicit_lookups);
+      EXPECT_EQ(product_lookups, 3 * product.oracle().total_triangles());
+      EXPECT_FALSE(product.graph_ready());
       EXPECT_EQ(comparable_analyses(execute(product, "clustering", {})),
                 comparable_analyses(execute(explicit_ctx, "clustering", {})));
       // A 2-factor egonet reads the implicit view and reports the factor
@@ -804,14 +809,22 @@ TEST(PlanCensus, ProductCountsComeFromTheOracleAndEqualTheExplicitCensus) {
                   comparable_analyses(explicit_ego));
       }
 
-      // A clustering plan takes d_C from the oracle too, so it
-      // materializes nothing.
+      // Clustering and truss plans take d_C, t_C and Δ_C from the oracle
+      // and peel from the factors, so they materialize nothing.
       const api::RunReport clustering =
           api::run(api::RunPlan::parse(std::string(text) + " clustering"));
       EXPECT_EQ(comparable_analyses(clustering),
                 comparable_analyses(execute(explicit_ctx, "clustering", {})));
-      for (const api::StageTiming& stage : clustering.stages) {
-        EXPECT_NE(stage.name, "materialize");
+      const api::RunReport truss =
+          api::run(api::RunPlan::parse(std::string(text) + " truss"));
+      EXPECT_EQ(comparable_analyses(truss),
+                comparable_analyses(explicit_truss));
+      EXPECT_EQ(truss.counters.get_uint("truss.peel_lookups", 0),
+                3 * product.oracle().total_triangles());
+      for (const api::RunReport* plan : {&clustering, &truss}) {
+        for (const api::StageTiming& stage : plan->stages) {
+          EXPECT_NE(stage.name, "materialize");
+        }
       }
     }
   }

@@ -6,8 +6,11 @@
 #include "core/ops.hpp"
 #include "gen/classic.hpp"
 #include "gen/one_triangle_pa.hpp"
+#include "gen/random.hpp"
 #include "helpers.hpp"
+#include "kron/oracle.hpp"
 #include "kron/product.hpp"
+#include "obs/counters.hpp"
 #include "triangle/census.hpp"
 #include "triangle/support.hpp"
 #include "truss/decompose.hpp"
@@ -163,11 +166,6 @@ TEST_P(TrussProperty, PeelFromWorkspaceMatchesDecomposeAndSerial) {
     const triangle::CensusWorkspace ws(g);
     const std::vector<count_t> truss_of =
         truss::peel(ws.edge_index(), ws.edge_census());
-    // An index built without the census orientation peels the same.
-    const triangle::EdgeIndex index = triangle::index_edges(g);
-    EXPECT_EQ(index.ids.ends, ws.edge_ids().ends);
-    EXPECT_EQ(index.ids.slot_id, ws.edge_ids().slot_id);
-    EXPECT_EQ(truss::peel(index, ws.edge_census()), truss_of);
     const auto par = truss::decompose(g);
     const auto ser = truss::decompose_serial(g);
     const std::vector<esz>& slot_id = ws.edge_ids().slot_id;
@@ -202,6 +200,78 @@ TEST(Truss, PeelRejectsAVertexOnlyWorkspace) {
       gen::clique(4), triangle::CensusWorkspace::Detail::kVertexOnly);
   EXPECT_THROW((void)truss::peel(ws.edge_index(), {}),
                std::invalid_argument);
+}
+
+/// `g` with a self loop added at vertex 0.
+Graph looped_at_zero(const Graph& g) {
+  std::vector<std::pair<vid, vid>> edges = {{0, 0}};
+  for (vid u = 0; u < g.num_vertices(); ++u) {
+    for (const vid v : g.neighbors(u)) edges.emplace_back(u, v);
+  }
+  return Graph::from_edges(g.num_vertices(), edges, /*symmetrize=*/true);
+}
+
+TEST(Truss, ProductPeelMatchesTheMaterializedPeel) {
+  // Loops at random vertices, and at vertex 0 of every looped factor, so
+  // the product has vertices looped in every factor (rows with a hole)
+  // beside vertices looped in some.
+  const Graph a = kt_test::random_undirected(14, 0.35, 71);
+  const Graph la = looped_at_zero(kt_test::random_undirected(14, 0.35, 72, 0.4));
+  const Graph b = gen::clique(4);
+  const Graph lb = looped_at_zero(kt_test::random_undirected(6, 0.6, 73, 0.5));
+  const Graph lc = gen::cycle(4).with_all_self_loops();
+  const std::vector<std::pair<const char*, std::vector<Graph>>> products = {
+      {"A x B", {a, b}},
+      {"A(loops) x B", {la, b}},
+      {"A x B(loops)", {a, lb}},
+      {"A(loops) x B(loops)", {la, lb}},
+      {"A x K3 x C4(loops)", {a, gen::clique(3), lc}},
+      {"A(loops) x B(loops) x C4(loops)", {la, lb, lc}},
+      {"hubcycle x hubcycle", {gen::hub_cycle(), gen::hub_cycle()}},
+      {"er x onetri", {gen::erdos_renyi(24, 0.35, 17),
+                       gen::one_triangle_pa(40, 18)}},
+  };
+  obs::Counter& lookups = obs::counter("truss.peel_lookups");
+  obs::Counter& sub_rounds = obs::counter("truss.peel_sub_rounds");
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  for (const int omp_threads : {1, 2, 8}) {
+    omp_set_num_threads(omp_threads);
+#else
+  {
+    const int omp_threads = 1;
+#endif
+    for (const auto& [name, factors] : products) {
+      SCOPED_TRACE(std::string(name) + " at OMP " +
+                   std::to_string(omp_threads));
+      const kron::TriangleOracle oracle(factors);
+      const count_t l0 = lookups.value(), r0 = sub_rounds.value();
+      const std::vector<count_t> truss_of = truss::peel(oracle);
+      const count_t product_lookups = lookups.value() - l0;
+      const count_t product_rounds = sub_rounds.value() - r0;
+
+      const Graph c = kron::kron_graph(factors);
+      const count_t r1 = sub_rounds.value();
+      (void)truss::decompose(c);
+      const count_t explicit_rounds = sub_rounds.value() - r1;
+      const auto ser = truss::decompose_serial(c);
+      const triangle::CensusWorkspace ws(c);
+      const std::vector<esz>& slot_id = ws.edge_ids().slot_id;
+      ASSERT_EQ(truss_of.size(), ws.num_edges());
+      ASSERT_EQ(ser.truss_number.nnz(), slot_id.size());
+      for (esz k = 0; k < slot_id.size(); ++k) {
+        ASSERT_EQ(truss_of[slot_id[k]], ser.truss_number.values()[k])
+            << "slot " << k << " edge " << ws.edge_ids().ends[slot_id[k]].first
+            << "-" << ws.edge_ids().ends[slot_id[k]].second;
+      }
+      EXPECT_EQ(product_rounds, explicit_rounds);
+      EXPECT_EQ(product_lookups, 3 * oracle.total_triangles());
+      EXPECT_GT(oracle.total_triangles(), 0u);
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrussProperty,
