@@ -100,11 +100,11 @@ bool streams_on_two_factor(const std::string& name) {
 
 constexpr double kBytesPerEntry = 24;   // CSR cols+offsets + census counters
 constexpr double kBytesPerVertex = 16;  // degree/count arrays
-// A product's truss peel (truss/product_peel.cpp): support, state and
-// truss number per undirected edge of C, and one 24-byte common-neighbour
-// entry per factor slot and shared neighbour, charged at the factor's mean
-// degree per slot.
-constexpr double kPeelBytesPerEdge = 17;
+// A product's truss peel (truss/product_peel.cpp): support and state per
+// undirected edge of C (the truss numbers overwrite the supports), and one
+// 24-byte common-neighbour entry per factor slot and shared neighbour,
+// charged at the factor's mean degree per slot.
+constexpr double kPeelBytesPerEdge = 9;
 constexpr double kBytesPerCommon = 24;
 
 }  // namespace

@@ -36,13 +36,14 @@ enum : std::uint8_t { kAlive = 0, kInFrontier = 1, kPeeled = 2 };
 ///     {e, e1, e2} through each edge e of `slice` (edge ids; the slice may
 ///     be reordered) and returns the lookups it spent on them.
 /// Adds the lookups to `truss.peel_lookups` and the sub-rounds to
-/// `truss.peel_sub_rounds`.
+/// `truss.peel_sub_rounds`. The truss numbers are written over `sup`: an
+/// edge's support is never read again once it is peeled, so the peel
+/// allocates no second per-edge array.
 template <typename Source>
 std::vector<count_t> peel_frontiers(const Source& source,
                                     std::vector<count_t> sup) {
   const esz m = sup.size();
   std::vector<std::uint8_t> state(m, kAlive);
-  std::vector<count_t> truss_of(m, 2);
 
   const unsigned workers = triangle::census_workers();
   std::vector<std::vector<esz>> tl_found(workers);
@@ -64,6 +65,22 @@ std::vector<count_t> peel_frontiers(const Source& source,
         if (cur - 1 == level) found.push_back(t);
         break;
       }
+    }
+  };
+
+  // The next frontier: every thread's found edges, marked in parallel (each
+  // edge sits in exactly one list), then concatenated.
+  const auto join_frontier = [&] {
+#pragma omp parallel for schedule(static, 1)
+    for (std::int64_t w = 0; w < static_cast<std::int64_t>(workers); ++w) {
+      for (const esz e : tl_found[static_cast<std::size_t>(w)]) {
+        state[e] = kInFrontier;
+      }
+    }
+    curr.clear();
+    for (auto& found : tl_found) {
+      curr.insert(curr.end(), found.begin(), found.end());
+      found.clear();
     }
   };
 
@@ -104,12 +121,7 @@ std::vector<count_t> peel_frontiers(const Source& source,
         }
       }
     }
-    curr.clear();
-    for (auto& found : tl_found) {
-      curr.insert(curr.end(), found.begin(), found.end());
-      found.clear();
-    }
-    for (const esz e : curr) state[e] = kInFrontier;
+    join_frontier();
 
     // Sub-rounds: peel the frontier, collect the edges its removal drags to
     // the level, repeat until the level is exhausted. The frontier is cut
@@ -161,22 +173,16 @@ std::vector<count_t> peel_frontiers(const Source& source,
       for (std::int64_t i = 0; i < static_cast<std::int64_t>(curr.size());
            ++i) {
         const esz e = curr[static_cast<std::size_t>(i)];
-        truss_of[e] = kappa;
+        sup[e] = kappa;
         state[e] = kPeeled;
       }
-
-      curr.clear();
-      for (auto& found : tl_found) {
-        curr.insert(curr.end(), found.begin(), found.end());
-        found.clear();
-      }
-      for (const esz e : curr) state[e] = kInFrontier;
+      join_frontier();
     }
   }
 
   obs::counter("truss.peel_lookups").add(lookups);
   obs::counter("truss.peel_sub_rounds").add(sub_rounds);
-  return truss_of;
+  return sup;
 }
 
 }  // namespace kronotri::truss::detail

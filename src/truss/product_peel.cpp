@@ -21,8 +21,9 @@
 //     so id(u, v) = off[u] + position of v − position of u's first upper
 //     neighbour: a per-vertex constant plus a mixed-radix position.
 //
-// The peel holds Δ(e), the peel state and the truss number per edge (17 B)
-// and two words per product vertex; no CSR, slot map or endpoint pair of C.
+// The peel holds Δ(e), overwritten by the truss number once e is peeled,
+// and the peel state per edge (9 B) and two words per product vertex; no
+// CSR, slot map or endpoint pair of C.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
